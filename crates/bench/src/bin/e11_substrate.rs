@@ -18,23 +18,32 @@
 //!    reactor worker while a handful of active clients drive closed-loop
 //!    traffic through the same worker. (The blocking arm pins its worker
 //!    on the first idle connection and starves every later one.)
+//! 4. **µs/KiB for the base64 kernel** — median one-shot encode and decode
+//!    of a seeded, incompressible 256 KiB payload (one transfer chunk),
+//!    per KiB of payload. Every byte of the chunked transfer path (E13)
+//!    goes through both.
 //!
 //! ```sh
 //! cargo run -p portalws-bench --release --bin e11_substrate -- \
 //!     [--quick] [--json PATH] [--baseline PATH]
 //! ```
 //!
-//! `--json` writes the measurements as `BENCH_substrate.json`; `--baseline`
-//! compares parse µs/envelope against a committed baseline and exits
-//! nonzero on a >2× regression (the CI smoke gate).
+//! `--json` writes the measurements as `BENCH_substrate.json`. `--baseline`
+//! compares them against a committed baseline and exits nonzero on a >2×
+//! regression of parse µs/envelope, or a >3× regression of either base64
+//! µs/KiB (the CI smoke gate). The byte-at-a-time decoder the
+//! table-driven kernel replaced runs at 16–22× the decode baseline, so
+//! the 3× bound catches a return to it without tripping on runner speed.
+//! The encode bound only catches gross regressions: pushing the output
+//! char by char costs 2–3×, inside it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use portalws_bench::{jobs_request, representative_envelope};
 use portalws_soap::{
-    CallContext, Envelope, Fault, MethodDesc, SoapClient, SoapResult, SoapServer, SoapService,
-    SoapType, SoapValue,
+    base64, CallContext, Envelope, Fault, MethodDesc, SoapClient, SoapResult, SoapServer,
+    SoapService, SoapType, SoapValue,
 };
 use portalws_wire::{Handler, HttpServer, PooledTransport};
 
@@ -192,6 +201,31 @@ fn idle_mix(idle: usize, active: usize, per_client: usize) -> IdleMixRow {
     row
 }
 
+/// Median one-shot base64 encode and decode time, in µs per KiB of a
+/// seeded, incompressible 256 KiB payload (one transfer chunk).
+fn base64_kernel(iters: usize) -> (f64, f64) {
+    const PAYLOAD_BYTES: usize = 256 * 1024;
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let data: Vec<u8> = (0..PAYLOAD_BYTES)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 24) as u8
+        })
+        .collect();
+    let text = base64::encode(&data);
+    assert_eq!(base64::decode(&text).as_deref(), Some(&data[..]));
+    let kib = PAYLOAD_BYTES as f64 / 1024.0;
+    let encode = median_us(iters, || {
+        std::hint::black_box(base64::encode(std::hint::black_box(&data)));
+    });
+    let decode = median_us(iters, || {
+        std::hint::black_box(base64::decode(std::hint::black_box(&text)));
+    });
+    (encode / kib, decode / kib)
+}
+
 /// Pull the number after `"key":` out of a flat JSON document. Enough for
 /// the baseline file this binary writes itself.
 fn json_number(doc: &str, key: &str) -> Option<f64> {
@@ -278,9 +312,14 @@ fn main() {
         std::hint::black_box(env.to_xml());
     });
 
+    let (b64_encode_us_per_kib, b64_decode_us_per_kib) =
+        base64_kernel(if quick { 40 } else { 200 });
+
     println!("E11 — substrate throughput (envelope: {} bytes)", xml.len());
     println!("  parse:     {parse_us:>8.2} µs/envelope");
     println!("  serialize: {serialize_us:>8.2} µs/envelope");
+    println!("  base64 encode: {b64_encode_us_per_kib:>6.3} µs/KiB (256 KiB payload)");
+    println!("  base64 decode: {b64_decode_us_per_kib:>6.3} µs/KiB (256 KiB payload)");
 
     // --- Series 2: closed-loop req/s vs worker count, per arm ------------
     println!(
@@ -326,6 +365,12 @@ fn main() {
         doc.push_str(&format!("  \"envelope_bytes\": {},\n", xml.len()));
         doc.push_str(&format!("  \"parse_us\": {parse_us:.3},\n"));
         doc.push_str(&format!("  \"serialize_us\": {serialize_us:.3},\n"));
+        doc.push_str(&format!(
+            "  \"b64_encode_us_per_kib\": {b64_encode_us_per_kib:.3},\n"
+        ));
+        doc.push_str(&format!(
+            "  \"b64_decode_us_per_kib\": {b64_decode_us_per_kib:.3},\n"
+        ));
         doc.push_str("  \"throughput\": [\n");
         for (i, row) in rows.iter().enumerate() {
             doc.push_str(&format!(
@@ -360,14 +405,23 @@ fn main() {
     // --- Baseline gate ----------------------------------------------------
     if let Some(path) = baseline_path {
         let doc = std::fs::read_to_string(&path).expect("read baseline");
-        let base_parse = json_number(&doc, "parse_us").expect("baseline parse_us");
-        println!("baseline parse: {base_parse:.2} µs/envelope, current: {parse_us:.2} µs/envelope");
-        if parse_us > 2.0 * base_parse {
-            eprintln!(
-                "FAIL: parse-per-envelope regressed >2x ({parse_us:.2} µs vs baseline {base_parse:.2} µs)"
-            );
+        let gates = [
+            ("parse_us", parse_us, 2.0),
+            ("b64_encode_us_per_kib", b64_encode_us_per_kib, 3.0),
+            ("b64_decode_us_per_kib", b64_decode_us_per_kib, 3.0),
+        ];
+        let mut failed = false;
+        for (key, current, bound) in gates {
+            let base = json_number(&doc, key).unwrap_or_else(|| panic!("baseline {key}"));
+            println!("baseline {key}: {base:.3}, current: {current:.3} (gate {bound}x)");
+            if current > bound * base {
+                eprintln!("FAIL: {key} regressed >{bound}x ({current:.3} vs baseline {base:.3})");
+                failed = true;
+            }
+        }
+        if failed {
             std::process::exit(1);
         }
-        println!("baseline gate passed (threshold 2x)");
+        println!("baseline gates passed");
     }
 }

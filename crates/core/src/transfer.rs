@@ -249,23 +249,21 @@ impl<'a> TransferClient<'a> {
                     );
                     let mut st = state.lock().expect("transfer lock");
                     match fetched {
-                        Ok(v) => match v.as_bytes() {
-                            Some(data) if data.len() == len => {
-                                st.done.insert(off, data.to_vec());
-                                st.chunks += 1;
-                            }
-                            Some(data) => {
-                                st.failed.get_or_insert(SoapError::Protocol(format!(
-                                    "get_chunk at {off} returned {} bytes, wanted {len}",
-                                    data.len()
-                                )));
-                            }
-                            None => {
-                                st.failed.get_or_insert(SoapError::Protocol(
-                                    "get_chunk reply was not base64 data".into(),
-                                ));
-                            }
-                        },
+                        Ok(SoapValue::Base64(data)) if data.len() == len => {
+                            st.done.insert(off, data);
+                            st.chunks += 1;
+                        }
+                        Ok(SoapValue::Base64(data)) => {
+                            st.failed.get_or_insert(SoapError::Protocol(format!(
+                                "get_chunk at {off} returned {} bytes, wanted {len}",
+                                data.len()
+                            )));
+                        }
+                        Ok(_) => {
+                            st.failed.get_or_insert(SoapError::Protocol(
+                                "get_chunk reply was not base64 data".into(),
+                            ));
+                        }
                         Err(e) => {
                             st.failed.get_or_insert(e);
                         }

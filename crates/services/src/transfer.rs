@@ -552,7 +552,7 @@ impl TransferTable {
         let staging = h.staging.clone();
         let pending_before = h.pending_bytes;
         let mut frontier = off.saturating_add(data.len());
-        let mut to_append: Vec<Vec<u8>> = vec![data.to_vec()];
+        let mut drained: Vec<Vec<u8>> = Vec::new();
         let drain: TransferResult<()> = loop {
             let head = h
                 .pending
@@ -582,15 +582,16 @@ impl TransferTable {
             if let Some(pdata) = h.pending.remove(&poff) {
                 h.pending_bytes = h.pending_bytes.saturating_sub(pdata.len());
                 frontier = frontier.saturating_add(pdata.len());
-                to_append.push(pdata);
+                drained.push(pdata);
             }
         };
         let mut acked = h.next_off;
         let append: TransferResult<()> = match drain {
             Err(e) => Err(e),
             Ok(()) => {
+                // The caller's chunk is appended borrowed, never copied.
                 let mut out = Ok(());
-                for chunk in &to_append {
+                for chunk in std::iter::once(data).chain(drained.iter().map(Vec::as_slice)) {
                     match self
                         .srb
                         .append_at(&principal_owned, &staging, h.next_off, chunk)

@@ -18,7 +18,7 @@ use portalws_wire::{
 use portalws_xml::{Element, XmlError};
 
 use crate::cache::{fnv1a, ReadCache};
-use crate::envelope::Envelope;
+use crate::envelope::{body_text, Envelope};
 use crate::fault::Fault;
 use crate::server::{endpoint_path, GENERATION_HEADER};
 use crate::value::SoapValue;
@@ -288,7 +288,7 @@ impl SoapClient {
             req = req.with_header(DEADLINE_HEADER, budget.as_millis().max(1).to_string());
         }
         let resp = self.transport.round_trip(req)?;
-        let reply = Envelope::parse(&resp.body_str())
+        let reply = Envelope::parse(&body_text(&resp.body))
             .map_err(|e| SoapError::Protocol(format!("unparsable reply: {e}")))?;
         let generation = reply
             .header(GENERATION_HEADER)

@@ -6,6 +6,8 @@
 //! responses use `<METHODResponse>` with a single `<return>` child; faults
 //! use `<SOAP-ENV:Fault>`.
 
+use std::borrow::Cow;
+
 use portalws_xml::{Element, Node, XmlError};
 
 use crate::fault::Fault;
@@ -241,10 +243,34 @@ impl Envelope {
     }
 }
 
+/// An HTTP body as envelope text: borrowed when it is valid UTF-8 (every
+/// body this stack sends), re-encoded lossily (U+FFFD per bad sequence)
+/// only when it is not. The same text as `body_str()`, without copying a
+/// chunk-sized body to get it; `str::from_utf8` also validates many times
+/// faster than the lossy scan.
+pub(crate) fn body_text(body: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(body) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(body),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::PortalErrorKind;
+
+    #[test]
+    fn body_text_borrows_utf8_and_is_lossy_otherwise() {
+        let body = Envelope::request("Calc", "echo", &[SoapValue::str("h\u{e9}")])
+            .to_xml()
+            .into_bytes();
+        assert!(matches!(body_text(&body), Cow::Borrowed(t) if t.as_bytes() == body));
+        let bad = [0xC3, 0x28];
+        assert!(matches!(body_text(&bad), Cow::Owned(ref t) if t == "\u{FFFD}("));
+        let req = portalws_wire::Request::post("/soap/Calc", bad.to_vec());
+        assert_eq!(body_text(&req.body), req.body_str());
+    }
 
     #[test]
     fn request_round_trip() {

@@ -20,7 +20,7 @@ use portalws_wire::{
 };
 use portalws_xml::Element;
 
-use crate::envelope::Envelope;
+use crate::envelope::{body_text, Envelope};
 use crate::fault::Fault;
 use crate::value::{SoapType, SoapValue};
 use crate::SoapResult;
@@ -243,7 +243,7 @@ impl Handler for SoapServer {
             .nth(1)
             .unwrap_or("")
             .to_owned();
-        let envelope = match Envelope::parse(&req.body_str()) {
+        let envelope = match Envelope::parse(&body_text(&req.body)) {
             Ok(env) => env,
             Err(e) => {
                 let fault = Fault::client(format!("envelope parse failed: {e}"));

@@ -8,7 +8,7 @@
 //! priori knowledge — the property the batch-script interop test (E10)
 //! exercises.
 
-use portalws_xml::Element;
+use portalws_xml::{Element, Node};
 
 use crate::base64;
 
@@ -245,9 +245,19 @@ impl SoapValue {
                 "false" | "0" => Ok(SoapValue::Bool(false)),
                 other => Err(format!("bad boolean value {other:?}")),
             },
-            SoapType::Base64 => base64::decode(&el.text())
-                .map(SoapValue::Base64)
-                .ok_or_else(|| "bad base64 payload".to_string()),
+            SoapType::Base64 => {
+                // Decode each text node in place: a chunk's payload is one
+                // large node, and concatenating first would copy it again.
+                let mut dec = base64::Base64Decoder::new();
+                let mut bytes = Vec::new();
+                el.nodes()
+                    .iter()
+                    .filter_map(Node::as_text)
+                    .try_for_each(|text| dec.update(text, &mut bytes))
+                    .and_then(|()| dec.finish())
+                    .map(|()| SoapValue::Base64(bytes))
+                    .ok_or_else(|| "bad base64 payload".to_string())
+            }
             SoapType::Array => {
                 let items = el
                     .children()
@@ -325,6 +335,37 @@ mod tests {
             round_trip(SoapValue::Base64(bytes.clone())),
             SoapValue::Base64(bytes)
         );
+    }
+
+    #[test]
+    fn base64_decodes_across_text_cdata_and_whitespace_nodes() {
+        let bytes = b"one payload, many text nodes".to_vec();
+        let text = base64::encode(&bytes);
+        // Cut inside a quad and inside an 8-char block.
+        let (head, rest) = text.split_at(5);
+        let (mid, tail) = rest.split_at(11);
+        let el = Element::new("p")
+            .with_attr("xsi:type", "xsd:base64Binary")
+            .with_text(format!("\n  {head}"))
+            .with_cdata(mid)
+            .with_text("\n\t ")
+            .with_text(tail)
+            .with_text("\r\n");
+        assert_eq!(el.nodes().len(), 5);
+        let want = SoapValue::Base64(bytes);
+        assert_eq!(SoapValue::from_element(&el).unwrap(), want);
+        // The same split as parsed from the wire, with a comment between.
+        let xml = format!(
+            r#"<p xsi:type="xsd:base64Binary">{head}<![CDATA[{mid}]]><!-- c -->{tail}</p>"#
+        );
+        let parsed = Element::parse(&xml).unwrap();
+        assert_eq!(SoapValue::from_element(&parsed).unwrap(), want);
+        // Padding that closes a quad in an earlier node ends the value.
+        let early_pad = Element::new("p")
+            .with_attr("xsi:type", "xsd:base64Binary")
+            .with_text("Zg==")
+            .with_cdata("Zg==");
+        assert!(SoapValue::from_element(&early_pad).is_err());
     }
 
     #[test]

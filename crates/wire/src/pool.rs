@@ -410,8 +410,7 @@ impl PooledTransport {
             err,
             response_started: true,
         })?;
-        self.stats
-            .record_exchange(bytes.len(), resp.to_bytes().len());
+        self.stats.record_exchange(bytes.len(), resp.wire_len());
         self.pool.checkin(&self.addr, conn, &self.stats);
         Ok(resp)
     }
@@ -569,15 +568,19 @@ mod tests {
     fn reuses_pooled_connection() {
         let server = HttpServer::start(upper_handler(), 2).unwrap();
         let t = PooledTransport::new(server.addr());
+        let mut received = 0;
         for _ in 0..8 {
             let resp = t.round_trip(Request::post("/x", "grid")).unwrap();
             assert_eq!(resp.body_str(), "GRID");
+            received += resp.to_bytes().len() as u64;
         }
         let snap = t.stats().snapshot();
         assert_eq!(snap.connections, 1, "one dial serves all calls");
         assert_eq!(snap.pool_reuse_misses, 1, "only the cold start misses");
         assert_eq!(snap.pool_reuse_hits, 7);
         assert_eq!(snap.requests, 8);
+        // Counted from `wire_len`, byte-for-byte what serializing gives.
+        assert_eq!(snap.bytes_received, received);
         server.shutdown();
     }
 

@@ -74,8 +74,7 @@ impl HttpTransport {
             conn.flush()?;
         }
         let resp = Response::read_from(&*conn)?;
-        self.stats
-            .record_exchange(bytes.len(), resp.to_bytes().len());
+        self.stats.record_exchange(bytes.len(), resp.wire_len());
         Ok(resp)
     }
 }
@@ -230,12 +229,16 @@ mod tests {
     fn keep_alive_reuses_one_connection() {
         let server = HttpServer::start(upper_handler(), 2).unwrap();
         let t = HttpTransport::keep_alive(server.addr());
+        let mut received = 0;
         for _ in 0..8 {
             let resp = t.round_trip(Request::post("/x", "grid")).unwrap();
             assert_eq!(resp.body_str(), "GRID");
+            received += resp.to_bytes().len() as u64;
         }
         assert_eq!(t.stats().snapshot().connections, 1);
         assert_eq!(t.stats().snapshot().requests, 8);
+        // Counted from `wire_len`, byte-for-byte what serializing gives.
+        assert_eq!(t.stats().snapshot().bytes_received, received);
         server.shutdown();
     }
 
