@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use portalws_soap::{Envelope, Fault, Guard, PortalErrorKind, SoapClient, SoapValue};
+use portalws_soap::{CallContext, Fault, Guard, PortalErrorKind, SoapClient, SoapValue};
 
 use crate::assertion::Assertion;
 use crate::service::AuthService;
@@ -21,8 +21,8 @@ use crate::service::AuthService;
 use crate::service::AuthSoapFacade;
 use crate::session::UserSession;
 
-pub(crate) fn extract_assertion(env: &Envelope) -> Result<Assertion, Fault> {
-    let el = UserSession::find_assertion(&env.headers).ok_or_else(|| {
+pub(crate) fn extract_assertion(ctx: &CallContext) -> Result<Assertion, Fault> {
+    let el = UserSession::find_assertion(&ctx.headers).ok_or_else(|| {
         Fault::portal(
             PortalErrorKind::AuthFailed,
             "request carries no SAML assertion",
@@ -35,8 +35,8 @@ pub(crate) fn extract_assertion(env: &Envelope) -> Result<Assertion, Fault> {
 /// Central verification: forward the assertion to the Authentication
 /// Service over SOAP.
 pub fn remote_guard(auth_client: Arc<SoapClient>) -> Guard {
-    Arc::new(move |env: &Envelope, _ctx| {
-        let assertion = extract_assertion(env)?;
+    Arc::new(move |ctx: &CallContext| {
+        let assertion = extract_assertion(ctx)?;
         let reply = auth_client
             .call("verify", &[SoapValue::Xml(assertion.to_element())])
             .map_err(|e| {
@@ -62,8 +62,8 @@ pub fn remote_guard(auth_client: Arc<SoapClient>) -> Guard {
 /// state (no extra round trip, but every SSP must hold verification
 /// state — the containment property the paper argues against losing).
 pub fn local_guard(auth: Arc<AuthService>) -> Guard {
-    Arc::new(move |env: &Envelope, _ctx| {
-        let assertion = extract_assertion(env)?;
+    Arc::new(move |ctx: &CallContext| {
+        let assertion = extract_assertion(ctx)?;
         auth.verify_assertion(&assertion)
             .map(|_| ())
             .map_err(|e| Fault::portal(PortalErrorKind::AuthFailed, e.to_string()))
@@ -72,7 +72,7 @@ pub fn local_guard(auth: Arc<AuthService>) -> Guard {
 
 /// Unauthenticated baseline: accept everything.
 pub fn no_auth_guard() -> Guard {
-    Arc::new(|_env: &Envelope, _ctx| Ok(()))
+    Arc::new(|_ctx: &CallContext| Ok(()))
 }
 
 /// Compose an authentication guard with an Akenti-style policy engine:
@@ -80,9 +80,9 @@ pub fn no_auth_guard() -> Guard {
 /// permitted to invoke `(service, method)`. The paper's §4 access-control
 /// future work, realized.
 pub fn authorized(inner: Guard, policy: Arc<crate::access::PolicyEngine>) -> Guard {
-    Arc::new(move |env: &Envelope, ctx| {
-        inner(env, ctx)?;
-        let assertion = extract_assertion(env)?;
+    Arc::new(move |ctx: &CallContext| {
+        inner(ctx)?;
+        let assertion = extract_assertion(ctx)?;
         let decision = policy.authorize(&assertion.subject, &ctx.service, &ctx.method);
         match decision.effect {
             crate::access::Effect::Permit => Ok(()),
@@ -105,7 +105,7 @@ mod tests {
     use super::*;
     use portalws_gridsim::clock::SimClock;
     use portalws_gridsim::cred::Mechanism;
-    use portalws_soap::{CallContext, MethodDesc, SoapResult, SoapServer, SoapService, SoapType};
+    use portalws_soap::{MethodDesc, SoapResult, SoapServer, SoapService, SoapType};
     use portalws_wire::{Handler, InMemoryTransport};
 
     struct Ping;

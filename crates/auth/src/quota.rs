@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use portalws_soap::{Envelope, Fault, Guard, PortalErrorKind};
+use portalws_soap::{CallContext, Fault, Guard, PortalErrorKind};
 
 /// Lock stripes over the bucket map.
 const QUOTA_STRIPES: usize = 8;
@@ -185,9 +185,9 @@ pub type ShedHook = Arc<dyn Fn() + Send + Sync>;
 /// Ordering matters — quota runs second so a forged assertion cannot
 /// drain a legitimate tenant's bucket.
 pub fn quota_guard(inner: Guard, quotas: Arc<TenantQuotas>, on_shed: Option<ShedHook>) -> Guard {
-    Arc::new(move |env: &Envelope, ctx| {
-        inner(env, ctx)?;
-        let assertion = crate::guard::extract_assertion(env)?;
+    Arc::new(move |ctx: &CallContext| {
+        inner(ctx)?;
+        let assertion = crate::guard::extract_assertion(ctx)?;
         match quotas.try_acquire(&assertion.subject) {
             Ok(()) => Ok(()),
             Err(retry_ms) => {

@@ -258,10 +258,15 @@ fn main() {
     let xml = env.to_xml();
 
     if assert_no_alloc {
-        // Dynamic cross-check of portalint's static hot-path-alloc gate:
-        // the lint proves no allocation site is reachable from the
-        // parse/serialize entry points (outside audited allows), so the
-        // substrate's owned-path counters must stay flat — identical
+        // Dynamic cross-check of portalint's static hot-path-alloc gate.
+        // The lint proves no allocation site (outside audited allows) is
+        // reachable from the tokenizer (`Tokenizer::next_event`) or from
+        // the serializers (`Envelope::write_xml_into`,
+        // `SoapValue::write_xml`, `write_compact_into`,
+        // `Request`/`Response::write_into`). Envelope parsing is no
+        // longer an entry: it decodes RPC values into owned `SoapValue`s
+        // by design. What both directions share is the escape/unescape
+        // layer, so its owned-path counters must stay flat — identical
         // envelope batches must produce identical escape/unescape
         // allocate counts, at the borrow-path rate the zero-copy rework
         // pinned.

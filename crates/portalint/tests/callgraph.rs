@@ -147,6 +147,10 @@ fn real_substrate_carries_the_hot_path_markers() {
             include_str!("../../soap/src/envelope.rs"),
         ),
         (
+            "crates/soap/src/value.rs",
+            include_str!("../../soap/src/value.rs"),
+        ),
+        (
             "crates/wire/src/http.rs",
             include_str!("../../wire/src/http.rs"),
         ),
@@ -161,10 +165,10 @@ fn real_substrate_carries_the_hot_path_markers() {
     assert_eq!(
         entries,
         vec![
-            "Envelope::from_root",
             "Envelope::write_xml_into",
             "Request::write_into",
             "Response::write_into",
+            "SoapValue::write_xml",
             "Tokenizer::next_event",
             "write_compact_into",
         ],

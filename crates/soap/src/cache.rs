@@ -77,7 +77,7 @@ impl Default for ReadCacheConfig {
 type Key = (String, String, u64);
 
 struct Entry {
-    value: SoapValue,
+    value: Arc<SoapValue>,
     /// Service generation the value was fetched at; `None` for
     /// unversioned services (plain TTL expiry).
     generation: Option<u64>,
@@ -89,7 +89,7 @@ struct Entry {
 /// re-check the fill against the latest observed generation.
 enum FlightState {
     Pending,
-    Done(SoapValue, Option<u64>),
+    Done(Arc<SoapValue>, Option<u64>),
     Failed,
 }
 
@@ -119,7 +119,7 @@ impl Flight {
     }
 
     /// Publish the leader's outcome (`None` = failed) and wake followers.
-    fn publish(&self, outcome: Option<(SoapValue, Option<u64>)>) {
+    fn publish(&self, outcome: Option<(Arc<SoapValue>, Option<u64>)>) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         *state = match outcome {
             Some((value, generation)) => FlightState::Done(value, generation),
@@ -131,7 +131,7 @@ impl Flight {
     /// Bounded follower park. `Some(Some((v, gen)))` = leader succeeded,
     /// `Some(None)` = leader failed, `None` = timed out still pending.
     #[allow(clippy::type_complexity)]
-    fn wait_for_outcome(&self, bound: Duration) -> Option<Option<(SoapValue, Option<u64>)>> {
+    fn wait_for_outcome(&self, bound: Duration) -> Option<Option<(Arc<SoapValue>, Option<u64>)>> {
         let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let (state, _timeout) = self
             .cv
@@ -139,7 +139,7 @@ impl Flight {
             .unwrap_or_else(PoisonError::into_inner);
         match &*state {
             FlightState::Pending => None,
-            FlightState::Done(value, generation) => Some(Some((value.clone(), *generation))),
+            FlightState::Done(value, generation) => Some(Some((Arc::clone(value), *generation))),
             FlightState::Failed => Some(None),
         }
     }
@@ -222,6 +222,9 @@ impl ReadCache {
     /// current generation and is used to revalidate versioned entries
     /// past their TTL without refetching bodies.
     ///
+    /// The value is shared, never copied: the entry, the in-flight result
+    /// and every caller hold the same `Arc`.
+    ///
     /// Errors are not cached: a failed fetch propagates to the leader and
     /// every follower coalesced onto it, and the next caller starts over.
     pub fn get_or_fetch<E>(
@@ -231,7 +234,7 @@ impl ReadCache {
         digest: u64,
         probe: Option<&dyn Fn() -> Option<u64>>,
         fetch: &dyn Fn() -> Result<(SoapValue, Option<u64>), E>,
-    ) -> Result<SoapValue, E> {
+    ) -> Result<Arc<SoapValue>, E> {
         let key: Key = (service.to_owned(), method.to_owned(), digest);
         let mut follow_failures = 0u32;
         loop {
@@ -290,7 +293,7 @@ impl ReadCache {
         key: &Key,
         flight: Option<&Arc<Flight>>,
         fetch: &dyn Fn() -> Result<(SoapValue, Option<u64>), E>,
-    ) -> Result<SoapValue, E> {
+    ) -> Result<Arc<SoapValue>, E> {
         self.stats.record_cache_miss();
         let result = fetch();
         if flight.is_some() {
@@ -303,9 +306,10 @@ impl ReadCache {
                 if let Some(g) = generation {
                     self.observe_generation(&key.0, g);
                 }
-                self.insert(key.clone(), value.clone(), generation);
+                let value = Arc::new(value);
+                self.insert(key.clone(), Arc::clone(&value), generation);
                 if let Some(flight) = flight {
-                    flight.publish(Some((value.clone(), generation)));
+                    flight.publish(Some((Arc::clone(&value), generation)));
                 }
                 Ok(value)
             }
@@ -321,7 +325,11 @@ impl ReadCache {
     /// Serve from the cache if the entry is present and provably fresh:
     /// not invalidated by an observed generation bump, and either inside
     /// its TTL or revalidated by a generation probe.
-    fn try_serve(&self, key: &Key, probe: Option<&dyn Fn() -> Option<u64>>) -> Option<SoapValue> {
+    fn try_serve(
+        &self,
+        key: &Key,
+        probe: Option<&dyn Fn() -> Option<u64>>,
+    ) -> Option<Arc<SoapValue>> {
         let latest = self.latest_gen.lock().get(&key.0).copied();
         {
             let mut entries = self.entries.lock();
@@ -336,7 +344,7 @@ impl ReadCache {
                 }
             }
             if entry.cached_at.elapsed() <= self.cfg.ttl {
-                return Some(entry.value.clone());
+                return Some(Arc::clone(&entry.value));
             }
             if entry.generation.is_none() || probe.is_none() {
                 // Unversioned (or unprobable) entry past its TTL: expire.
@@ -353,14 +361,14 @@ impl ReadCache {
         if entry.generation == Some(current) {
             // Unchanged: the entry is fresh again for a full TTL.
             entry.cached_at = Instant::now();
-            return Some(entry.value.clone());
+            return Some(Arc::clone(&entry.value));
         }
         entries.remove(key);
         self.stats.record_cache_invalidation();
         None
     }
 
-    fn insert(&self, key: Key, value: SoapValue, generation: Option<u64>) {
+    fn insert(&self, key: Key, value: Arc<SoapValue>, generation: Option<u64>) {
         let mut entries = self.entries.lock();
         if entries.len() >= self.cfg.max_entries && !entries.contains_key(&key) {
             // Evict the oldest entry to stay bounded (the cap is portal
@@ -416,7 +424,7 @@ mod tests {
         let fetch = counted_fetch(&calls, 7, Some(1));
         for _ in 0..5 {
             let v = cache.get_or_fetch("Svc", "read", 42, None, &fetch).unwrap();
-            assert_eq!(v, SoapValue::Int(7));
+            assert_eq!(*v, SoapValue::Int(7));
         }
         assert_eq!(
             calls.load(Ordering::SeqCst),
@@ -501,7 +509,7 @@ mod tests {
         let v = cache
             .get_or_fetch("Svc", "read", 1, Some(&probe), &fetch)
             .unwrap();
-        assert_eq!(v, SoapValue::Int(7));
+        assert_eq!(*v, SoapValue::Int(7));
         assert_eq!(calls.load(Ordering::SeqCst), 1, "no body refetch");
         assert_eq!(probes.load(Ordering::SeqCst), 1, "one cheap probe");
         // The probe refreshed the TTL: an immediate third read needs none.
@@ -549,7 +557,7 @@ mod tests {
             calls.fetch_add(1, Ordering::SeqCst);
             Err(())
         };
-        let res: Result<SoapValue, ()> =
+        let res: Result<Arc<SoapValue>, ()> =
             cache.get_or_fetch("Svc", "read", 1, Some(&probe_dead), &fetch_err);
         assert!(res.is_err());
     }
@@ -640,10 +648,10 @@ mod tests {
         generation.store(2, Ordering::SeqCst);
         release.store(true, Ordering::SeqCst);
         // The leader returns its own wire-fresh read (fetched at gen 1).
-        assert_eq!(leader.join().unwrap(), Ok(SoapValue::Int(101)));
+        assert_eq!(leader.join().unwrap(), Ok(Arc::new(SoapValue::Int(101))));
         // The follower must NOT accept that pre-bump fill: it refetches
         // and comes back with post-bump data.
-        assert_eq!(follower.join().unwrap(), Ok(SoapValue::Int(202)));
+        assert_eq!(follower.join().unwrap(), Ok(Arc::new(SoapValue::Int(202))));
         assert_eq!(calls.load(Ordering::SeqCst), 2, "follower refetched");
         assert_eq!(cache.stats().snapshot().coalesced_calls, 0);
     }

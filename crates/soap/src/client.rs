@@ -224,16 +224,21 @@ impl SoapClient {
         };
         match cache {
             Some(cache) => {
-                let digest = fnv1a(envelope.body.to_xml().as_bytes());
+                let mut body = String::new();
+                envelope.write_body_into(&mut body);
+                let digest = fnv1a(body.as_bytes());
                 let probe = || self.probe_generation();
                 let fetch = || self.exchange(&envelope, true);
-                cache.get_or_fetch(
-                    &self.service,
-                    envelope.method(),
-                    digest,
-                    Some(&probe),
-                    &fetch,
-                )
+                // Entries are shared; the caller gets its own copy.
+                cache
+                    .get_or_fetch(
+                        &self.service,
+                        envelope.method(),
+                        digest,
+                        Some(&probe),
+                        &fetch,
+                    )
+                    .map(Arc::unwrap_or_clone)
             }
             None => self.exchange(&envelope, false).map(|(value, _)| value),
         }
@@ -303,7 +308,7 @@ impl SoapClient {
         if let Some(fault) = reply.as_fault() {
             return Err(SoapError::Fault(fault));
         }
-        let value = reply.return_value().map_err(SoapError::Protocol)?;
+        let value = reply.into_return_value().map_err(SoapError::Protocol)?;
         Ok((value, generation))
     }
 
@@ -379,8 +384,8 @@ mod tests {
     fn header_supplier_attaches_headers() {
         let server = SoapServer::new();
         server.mount(Arc::new(Calculator));
-        server.set_guard(Arc::new(|env, _| {
-            if env.header("Token").is_some() {
+        server.set_guard(Arc::new(|ctx| {
+            if ctx.header("Token").is_some() {
                 Ok(())
             } else {
                 Err(Fault::portal(PortalErrorKind::AuthFailed, "no token"))

@@ -107,7 +107,9 @@ pub trait SoapService: Send + Sync {
 }
 
 /// Pre-dispatch hook: may reject the call with a fault (used for auth).
-pub type Guard = Arc<dyn Fn(&Envelope, &CallContext) -> SoapResult<()> + Send + Sync>;
+/// It sees the request's headers, service and method through the
+/// [`CallContext`]; arguments are decoded only once it has passed.
+pub type Guard = Arc<dyn Fn(&CallContext) -> SoapResult<()> + Send + Sync>;
 
 /// Supplies SOAP header entries attached to every *reply* (mutual
 /// authentication: the server proves its identity to the client).
@@ -166,17 +168,20 @@ impl SoapServer {
     }
 
     /// Dispatch a parsed envelope addressed to `service_name`.
-    pub fn dispatch(&self, service_name: &str, envelope: &Envelope) -> Envelope {
+    ///
+    /// The envelope is consumed: its headers move into the
+    /// [`CallContext`], its decoded arguments move to the service, and the
+    /// service's value moves into the reply. Nothing is deep-copied.
+    pub fn dispatch(&self, service_name: &str, mut envelope: Envelope) -> Envelope {
         let Some(service) = self.service(service_name) else {
             return self.stamp(Envelope::fault(&Fault::client(format!(
                 "no such service {service_name:?}"
             ))));
         };
-        let method = envelope.method().to_owned();
         let ctx = CallContext {
-            headers: envelope.headers.clone(),
+            headers: std::mem::take(&mut envelope.headers),
             service: service_name.to_owned(),
-            method: method.clone(),
+            method: envelope.method().to_owned(),
         };
         // Every reply from a resolved service — success, fault, or guard
         // rejection — carries a service generation, so even a failed call
@@ -199,11 +204,12 @@ impl SoapServer {
             reply
         };
         if let Some(guard) = self.guard.read().clone() {
-            if let Err(fault) = guard(envelope, &ctx) {
+            if let Err(fault) = guard(&ctx) {
                 return finish(Envelope::fault(&fault));
             }
         }
-        let args = match envelope.args() {
+        // A malformed argument fails here, after the guard has run.
+        let args = match envelope.into_args() {
             Ok(args) => args,
             Err(msg) => {
                 return finish(Envelope::fault(&Fault::client(format!(
@@ -211,8 +217,8 @@ impl SoapServer {
                 ))))
             }
         };
-        finish(match service.invoke(&method, &args, &ctx) {
-            Ok(value) => Envelope::response(&method, &value),
+        finish(match service.invoke(&ctx.method, &args, &ctx) {
+            Ok(value) => Envelope::response(&ctx.method, value),
             Err(fault) => Envelope::fault(&fault),
         })
     }
@@ -250,7 +256,7 @@ impl Handler for SoapServer {
                 return xml_response(Status::InternalError, &Envelope::fault(&fault));
             }
         };
-        let reply = self.dispatch(&service_name, &envelope);
+        let reply = self.dispatch(&service_name, envelope);
         let status = if reply.is_fault() {
             // SOAP-over-HTTP convention: faults ride on 500.
             Status::InternalError
@@ -363,14 +369,14 @@ mod tests {
     #[test]
     fn dispatch_success() {
         let env = Envelope::request("Calc", "add", &[SoapValue::Int(2), SoapValue::Int(40)]);
-        let reply = server().dispatch("Calc", &env);
+        let reply = server().dispatch("Calc", env);
         assert_eq!(reply.return_value().unwrap(), SoapValue::Int(42));
     }
 
     #[test]
     fn dispatch_unknown_service() {
         let env = Envelope::request("Nope", "x", &[]);
-        let reply = server().dispatch("Nope", &env);
+        let reply = server().dispatch("Nope", env);
         assert!(reply.is_fault());
         assert_eq!(reply.as_fault().unwrap().code, FaultCode::Client);
     }
@@ -378,7 +384,7 @@ mod tests {
     #[test]
     fn dispatch_bad_args_gives_portal_error() {
         let env = Envelope::request("Calc", "add", &[SoapValue::str("x")]);
-        let reply = server().dispatch("Calc", &env);
+        let reply = server().dispatch("Calc", env);
         assert_eq!(
             reply.as_fault().unwrap().kind(),
             Some(PortalErrorKind::BadArguments)
@@ -421,22 +427,22 @@ mod tests {
     #[test]
     fn guard_can_reject() {
         let srv = server();
-        srv.set_guard(Arc::new(|env: &Envelope, _ctx: &CallContext| {
-            if env.header("Assertion").is_some() {
+        srv.set_guard(Arc::new(|ctx: &CallContext| {
+            if ctx.header("Assertion").is_some() {
                 Ok(())
             } else {
                 Err(Fault::portal(PortalErrorKind::AuthFailed, "no assertion"))
             }
         }));
         let env = Envelope::request("Calc", "add", &[SoapValue::Int(1), SoapValue::Int(1)]);
-        let reply = srv.dispatch("Calc", &env);
+        let reply = srv.dispatch("Calc", env.clone());
         assert_eq!(
             reply.as_fault().unwrap().kind(),
             Some(PortalErrorKind::AuthFailed)
         );
 
         let ok_env = env.with_header(Element::new("Assertion"));
-        let reply = srv.dispatch("Calc", &ok_env);
+        let reply = srv.dispatch("Calc", ok_env);
         assert!(!reply.is_fault());
     }
 
@@ -473,13 +479,13 @@ mod tests {
         let srv = SoapServer::new();
         srv.mount(Arc::new(VersionedCalc(7)));
         let env = Envelope::request("Calc", "add", &[SoapValue::Int(1), SoapValue::Int(2)]);
-        let reply = srv.dispatch("Calc", &env);
+        let reply = srv.dispatch("Calc", env);
         assert_eq!(
             reply.header(GENERATION_HEADER).map(|h| h.text()).as_deref(),
             Some("7")
         );
         // Faults from a resolved service still advance the client's view.
-        let reply = srv.dispatch("Calc", &Envelope::request("Calc", "nosuch", &[]));
+        let reply = srv.dispatch("Calc", Envelope::request("Calc", "nosuch", &[]));
         assert!(reply.is_fault());
         assert_eq!(
             reply.header(GENERATION_HEADER).map(|h| h.text()).as_deref(),
@@ -490,7 +496,7 @@ mod tests {
     #[test]
     fn unversioned_service_has_no_generation_header() {
         let env = Envelope::request("Calc", "add", &[SoapValue::Int(1), SoapValue::Int(2)]);
-        let reply = server().dispatch("Calc", &env);
+        let reply = server().dispatch("Calc", env);
         assert!(reply.header(GENERATION_HEADER).is_none());
     }
 

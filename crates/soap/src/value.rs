@@ -8,9 +8,13 @@
 //! priori knowledge — the property the batch-script interop test (E10)
 //! exercises.
 
-use portalws_xml::{Element, Node};
+use std::borrow::Cow;
+use std::fmt::Write;
 
-use crate::base64;
+use portalws_xml::escape::escape_text;
+use portalws_xml::{Element, Event, Tokenizer, XmlError};
+
+use crate::base64::{Base64Decoder, Base64Encoder};
 
 /// Wire-level type tags for values and WSDL message parts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,137 +184,362 @@ impl SoapValue {
     }
 
     /// Encode this value as an element named `name`, with an `xsi:type`
-    /// attribute identifying the type.
-    pub fn to_element(&self, name: &str) -> Element {
-        let mut el = Element::new(name).with_attr("xsi:type", self.soap_type().wire_name());
+    /// attribute identifying the type, appending the XML to `out`.
+    ///
+    /// The only value encoder: envelopes write every parameter and return
+    /// value straight into their output buffer through it. Empty strings,
+    /// arrays and structs close as `<name …/>`; `Null` is
+    /// `<name xsi:type="tns:void" xsi:nil="true"/>`. String content is
+    /// escaped through [`portalws_xml::escape`]; base64 text needs none.
+    // portalint: hot-path-entry
+    pub fn write_xml(&self, name: &str, out: &mut String) {
+        out.push('<');
+        out.push_str(name);
+        out.push_str(" xsi:type=\"");
+        out.push_str(self.soap_type().wire_name());
+        out.push('"');
         match self {
-            SoapValue::String(s) => {
-                if !s.is_empty() {
-                    el = Element::new(name)
-                        .with_attr("xsi:type", self.soap_type().wire_name())
-                        .with_text(s.clone());
-                }
+            SoapValue::String(s) if !s.is_empty() => {
+                out.push('>');
+                out.push_str(&escape_text(s));
             }
-            SoapValue::Int(i) => el = el.with_text(i.to_string()),
-            SoapValue::Double(d) => el = el.with_text(format_double(*d)),
-            SoapValue::Bool(b) => el = el.with_text(if *b { "true" } else { "false" }),
-            SoapValue::Base64(bytes) => el = el.with_text(base64::encode(bytes)),
-            SoapValue::Array(items) => {
+            SoapValue::Int(i) => {
+                out.push('>');
+                let _ = write!(out, "{i}");
+            }
+            SoapValue::Double(d) => {
+                out.push('>');
+                write_double(*d, out);
+            }
+            SoapValue::Bool(b) => {
+                out.push('>');
+                out.push_str(if *b { "true" } else { "false" });
+            }
+            SoapValue::Base64(bytes) => {
+                out.push('>');
+                out.reserve(bytes.len().div_ceil(3) * 4);
+                let mut enc = Base64Encoder::new();
+                enc.update(bytes, out);
+                enc.finish(out);
+            }
+            SoapValue::Array(items) if !items.is_empty() => {
+                out.push('>');
                 for item in items {
-                    el.push_child(item.to_element("item"));
+                    item.write_xml("item", out);
                 }
             }
-            SoapValue::Struct(fields) => {
-                for (fname, fval) in fields {
-                    el.push_child(fval.to_element(fname));
+            SoapValue::Struct(fields) if !fields.is_empty() => {
+                out.push('>');
+                for (field, value) in fields {
+                    value.write_xml(field, out);
                 }
             }
             SoapValue::Xml(doc) => {
-                el.push_child(doc.clone());
+                out.push('>');
+                doc.write_xml_into(out);
             }
             SoapValue::Null => {
-                el.set_attr("xsi:nil", "true");
+                out.push_str(" xsi:nil=\"true\"/>");
+                return;
+            }
+            // Empty string, array or struct.
+            _ => {
+                out.push_str("/>");
+                return;
             }
         }
-        el
+        out.push_str("</");
+        out.push_str(name);
+        out.push('>');
     }
 
-    /// Decode an element produced by [`SoapValue::to_element`] (or by a
-    /// peer implementation). Falls back to heuristics when `xsi:type` is
-    /// absent, because 2002-era peers did not always send it.
-    pub fn from_element(el: &Element) -> Result<SoapValue, String> {
-        if el.attr("xsi:nil") == Some("true") {
-            return Ok(SoapValue::Null);
+    /// Decode the value element whose start tag `tok` has just produced
+    /// (`name`, `attrs` and `self_closing` are that event's fields),
+    /// consuming events through its end tag.
+    ///
+    /// The only value decoder. The outer error is a well-formedness error
+    /// and fails the whole document; the inner one is a value that does
+    /// not decode (bad int, double, boolean or base64 text, or a
+    /// `tns:xml` value with no element), after which the rest of the
+    /// element is still read, so the document parse goes on. Rules:
+    ///
+    /// * `xsi:nil="true"` is `Null` whatever the content; `xsi:type` is
+    ///   matched without regard to its prefix.
+    /// * Untyped elements are inferred from their first child element:
+    ///   `item` makes an array, any other name a struct, none a string
+    ///   (2002-era peers did not always send `xsi:type`).
+    /// * Only direct text and CDATA count as content. A declared
+    ///   `xsd:string` keeps every run verbatim, whitespace included; other
+    ///   types, like the DOM, skip whitespace-only text runs.
+    /// * `xsd:base64Binary` text is fed to one decoder run by run, where it
+    ///   lies.
+    /// * `tns:xml` keeps its first child element as DOM.
+    pub fn read<'a>(
+        tok: &mut Tokenizer<'a>,
+        name: &str,
+        attrs: &[(Cow<'a, str>, Cow<'a, str>)],
+        self_closing: bool,
+    ) -> portalws_xml::Result<Result<SoapValue, String>> {
+        let attr = |key: &str| {
+            attrs
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.as_ref())
+        };
+        let mut decode = if attr("xsi:nil") == Some("true") {
+            Decode::Null
+        } else {
+            Decode::new(attr("xsi:type").and_then(SoapType::from_wire_name))
+        };
+        read_content(tok, name, self_closing, |tok, piece| {
+            decode.feed(tok, piece)
+        })?;
+        Ok(decode.into_value())
+    }
+}
+
+/// One piece of an element's content as the value decoder sees it.
+pub(crate) enum Piece<'a> {
+    /// A text run (entities resolved).
+    Text(Cow<'a, str>),
+    /// A CDATA section.
+    CData(Cow<'a, str>),
+    /// A child's start tag: name, attributes, self-closing.
+    Child(Cow<'a, str>, Vec<(Cow<'a, str>, Cow<'a, str>)>, bool),
+}
+
+/// Read the content of the element `parent`, whose start tag was just
+/// read, through its end tag (none when `self_closing`): each text run,
+/// CDATA section and child start tag goes to `f`, which must consume a
+/// child through the child's end tag. Comments and processing
+/// instructions are skipped. Errors match [`Element::parse`]'s.
+pub(crate) fn read_content<'a>(
+    tok: &mut Tokenizer<'a>,
+    parent: &str,
+    self_closing: bool,
+    mut f: impl FnMut(&mut Tokenizer<'a>, Piece<'a>) -> portalws_xml::Result<()>,
+) -> portalws_xml::Result<()> {
+    if self_closing {
+        return Ok(());
+    }
+    loop {
+        let at = tok.offset();
+        let Some(ev) = tok.next_event()? else {
+            return Err(XmlError::UnexpectedEof { pos: tok.pos() });
+        };
+        match ev {
+            Event::Text(t) => f(tok, Piece::Text(t))?,
+            Event::CData(t) => f(tok, Piece::CData(t))?,
+            Event::StartTag {
+                name,
+                attrs,
+                self_closing,
+            } => f(tok, Piece::Child(name, attrs, self_closing))?,
+            Event::EndTag { name } if name == parent => return Ok(()),
+            Event::EndTag { name } => {
+                return Err(XmlError::MismatchedTag {
+                    pos: tok.pos_at(at),
+                    open: parent.to_owned(),
+                    close: name.into_owned(),
+                })
+            }
+            Event::Comment(_) | Event::Decl(_) | Event::Doctype(_) | Event::Pi { .. } => {}
         }
-        let declared = el
-            .attr("xsi:type")
-            .and_then(SoapType::from_wire_name)
-            .unwrap_or_else(|| infer_type(el));
-        match declared {
-            SoapType::String => Ok(SoapValue::String(el.text())),
-            SoapType::Int => el
-                .text()
-                .trim()
-                .parse::<i64>()
-                .map(SoapValue::Int)
-                .map_err(|_| format!("bad int value {:?}", el.text())),
-            SoapType::Double => el
-                .text()
-                .trim()
-                .parse::<f64>()
-                .map(SoapValue::Double)
-                .map_err(|_| format!("bad double value {:?}", el.text())),
-            SoapType::Boolean => match el.text().trim() {
-                "true" | "1" => Ok(SoapValue::Bool(true)),
-                "false" | "0" => Ok(SoapValue::Bool(false)),
-                other => Err(format!("bad boolean value {other:?}")),
+    }
+}
+
+/// Name with any `prefix:` removed.
+pub(crate) fn local_name(name: &str) -> &str {
+    name.split_once(':').map_or(name, |(_, local)| local)
+}
+
+/// Whitespace-only text, which the DOM (and every non-string value)
+/// ignores.
+fn blank(text: &str) -> bool {
+    text.trim().is_empty()
+}
+
+/// Decoder state for one value element, fed its content piece by piece.
+enum Decode {
+    /// `xsi:nil` or `tns:void`: content is ignored.
+    Null,
+    /// A scalar read from its text; `verbatim` (declared `xsd:string`)
+    /// keeps whitespace-only runs.
+    Text {
+        ty: SoapType,
+        text: String,
+        verbatim: bool,
+    },
+    /// `xsd:base64Binary`; `ok` turns false at the first bad run.
+    Base64 {
+        dec: Base64Decoder,
+        bytes: Vec<u8>,
+        ok: bool,
+    },
+    Array(Vec<SoapValue>),
+    Struct(Vec<(String, SoapValue)>),
+    Xml(Option<Element>),
+    /// No `xsi:type`, and no child element seen yet: a string so far.
+    Untyped(String),
+    /// A child failed to decode; its error is the value's, and the rest
+    /// of the content is only checked for well-formedness.
+    Failed(String),
+}
+
+impl Decode {
+    fn new(ty: Option<SoapType>) -> Decode {
+        let text = |ty, verbatim| Decode::Text {
+            ty,
+            text: String::new(),
+            verbatim,
+        };
+        match ty {
+            None => Decode::Untyped(String::new()),
+            Some(SoapType::String) => text(SoapType::String, true),
+            Some(ty @ (SoapType::Int | SoapType::Double | SoapType::Boolean)) => text(ty, false),
+            Some(SoapType::Base64) => Decode::Base64 {
+                dec: Base64Decoder::new(),
+                bytes: Vec::new(),
+                ok: true,
             },
-            SoapType::Base64 => {
-                // Decode each text node in place: a chunk's payload is one
-                // large node, and concatenating first would copy it again.
-                let mut dec = base64::Base64Decoder::new();
-                let mut bytes = Vec::new();
-                el.nodes()
-                    .iter()
-                    .filter_map(Node::as_text)
-                    .try_for_each(|text| dec.update(text, &mut bytes))
-                    .and_then(|()| dec.finish())
-                    .map(|()| SoapValue::Base64(bytes))
-                    .ok_or_else(|| "bad base64 payload".to_string())
+            Some(SoapType::Array) => Decode::Array(Vec::new()),
+            Some(SoapType::Struct) => Decode::Struct(Vec::new()),
+            Some(SoapType::Xml) => Decode::Xml(None),
+            Some(SoapType::Void) => Decode::Null,
+        }
+    }
+
+    fn feed<'a>(&mut self, tok: &mut Tokenizer<'a>, piece: Piece<'a>) -> portalws_xml::Result<()> {
+        let (run, cdata) = match piece {
+            Piece::Text(t) => (t, false),
+            Piece::CData(t) => (t, true),
+            Piece::Child(name, attrs, self_closing) => {
+                return self.child(tok, name, attrs, self_closing)
             }
-            SoapType::Array => {
-                let items = el
-                    .children()
-                    .map(SoapValue::from_element)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(SoapValue::Array(items))
+        };
+        let kept = cdata || !blank(&run);
+        match self {
+            Decode::Text { text, verbatim, .. } if kept || *verbatim => append(text, run),
+            Decode::Untyped(text) if kept => append(text, run),
+            Decode::Base64 { dec, bytes, ok } if kept && *ok => {
+                *ok = dec.update(&run, bytes).is_some();
             }
-            SoapType::Struct => {
-                let fields = el
-                    .children()
-                    .map(|c| SoapValue::from_element(c).map(|v| (c.local_name().to_owned(), v)))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(SoapValue::Struct(fields))
+            _ => {}
+        }
+        Ok(())
+    }
+
+    fn child<'a>(
+        &mut self,
+        tok: &mut Tokenizer<'a>,
+        name: Cow<'a, str>,
+        attrs: Vec<(Cow<'a, str>, Cow<'a, str>)>,
+        self_closing: bool,
+    ) -> portalws_xml::Result<()> {
+        if let Decode::Untyped(_) = self {
+            *self = if local_name(&name) == "item" {
+                Decode::Array(Vec::new())
+            } else {
+                Decode::Struct(Vec::new())
+            };
+        }
+        match self {
+            Decode::Array(_) | Decode::Struct(_) => {
+                let value = SoapValue::read(tok, &name, &attrs, self_closing)?;
+                match (self, value) {
+                    (Decode::Array(items), Ok(value)) => items.push(value),
+                    (Decode::Struct(fields), Ok(value)) => {
+                        fields.push((local_name(&name).to_owned(), value));
+                    }
+                    (this, Err(e)) => *this = Decode::Failed(e),
+                    _ => {}
+                }
             }
-            SoapType::Xml => el
-                .children()
-                .next()
-                .cloned()
+            Decode::Xml(slot @ None) => {
+                *slot = Some(Element::read_subtree(tok, name, attrs, self_closing)?);
+            }
+            // Content the value ignores is still read in full.
+            _ => {
+                Element::read_subtree(tok, name, attrs, self_closing)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn into_value(self) -> Result<SoapValue, String> {
+        match self {
+            Decode::Null => Ok(SoapValue::Null),
+            Decode::Text { ty, text, .. } => match ty {
+                SoapType::Int => text
+                    .trim()
+                    .parse::<i64>()
+                    .map(SoapValue::Int)
+                    .map_err(|_| format!("bad int value {text:?}")),
+                SoapType::Double => text
+                    .trim()
+                    .parse::<f64>()
+                    .map(SoapValue::Double)
+                    .map_err(|_| format!("bad double value {text:?}")),
+                SoapType::Boolean => match text.trim() {
+                    "true" | "1" => Ok(SoapValue::Bool(true)),
+                    "false" | "0" => Ok(SoapValue::Bool(false)),
+                    other => Err(format!("bad boolean value {other:?}")),
+                },
+                _ => Ok(SoapValue::String(text)),
+            },
+            Decode::Base64 { mut dec, bytes, ok } => (ok && dec.finish().is_some())
+                .then_some(SoapValue::Base64(bytes))
+                .ok_or_else(|| "bad base64 payload".to_string()),
+            Decode::Array(items) => Ok(SoapValue::Array(items)),
+            Decode::Struct(fields) => Ok(SoapValue::Struct(fields)),
+            Decode::Xml(doc) => doc
                 .map(SoapValue::Xml)
                 .ok_or_else(|| "xml value with no embedded element".to_string()),
-            SoapType::Void => Ok(SoapValue::Null),
+            Decode::Untyped(text) => Ok(SoapValue::String(text)),
+            Decode::Failed(e) => Err(e),
         }
+    }
+}
+
+/// Append a text run, taking it over without a copy when it is the first.
+fn append(text: &mut String, run: Cow<'_, str>) {
+    if text.is_empty() {
+        *text = run.into_owned();
+    } else {
+        text.push_str(&run);
     }
 }
 
 /// Render a double the way 2002 toolchains did: plain decimal, no exponent
 /// for ordinary magnitudes.
-fn format_double(d: f64) -> String {
-    if d == d.trunc() && d.abs() < 1e15 {
-        format!("{d:.1}")
+fn write_double(d: f64, out: &mut String) {
+    let _ = if d == d.trunc() && d.abs() < 1e15 {
+        write!(out, "{d:.1}")
     } else {
-        format!("{d}")
-    }
-}
-
-/// Heuristic typing for untagged elements: children named `item` → array,
-/// any children → struct, otherwise string.
-fn infer_type(el: &Element) -> SoapType {
-    let mut children = el.children().peekable();
-    match children.peek() {
-        None => SoapType::String,
-        Some(first) if first.local_name() == "item" => SoapType::Array,
-        Some(_) => SoapType::Struct,
-    }
+        write!(out, "{d}")
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base64;
+
+    fn encode(v: &SoapValue) -> String {
+        let mut out = String::new();
+        v.write_xml("p", &mut out);
+        out
+    }
+
+    fn decode(xml: &str) -> Result<SoapValue, String> {
+        portalws_xml::dom::read_document(xml, |tok, name, attrs, self_closing| {
+            SoapValue::read(tok, &name, &attrs, self_closing)
+        })
+        .expect("well-formed")
+    }
 
     fn round_trip(v: SoapValue) -> SoapValue {
-        let el = v.to_element("p");
-        SoapValue::from_element(&el).unwrap()
+        decode(&encode(&v)).unwrap()
     }
 
     #[test]
@@ -324,8 +553,35 @@ mod tests {
 
     #[test]
     fn whole_double_keeps_decimal_point() {
-        let el = SoapValue::Double(3.0).to_element("p");
-        assert_eq!(el.text(), "3.0");
+        assert_eq!(
+            encode(&SoapValue::Double(3.0)),
+            r#"<p xsi:type="xsd:double">3.0</p>"#
+        );
+        assert_eq!(
+            encode(&SoapValue::Double(1e20)),
+            r#"<p xsi:type="xsd:double">100000000000000000000</p>"#
+        );
+    }
+
+    #[test]
+    fn empty_forms() {
+        assert_eq!(encode(&SoapValue::str("")), r#"<p xsi:type="xsd:string"/>"#);
+        assert_eq!(
+            encode(&SoapValue::Array(vec![])),
+            r#"<p xsi:type="SOAP-ENC:Array"/>"#
+        );
+        assert_eq!(
+            encode(&SoapValue::Struct(vec![])),
+            r#"<p xsi:type="tns:struct"/>"#
+        );
+        assert_eq!(
+            encode(&SoapValue::Base64(vec![])),
+            r#"<p xsi:type="xsd:base64Binary"></p>"#
+        );
+        assert_eq!(
+            encode(&SoapValue::Null),
+            r#"<p xsi:type="tns:void" xsi:nil="true"/>"#
+        );
     }
 
     #[test]
@@ -338,34 +594,19 @@ mod tests {
     }
 
     #[test]
-    fn base64_decodes_across_text_cdata_and_whitespace_nodes() {
+    fn base64_decodes_across_text_cdata_comment_and_whitespace_runs() {
         let bytes = b"one payload, many text nodes".to_vec();
         let text = base64::encode(&bytes);
         // Cut inside a quad and inside an 8-char block.
         let (head, rest) = text.split_at(5);
         let (mid, tail) = rest.split_at(11);
-        let el = Element::new("p")
-            .with_attr("xsi:type", "xsd:base64Binary")
-            .with_text(format!("\n  {head}"))
-            .with_cdata(mid)
-            .with_text("\n\t ")
-            .with_text(tail)
-            .with_text("\r\n");
-        assert_eq!(el.nodes().len(), 5);
-        let want = SoapValue::Base64(bytes);
-        assert_eq!(SoapValue::from_element(&el).unwrap(), want);
-        // The same split as parsed from the wire, with a comment between.
         let xml = format!(
-            r#"<p xsi:type="xsd:base64Binary">{head}<![CDATA[{mid}]]><!-- c -->{tail}</p>"#
+            "<p xsi:type=\"xsd:base64Binary\">\n  {head}<![CDATA[{mid}]]><!-- c -->\n\t <!-- c -->{tail}\r\n</p>"
         );
-        let parsed = Element::parse(&xml).unwrap();
-        assert_eq!(SoapValue::from_element(&parsed).unwrap(), want);
-        // Padding that closes a quad in an earlier node ends the value.
-        let early_pad = Element::new("p")
-            .with_attr("xsi:type", "xsd:base64Binary")
-            .with_text("Zg==")
-            .with_cdata("Zg==");
-        assert!(SoapValue::from_element(&early_pad).is_err());
+        assert_eq!(decode(&xml), Ok(SoapValue::Base64(bytes)));
+        // Padding that closes a quad in an earlier run ends the value.
+        let early_pad = r#"<p xsi:type="xsd:base64Binary">Zg==<![CDATA[Zg==]]></p>"#;
+        assert_eq!(decode(early_pad), Err("bad base64 payload".into()));
     }
 
     #[test]
@@ -395,6 +636,10 @@ mod tests {
             .with_child(Element::new("job").with_text_child("command", "/bin/hostname"));
         let v = SoapValue::Xml(doc.clone());
         assert_eq!(round_trip(v), SoapValue::Xml(doc));
+        assert_eq!(
+            decode(r#"<p xsi:type="tns:xml">  </p>"#),
+            Err("xml value with no embedded element".into())
+        );
     }
 
     #[test]
@@ -403,36 +648,77 @@ mod tests {
     }
 
     #[test]
+    fn declared_strings_keep_whitespace_runs_untyped_text_does_not() {
+        for s in [" ", "\n", "  \t  ", " padded "] {
+            assert_eq!(round_trip(SoapValue::str(s)), SoapValue::str(s));
+        }
+        assert_eq!(
+            decode("<p xsi:type=\"xsd:string\">a<!-- c --> </p>"),
+            Ok(SoapValue::str("a "))
+        );
+        // Untyped elements keep the DOM's policy: blank runs are dropped.
+        assert_eq!(decode("<p>a<!-- c --> </p>"), Ok(SoapValue::str("a")));
+        assert_eq!(decode("<p> </p>"), Ok(SoapValue::str("")));
+    }
+
+    #[test]
     fn untagged_elements_decoded_heuristically() {
-        let el = Element::parse("<r><item>1</item><item>2</item></r>").unwrap();
-        let v = SoapValue::from_element(&el).unwrap();
+        let v = decode("<r><item>1</item><item>2</item></r>").unwrap();
         assert_eq!(
             v,
             SoapValue::Array(vec![SoapValue::str("1"), SoapValue::str("2")])
         );
-        let el = Element::parse("<r><a>1</a><b>2</b></r>").unwrap();
-        let v = SoapValue::from_element(&el).unwrap();
+        let v = decode("<r>ignored<a>1</a><b>2</b></r>").unwrap();
         assert_eq!(v.field("b"), Some(&SoapValue::str("2")));
+        assert_eq!(v.field("a"), Some(&SoapValue::str("1")));
     }
 
     #[test]
-    fn bad_typed_values_error() {
-        let el = Element::parse(r#"<p xsi:type="xsd:int">notanint</p>"#).unwrap();
-        assert!(SoapValue::from_element(&el).is_err());
-        let el = Element::parse(r#"<p xsi:type="xsd:boolean">maybe</p>"#).unwrap();
-        assert!(SoapValue::from_element(&el).is_err());
+    fn nil_and_prefixed_types() {
+        assert_eq!(
+            decode(r#"<p xsi:type="xsd:int" xsi:nil="true">x<y/></p>"#),
+            Ok(SoapValue::Null)
+        );
+        assert_eq!(
+            decode(r#"<p xsi:type="i:int"> 7 </p>"#),
+            Ok(SoapValue::Int(7))
+        );
+    }
+
+    #[test]
+    fn bad_typed_values_error_and_stop_at_the_first() {
+        assert_eq!(
+            decode(r#"<p xsi:type="xsd:int">notanint</p>"#),
+            Err("bad int value \"notanint\"".into())
+        );
+        assert_eq!(
+            decode(r#"<p xsi:type="xsd:boolean"> maybe </p>"#),
+            Err("bad boolean value \"maybe\"".into())
+        );
+        assert_eq!(
+            decode(r#"<p xsi:type="xsd:double">1.5x</p>"#),
+            Err("bad double value \"1.5x\"".into())
+        );
+        let xml = r#"<s><a xsi:type="xsd:int">1</a><b xsi:type="xsd:int">x</b><c xsi:type="xsd:int">y</c></s>"#;
+        assert_eq!(decode(xml), Err("bad int value \"x\"".into()));
+    }
+
+    #[test]
+    fn malformed_content_fails_the_document_not_the_value() {
+        let err = portalws_xml::dom::read_document(
+            r#"<p xsi:type="xsd:int">1<x></p>"#,
+            |tok, name, attrs, self_closing| SoapValue::read(tok, &name, &attrs, self_closing),
+        )
+        .unwrap_err();
+        assert!(matches!(err, XmlError::MismatchedTag { .. }), "{err:?}");
     }
 
     #[test]
     fn string_with_markup_escapes() {
         let v = SoapValue::str("<script>&");
-        let el = v.to_element("p");
-        let xml = el.to_xml();
+        let xml = encode(&v);
         assert!(xml.contains("&lt;script&gt;&amp;"));
-        assert_eq!(
-            SoapValue::from_element(&Element::parse(&xml).unwrap()).unwrap(),
-            v
-        );
+        assert_eq!(decode(&xml), Ok(v));
     }
 
     #[test]

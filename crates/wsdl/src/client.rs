@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use portalws_soap::{SoapClient, SoapType, SoapValue};
+use portalws_soap::{Envelope, SoapClient, SoapType, SoapValue};
 use portalws_wire::Transport;
 
 use crate::model::WsdlDefinition;
@@ -74,14 +74,13 @@ impl DynamicClient {
                 )));
             }
         }
-        let named: Vec<(&str, SoapValue)> = op
-            .inputs
-            .iter()
-            .zip(args)
-            .map(|(p, a)| (p.name.as_str(), a.clone()))
-            .collect();
-        let out = self.inner.call_named(operation, &named)?;
-        Ok(out)
+        // Each argument is copied once, into the request envelope.
+        let env = Envelope::request_named(
+            self.inner.service(),
+            operation,
+            op.inputs.iter().map(|p| p.name.as_str()).zip(args),
+        );
+        Ok(self.inner.call_envelope(env)?)
     }
 }
 

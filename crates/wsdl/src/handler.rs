@@ -101,7 +101,8 @@ pub const WSDL_CACHE_SERVICE: &str = "__wsdl__";
 /// and concurrent binds coalesce onto one fetch. WSDL documents carry no
 /// mutation generation (interface definitions change on redeploy, not at
 /// runtime), so entries are TTL-bounded only. The cached artifact is the
-/// parsed DOM root; stub generation from it still runs per call.
+/// parsed DOM root, shared with the cache rather than copied out of it;
+/// stub generation from it still runs per call.
 ///
 /// `endpoint` identifies *which host* the transport reaches (resolved
 /// URL or host name) and is folded into the cache key: one shared cache

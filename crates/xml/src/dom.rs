@@ -1,8 +1,13 @@
 //! Owned XML element tree with a fluent builder and navigation helpers.
 //!
-//! The DOM is the interchange currency between every portal layer: SOAP
-//! bodies, WSDL definitions, UDDI entries, application descriptors, and
-//! generated forms are all built and inspected as [`Element`] trees.
+//! Documents are built and inspected as [`Element`] trees: WSDL
+//! definitions, UDDI entries, application descriptors, generated forms,
+//! and the SOAP header entries, faults and embedded XML values. (SOAP RPC
+//! bodies are decoded straight from the tokenizer and never become a
+//! tree.) [`Element::read_subtree`] is the one builder; [`Element::parse`]
+//! and stream decoders both go through it.
+
+use std::borrow::Cow;
 
 use crate::event::{Event, Tokenizer};
 use crate::writer;
@@ -280,96 +285,143 @@ impl Element {
     /// documents are data-oriented); mixed content with non-blank text is
     /// preserved verbatim.
     pub fn parse(src: &str) -> Result<Element> {
-        let mut tok = Tokenizer::new(src);
-        let mut stack: Vec<Element> = Vec::new();
-        let mut root: Option<Element> = None;
+        read_document(src, Element::read_subtree)
+    }
+
+    /// Build the element whose start tag `tok` has just produced (`name`,
+    /// `attrs` and `self_closing` are that event's fields), consuming
+    /// events through its matching end tag.
+    ///
+    /// The one DOM builder: [`Element::parse`] reads its root through it,
+    /// and stream decoders (SOAP envelopes) hand it the subtrees they keep
+    /// as DOM — header entries, faults, embedded XML values. It applies
+    /// the same whitespace policy as `parse` and builds iteratively, so a
+    /// deep document costs heap, not stack.
+    pub fn read_subtree<'a>(
+        tok: &mut Tokenizer<'a>,
+        name: Cow<'a, str>,
+        attrs: Vec<(Cow<'a, str>, Cow<'a, str>)>,
+        self_closing: bool,
+    ) -> Result<Element> {
+        let mut root = Element::from_tag(name, attrs);
+        if self_closing {
+            return Ok(root);
+        }
+        // Open descendants of `root`, outermost first; empty (and
+        // allocation-free) while reading a leaf.
+        let mut open: Vec<Element> = Vec::new();
         loop {
             // The hot path records only the byte offset; line/col is
             // recovered lazily when an error is actually constructed.
             let at = tok.offset();
-            let Some(ev) = tok.next_event()? else { break };
+            let Some(ev) = tok.next_event()? else {
+                return Err(XmlError::UnexpectedEof { pos: tok.pos() });
+            };
+            let top = open.last_mut().unwrap_or(&mut root);
             match ev {
                 Event::Decl(_) | Event::Doctype(_) | Event::Pi { .. } => {}
-                Event::Comment(c) => {
-                    if let Some(top) = stack.last_mut() {
-                        top.children.push(Node::Comment(c.into_owned()));
-                    }
-                }
+                Event::Comment(c) => top.children.push(Node::Comment(c.into_owned())),
                 Event::Text(t) => {
-                    if let Some(top) = stack.last_mut() {
-                        if !t.trim().is_empty() {
-                            top.children.push(Node::Text(t.into_owned()));
-                        }
-                    } else if !t.trim().is_empty() {
-                        return Err(XmlError::Syntax {
-                            pos: tok.pos_at(at),
-                            msg: "text outside root element".into(),
-                        });
+                    if !t.trim().is_empty() {
+                        top.children.push(Node::Text(t.into_owned()));
                     }
                 }
-                Event::CData(t) => match stack.last_mut() {
-                    Some(top) => top.children.push(Node::CData(t.into_owned())),
-                    None => {
-                        return Err(XmlError::Syntax {
-                            pos: tok.pos_at(at),
-                            msg: "CDATA outside root element".into(),
-                        })
-                    }
-                },
+                Event::CData(t) => top.children.push(Node::CData(t.into_owned())),
                 Event::StartTag {
                     name,
                     attrs,
                     self_closing,
                 } => {
-                    if root.is_some() && stack.is_empty() {
-                        return Err(XmlError::Syntax {
-                            pos: tok.pos_at(at),
-                            msg: "multiple root elements".into(),
-                        });
-                    }
-                    let el = Element {
-                        name: name.into_owned(),
-                        attrs: attrs
-                            .into_iter()
-                            .map(|(k, v)| (k.into_owned(), v.into_owned()))
-                            .collect(),
-                        children: Vec::new(),
-                    };
+                    let el = Element::from_tag(name, attrs);
                     if self_closing {
-                        match stack.last_mut() {
-                            Some(top) => top.children.push(Node::Element(el)),
-                            None => root = Some(el),
-                        }
+                        top.children.push(Node::Element(el));
                     } else {
-                        stack.push(el);
+                        open.push(el);
                     }
                 }
                 Event::EndTag { name } => {
-                    let Some(el) = stack.pop() else {
-                        return Err(XmlError::Syntax {
-                            pos: tok.pos_at(at),
-                            msg: format!("unmatched close tag </{name}>"),
-                        });
-                    };
+                    let closed = open.pop();
+                    let el = closed.as_ref().unwrap_or(&root);
                     if el.name != name {
                         return Err(XmlError::MismatchedTag {
                             pos: tok.pos_at(at),
-                            open: el.name,
+                            open: el.name.clone(),
                             close: name.into_owned(),
                         });
                     }
-                    match stack.last_mut() {
-                        Some(top) => top.children.push(Node::Element(el)),
-                        None => root = Some(el),
+                    match closed {
+                        Some(el) => {
+                            let parent = open.last_mut().unwrap_or(&mut root);
+                            parent.children.push(Node::Element(el));
+                        }
+                        None => return Ok(root),
                     }
                 }
             }
         }
-        if !stack.is_empty() {
-            return Err(XmlError::UnexpectedEof { pos: tok.pos() });
-        }
-        root.ok_or(XmlError::Invalid("document has no root element".into()))
     }
+
+    fn from_tag(name: Cow<'_, str>, attrs: Vec<(Cow<'_, str>, Cow<'_, str>)>) -> Element {
+        Element {
+            name: name.into_owned(),
+            attrs: attrs
+                .into_iter()
+                .map(|(k, v)| (k.into_owned(), v.into_owned()))
+                .collect(),
+            children: Vec::new(),
+        }
+    }
+}
+
+/// Read a whole document: skip the prolog, hand the root start tag to
+/// `root` (which must consume through the root's end tag, as
+/// [`Element::read_subtree`] does), then check that only comments,
+/// processing instructions and whitespace follow.
+///
+/// Everything outside the root is held to the rules of
+/// [`Element::parse`], with the same errors, so a stream decoder built on
+/// this accepts and rejects exactly the documents the DOM parser does.
+pub fn read_document<'a, T>(
+    src: &'a str,
+    root: impl FnOnce(
+        &mut Tokenizer<'a>,
+        Cow<'a, str>,
+        Vec<(Cow<'a, str>, Cow<'a, str>)>,
+        bool,
+    ) -> Result<T>,
+) -> Result<T> {
+    let mut tok = Tokenizer::new(src);
+    let mut root = Some(root);
+    let mut out = None;
+    loop {
+        let at = tok.offset();
+        let Some(ev) = tok.next_event()? else { break };
+        let outside = |msg: &str| XmlError::Syntax {
+            pos: tok.pos_at(at),
+            msg: msg.into(),
+        };
+        match ev {
+            Event::Decl(_) | Event::Doctype(_) | Event::Pi { .. } | Event::Comment(_) => {}
+            Event::Text(t) => {
+                if !t.trim().is_empty() {
+                    return Err(outside("text outside root element"));
+                }
+            }
+            Event::CData(_) => return Err(outside("CDATA outside root element")),
+            Event::EndTag { name } => {
+                return Err(outside(&format!("unmatched close tag </{name}>")));
+            }
+            Event::StartTag {
+                name,
+                attrs,
+                self_closing,
+            } => match root.take() {
+                Some(read) => out = Some(read(&mut tok, name, attrs, self_closing)?),
+                None => return Err(outside("multiple root elements")),
+            },
+        }
+    }
+    out.ok_or(XmlError::Invalid("document has no root element".into()))
 }
 
 #[cfg(test)]
