@@ -18,10 +18,13 @@
 //!    reactor worker while a handful of active clients drive closed-loop
 //!    traffic through the same worker. (The blocking arm pins its worker
 //!    on the first idle connection and starves every later one.)
-//! 4. **µs/KiB for the base64 kernel** — median one-shot encode and decode
-//!    of a seeded, incompressible 256 KiB payload (one transfer chunk),
-//!    per KiB of payload. Every byte of the chunked transfer path (E13)
-//!    goes through both.
+//! 4. **µs/KiB for the base64 kernel** — median encode and decode of a
+//!    seeded, incompressible 256 KiB payload (one transfer chunk), per KiB
+//!    of payload, through `Base64Encoder::update` into a cleared, reused
+//!    `String` and `Base64Decoder::update` into a cleared, reused `Vec`:
+//!    fresh buffers would put page faults in every sample. Every byte of
+//!    the chunked transfer path (E13) goes through both. The report names
+//!    the block kernel that ran (`avx2` or `scalar`).
 //!
 //! ```sh
 //! cargo run -p portalws-bench --release --bin e11_substrate -- \
@@ -31,19 +34,19 @@
 //! `--json` writes the measurements as `BENCH_substrate.json`. `--baseline`
 //! compares them against a committed baseline and exits nonzero on a >2×
 //! regression of parse µs/envelope, or a >3× regression of either base64
-//! µs/KiB (the CI smoke gate). The byte-at-a-time decoder the
-//! table-driven kernel replaced runs at 16–22× the decode baseline, so
-//! the 3× bound catches a return to it without tripping on runner speed.
-//! The encode bound only catches gross regressions: pushing the output
-//! char by char costs 2–3×, inside it.
+//! µs/KiB (the CI smoke gate). The baseline comes from the AVX2 kernel,
+//! and the table kernel alone runs at 4–7× it in both directions, so the
+//! 3× bound catches a silent fall back to it without tripping on runner
+//! speed.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use portalws_bench::{jobs_request, representative_envelope};
+use portalws_soap::base64::{self, Base64Decoder, Base64Encoder};
 use portalws_soap::{
-    base64, CallContext, Envelope, Fault, MethodDesc, SoapClient, SoapResult, SoapServer,
-    SoapService, SoapType, SoapValue,
+    CallContext, Envelope, Fault, MethodDesc, SoapClient, SoapResult, SoapServer, SoapService,
+    SoapType, SoapValue,
 };
 use portalws_wire::{Handler, HttpServer, PooledTransport};
 
@@ -201,8 +204,9 @@ fn idle_mix(idle: usize, active: usize, per_client: usize) -> IdleMixRow {
     row
 }
 
-/// Median one-shot base64 encode and decode time, in µs per KiB of a
-/// seeded, incompressible 256 KiB payload (one transfer chunk).
+/// Median base64 encode and decode time, in µs per KiB of a seeded,
+/// incompressible 256 KiB payload (one transfer chunk), each into a
+/// cleared buffer reused across samples.
 fn base64_kernel(iters: usize) -> (f64, f64) {
     const PAYLOAD_BYTES: usize = 256 * 1024;
     let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -217,12 +221,22 @@ fn base64_kernel(iters: usize) -> (f64, f64) {
     let text = base64::encode(&data);
     assert_eq!(base64::decode(&text).as_deref(), Some(&data[..]));
     let kib = PAYLOAD_BYTES as f64 / 1024.0;
+    let mut chars = String::with_capacity(text.len());
     let encode = median_us(iters, || {
-        std::hint::black_box(base64::encode(std::hint::black_box(&data)));
+        chars.clear();
+        let mut enc = Base64Encoder::new();
+        enc.update(std::hint::black_box(&data), &mut chars);
+        enc.finish(&mut chars);
+        std::hint::black_box(&chars);
     });
+    let mut bytes = Vec::with_capacity(data.len());
     let decode = median_us(iters, || {
-        std::hint::black_box(base64::decode(std::hint::black_box(&text)));
+        bytes.clear();
+        let mut dec = Base64Decoder::new();
+        let decoded = dec.update(std::hint::black_box(&text), &mut bytes);
+        std::hint::black_box((decoded, dec.finish(), &bytes));
     });
+    assert_eq!((chars.as_str(), &bytes[..]), (text.as_str(), &data[..]));
     (encode / kib, decode / kib)
 }
 
@@ -323,8 +337,9 @@ fn main() {
     println!("E11 — substrate throughput (envelope: {} bytes)", xml.len());
     println!("  parse:     {parse_us:>8.2} µs/envelope");
     println!("  serialize: {serialize_us:>8.2} µs/envelope");
-    println!("  base64 encode: {b64_encode_us_per_kib:>6.3} µs/KiB (256 KiB payload)");
-    println!("  base64 decode: {b64_decode_us_per_kib:>6.3} µs/KiB (256 KiB payload)");
+    let b64_kernel = base64::kernel();
+    println!("  base64 encode: {b64_encode_us_per_kib:>6.3} µs/KiB (256 KiB payload, {b64_kernel} kernel)");
+    println!("  base64 decode: {b64_decode_us_per_kib:>6.3} µs/KiB (256 KiB payload, {b64_kernel} kernel)");
 
     // --- Series 2: closed-loop req/s vs worker count, per arm ------------
     println!(
@@ -376,6 +391,7 @@ fn main() {
         doc.push_str(&format!(
             "  \"b64_decode_us_per_kib\": {b64_decode_us_per_kib:.3},\n"
         ));
+        doc.push_str(&format!("  \"b64_kernel\": \"{b64_kernel}\",\n"));
         doc.push_str("  \"throughput\": [\n");
         for (i, row) in rows.iter().enumerate() {
             doc.push_str(&format!(

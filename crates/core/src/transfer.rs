@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use portalws_soap::{Fault, PortalErrorKind, SoapClient, SoapError, SoapValue};
+use portalws_soap::{Envelope, Fault, PortalErrorKind, SoapClient, SoapError, SoapValue};
 
 /// Default chunk payload size.
 pub const DEFAULT_CHUNK_BYTES: usize = 256 * 1024;
@@ -150,12 +150,18 @@ impl<'a> TransferClient<'a> {
     /// failures (every transfer method is idempotent by design). A
     /// transport error that survives the loop is folded through the
     /// canonical wire→fault table so callers always see the portal's
-    /// typed taxonomy.
-    fn call_retry(&self, method: &str, args: &[SoapValue]) -> Result<SoapValue, SoapError> {
+    /// typed taxonomy. `args` builds each attempt's arguments, which move
+    /// into its envelope: a chunk payload is copied once per attempt,
+    /// straight from the caller's slice.
+    fn call_retry<A>(&self, method: &str, args: impl Fn() -> A) -> Result<SoapValue, SoapError>
+    where
+        A: IntoIterator<Item = SoapValue>,
+    {
         let attempts = self.cfg.chunk_attempts.max(1);
         let mut attempt = 0;
         loop {
-            match self.client.call(method, args) {
+            let request = Envelope::request(self.client.service(), method, args());
+            match self.client.call_envelope(request) {
                 Err(e) if Self::transient(&e) => {
                     attempt += 1;
                     if attempt >= attempts {
@@ -187,7 +193,7 @@ impl<'a> TransferClient<'a> {
         path: &str,
         mut sink: impl FnMut(&[u8]),
     ) -> Result<TransferReport, SoapError> {
-        let opened = self.call_retry("open_get", &[SoapValue::str(path)])?;
+        let opened = self.call_retry("open_get", || [SoapValue::str(path)])?;
         let handle = opened
             .field("handle")
             .and_then(|v| v.as_str())
@@ -239,14 +245,13 @@ impl<'a> TransferClient<'a> {
                         st.high_water = st.high_water.max(st.resident);
                         (off, len)
                     };
-                    let fetched = self.call_retry(
-                        "get_chunk",
-                        &[
-                            SoapValue::str(handle.clone()),
+                    let fetched = self.call_retry("get_chunk", || {
+                        [
+                            SoapValue::str(handle.as_str()),
                             SoapValue::Int(off as i64),
                             SoapValue::Int(len as i64),
-                        ],
-                    );
+                        ]
+                    });
                     let mut st = state.lock().expect("transfer lock");
                     match fetched {
                         Ok(SoapValue::Base64(data)) if data.len() == len => {
@@ -318,7 +323,7 @@ impl<'a> TransferClient<'a> {
     /// partial is abandoned via `abort`.
     pub fn put(&self, path: &str, data: &[u8]) -> Result<TransferReport, SoapError> {
         let handle = self
-            .call_retry("open_put", &[SoapValue::str(path)])?
+            .call_retry("open_put", || [SoapValue::str(path)])?
             .as_str()
             .ok_or_else(|| SoapError::Protocol("open_put reply was not a handle".into()))?
             .to_owned();
@@ -362,14 +367,13 @@ impl<'a> TransferClient<'a> {
                         };
                         // The owned chunk copy below is the resident
                         // memory the window bounds.
-                        let sent = self.call_retry(
-                            "put_chunk",
-                            &[
-                                SoapValue::str(handle.clone()),
+                        let sent = self.call_retry("put_chunk", || {
+                            [
+                                SoapValue::str(handle.as_str()),
                                 SoapValue::Int(off as i64),
                                 SoapValue::Base64(data[off..off + len].to_vec()),
-                            ],
-                        );
+                            ]
+                        });
                         let mut st = state.lock().expect("transfer lock");
                         match sent.map(|v| v.as_i64()) {
                             Ok(Some(acked)) => {
@@ -401,7 +405,7 @@ impl<'a> TransferClient<'a> {
             return Err(e);
         }
         let total = self
-            .call_retry("commit", &[SoapValue::str(handle.clone())])?
+            .call_retry("commit", || [SoapValue::str(handle.as_str())])?
             .as_i64()
             .and_then(|n| usize::try_from(n).ok())
             .ok_or_else(|| SoapError::Protocol("commit reply was not a total".into()))?;

@@ -135,7 +135,7 @@ impl SoapService for BatchJobService {
                 let mut env = portalws_soap::Envelope::request(
                     self.jobsub.service(),
                     "run",
-                    &[
+                    [
                         SoapValue::str(cmd.host.clone()),
                         SoapValue::str(cmd.scheduler.name()),
                         SoapValue::str(cmd.to_script()),

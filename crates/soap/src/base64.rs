@@ -4,24 +4,31 @@
 //! byte of the chunked SRB transfer path (E5, E13). Implemented in-tree
 //! like everything else in the stack.
 //!
-//! One table-driven kernel does all the work. [`Base64Encoder`] and
-//! [`Base64Decoder`] carry it across arbitrary input splits, and
-//! [`encode`]/[`decode`] are one-call wrappers over them:
+//! [`Base64Encoder`] and [`Base64Decoder`] carry the codec across
+//! arbitrary input splits, and [`encode`]/[`decode`] are one-call wrappers
+//! over them. Two block kernels do the bulk of the work:
 //!
-//! * A 256-entry table maps every byte to its digit value (0..=63) or to
-//!   a class: whitespace, pad or invalid.
-//! * Decoding turns clean 8- and 4-char blocks straight into 6 or 3
-//!   bytes. The block path reads the same table with each digit
-//!   pre-shifted to its place in a quad, and every class flagged in the
-//!   top byte, so OR-ing four lookups yields a quad's bits or shows it is
-//!   not clean. The per-char state machine runs only where a block holds
-//!   whitespace, padding or an invalid byte.
-//! * Encoding turns whole 6- and 3-byte groups into 8 and 4 chars, one
-//!   table lookup per pair of chars, and appends them 256 chars at a time.
+//! * On x86-64 CPUs with AVX2 (checked at run time), a vector kernel after
+//!   Muła and Lemire ("Faster Base64 Encoding and Decoding Using AVX2
+//!   Instructions", ACM TWEB 2018) encodes 24 bytes into 32 chars per step,
+//!   and decodes 32 chars into 24 bytes per step once a vector check shows
+//!   all 32 are alphabet digits.
+//! * A table-driven kernel is the only one on other CPUs, and takes every
+//!   tail and every 32-char block the vector check rejects. A 256-entry
+//!   table maps every byte to its digit value (0..=63) or to a class:
+//!   whitespace, pad or invalid. Decoding turns clean 8- and 4-char blocks
+//!   straight into 6 or 3 bytes, reading the same table with each digit
+//!   pre-shifted to its place in a quad and every class flagged in the top
+//!   byte, so OR-ing four lookups yields a quad's bits or shows it is not
+//!   clean. The per-char state machine runs only where a block holds
+//!   whitespace, padding or an invalid byte. Encoding turns whole 6- and
+//!   3-byte groups into 8 and 4 chars, one table lookup per pair of chars,
+//!   and appends them 256 chars at a time.
 //!
-//! The decoder accepts digits in whole 4-char quads, `=` padding (at most
-//! two) only in the final quad, and ASCII whitespace anywhere, including
-//! after the final quad. Trailing bits of a padded quad are ignored.
+//! Both kernels produce the same text and accept the same input: digits in
+//! whole 4-char quads, `=` padding (at most two) only in the final quad,
+//! and ASCII whitespace anywhere, including after the final quad. Trailing
+//! bits of a padded quad are ignored.
 
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
@@ -106,6 +113,11 @@ static DIGIT_PAIRS: [[u8; 2]; 4096] = {
 
 /// Encoder groups staged per output write: 32 × 8 chars.
 const ENCODE_BLOCK: usize = 32;
+
+/// `data` without its first `n` bytes (empty if it is shorter).
+fn skip(data: &[u8], n: usize) -> &[u8] {
+    data.get(n..).unwrap_or_default()
+}
 
 fn class(byte: u8) -> u8 {
     DECODE.get(usize::from(byte)).copied().unwrap_or(BAD)
@@ -240,6 +252,8 @@ impl Base64Encoder {
             }
         }
         out.reserve(rest.len() / 3 * 4);
+        #[cfg(target_arch = "x86_64")]
+        let rest = skip(rest, vector::run(vector::Blocks::Encode(rest, out)));
         match *encode_groups(rest, out) {
             [b0] => {
                 self.carry = [b0, 0];
@@ -301,6 +315,10 @@ impl Base64Decoder {
         out.reserve((usize::from(self.digits) + rest.len()) / 4 * 3);
         loop {
             if self.digits == 0 && self.pad == 0 && !self.finished {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    rest = skip(rest, vector::run(vector::Blocks::Decode(rest, out)));
+                }
                 rest = decode_groups(rest, out);
             }
             let Some((&byte, tail)) = rest.split_first() else {
@@ -349,6 +367,17 @@ impl Base64Decoder {
     }
 }
 
+/// The block kernel this CPU runs: `"avx2"` where the vector kernel is
+/// available, `"scalar"` (the table kernel alone) elsewhere. Benchmarks
+/// record it beside the codec's timings.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if vector::available() {
+        return "avx2";
+    }
+    "scalar"
+}
+
 /// Encode bytes to base64 text.
 pub fn encode(data: &[u8]) -> String {
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
@@ -367,6 +396,226 @@ pub fn decode(text: &str) -> Option<Vec<u8>> {
     dec.update(text, &mut out)?;
     dec.finish()?;
     Some(out)
+}
+
+/// The AVX2 block kernel. Every function here but [`vector::run`] and
+/// [`vector::available`] needs AVX2, which `run` checks before it calls in.
+/// `unsafe` is confined to that call and to the load and store helpers.
+#[cfg(target_arch = "x86_64")]
+mod vector {
+    use std::arch::x86_64::*;
+
+    /// One direction's input and output for [`run`].
+    pub(super) enum Blocks<'a, 'o> {
+        /// Encode 24-byte blocks of the input onto the string.
+        Encode(&'a [u8], &'o mut String),
+        /// Decode 32-char blocks of the input, which must start on a quad
+        /// boundary, into the vector.
+        Decode(&'a [u8], &'o mut Vec<u8>),
+    }
+
+    /// Does this CPU have AVX2?
+    pub(super) fn available() -> bool {
+        std::is_x86_feature_detected!("avx2")
+    }
+
+    /// Run vector blocks from the front of the input and return how many
+    /// input bytes they took: encoding takes 24 bytes per step while 32
+    /// can be loaded; decoding takes 32 chars per step and stops at the
+    /// first block that is not all alphabet digits. Takes nothing on a CPU
+    /// without AVX2.
+    pub(super) fn run(blocks: Blocks<'_, '_>) -> usize {
+        if !available() {
+            return 0;
+        }
+        // SAFETY: `run_avx2` requires AVX2 and nothing else, and
+        // `available()` has just found it on this CPU.
+        unsafe { run_avx2(blocks) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn run_avx2(blocks: Blocks<'_, '_>) -> usize {
+        match blocks {
+            Blocks::Encode(data, out) => encode(data, out),
+            Blocks::Decode(text, out) => decode(text, out),
+        }
+    }
+
+    /// A 32-byte window of `bytes`, loaded.
+    #[target_feature(enable = "avx2")]
+    fn load(bytes: &[u8; 32]) -> __m256i {
+        // SAFETY: `bytes` is 32 readable bytes, all an unaligned 32-byte
+        // load reads.
+        unsafe { _mm256_loadu_si256(bytes.as_ptr().cast()) }
+    }
+
+    /// Append the 32 bytes of `chars` to `out` if every one is ASCII;
+    /// return false, appending nothing, if one is not.
+    #[target_feature(enable = "avx2")]
+    fn push_ascii(out: &mut String, chars: __m256i) -> bool {
+        if _mm256_movemask_epi8(chars) != 0 {
+            return false;
+        }
+        out.reserve(32);
+        // SAFETY: `reserve` left at least 32 bytes of capacity past the
+        // string's end, so the unaligned 32-byte store writes only memory
+        // the string owns, and the new length covers exactly the bytes it
+        // wrote. No byte has its top bit set (the movemask above is zero),
+        // so every one is ASCII and the string stays UTF-8.
+        unsafe {
+            let bytes = out.as_mut_vec();
+            let end = bytes.len();
+            _mm256_storeu_si256(bytes.as_mut_ptr().add(end).cast(), chars);
+            bytes.set_len(end + 32);
+        }
+        true
+    }
+
+    /// Append the low 24 bytes of `packed` to `out`.
+    #[target_feature(enable = "avx2")]
+    fn push24(out: &mut Vec<u8>, packed: __m256i) {
+        let (low, high) = (
+            _mm256_castsi256_si128(packed),
+            _mm256_extracti128_si256::<1>(packed),
+        );
+        out.reserve(24);
+        // SAFETY: `reserve` left at least 24 bytes of capacity past the
+        // vector's end. The two unaligned stores write bytes 0..16 and
+        // 16..24 past it, only memory the vector owns, and the new length
+        // covers exactly those 24 bytes.
+        unsafe {
+            let end = out.len();
+            let at = out.as_mut_ptr().add(end);
+            _mm_storeu_si128(at.cast(), low);
+            _mm_storel_epi64(at.add(16).cast(), high);
+            out.set_len(end + 24);
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn encode(data: &[u8], out: &mut String) -> usize {
+        let mut done = 0;
+        while let Some(window) = super::skip(data, done).first_chunk::<32>() {
+            if !push_ascii(out, encode_block(load(window))) {
+                break;
+            }
+            done += 24;
+        }
+        done
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn decode(text: &[u8], out: &mut Vec<u8>) -> usize {
+        let mut done = 0;
+        while let Some(block) = super::skip(text, done).first_chunk::<32>() {
+            let Some(bytes) = decode_block(load(block)) else {
+                break;
+            };
+            push24(out, bytes);
+            done += 32;
+        }
+        done
+    }
+
+    /// The 32 chars of the first 24 bytes of a 32-byte window.
+    #[target_feature(enable = "avx2")]
+    fn encode_block(window: __m256i) -> __m256i {
+        // Give each 128-bit lane 12 input bytes at its bytes 0..12: lane 0
+        // keeps window bytes 0..16, lane 1 takes bytes 12..28.
+        let v = _mm256_permutevar8x32_epi32(window, _mm256_setr_epi32(0, 1, 2, 3, 3, 4, 5, 6));
+        // Each 3-byte group [b0 b1 b2] becomes the 32-bit word
+        // [b1 b0 b2 b1], so the four 6-bit fields sit in 16-bit halves.
+        let v = _mm256_shuffle_epi8(
+            v,
+            _mm256_setr_epi8(
+                1, 0, 2, 1, 4, 3, 5, 4, 7, 6, 8, 7, 10, 9, 11, 10, //
+                1, 0, 2, 1, 4, 3, 5, 4, 7, 6, 8, 7, 10, 9, 11, 10,
+            ),
+        );
+        // Shift each field to the bottom of its own byte: fields 0 and 2
+        // right with a high multiply, fields 1 and 3 left with a low one.
+        let high = _mm256_mulhi_epu16(
+            _mm256_and_si256(v, _mm256_set1_epi32(0x0FC0_FC00)),
+            _mm256_set1_epi32(0x0400_0040),
+        );
+        let low = _mm256_mullo_epi16(
+            _mm256_and_si256(v, _mm256_set1_epi32(0x003F_03F0)),
+            _mm256_set1_epi32(0x0100_0010),
+        );
+        let sextets = _mm256_or_si256(high, low);
+        // Digit value to char: add the offset of its alphabet range. The
+        // table index is 0 for A-Z, 1 for a-z, 2..=11 for 0-9, 12 for `+`
+        // and 13 for `/`.
+        let offsets = _mm256_setr_epi8(
+            65, 71, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -19, -16, 0, 0, //
+            65, 71, -4, -4, -4, -4, -4, -4, -4, -4, -4, -4, -19, -16, 0, 0,
+        );
+        let index = _mm256_sub_epi8(
+            _mm256_subs_epu8(sextets, _mm256_set1_epi8(51)),
+            _mm256_cmpgt_epi8(sextets, _mm256_set1_epi8(25)),
+        );
+        _mm256_add_epi8(sextets, _mm256_shuffle_epi8(offsets, index))
+    }
+
+    /// The 24 bytes of 32 chars, packed into the low 24 bytes; `None` if
+    /// a char is not an alphabet digit (whitespace and `=` included).
+    #[target_feature(enable = "avx2")]
+    fn decode_block(chars: __m256i) -> Option<__m256i> {
+        // A char is a digit when the class bits its low nibble allows and
+        // the ones its high nibble allows do not meet: each high nibble
+        // picks one bit (0x10 for nibbles with no digits at all), and each
+        // low nibble sets the bit of every high nibble it is not a digit
+        // under.
+        let low_classes = _mm256_setr_epi8(
+            0x15, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, //
+            0x11, 0x11, 0x13, 0x1A, 0x1B, 0x1B, 0x1B, 0x1A, //
+            0x15, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, 0x11, //
+            0x11, 0x11, 0x13, 0x1A, 0x1B, 0x1B, 0x1B, 0x1A,
+        );
+        let high_classes = _mm256_setr_epi8(
+            0x10, 0x10, 0x01, 0x02, 0x04, 0x08, 0x04, 0x08, //
+            0x10, 0x10, 0x10, 0x10, 0x10, 0x10, 0x10, 0x10, //
+            0x10, 0x10, 0x01, 0x02, 0x04, 0x08, 0x04, 0x08, //
+            0x10, 0x10, 0x10, 0x10, 0x10, 0x10, 0x10, 0x10,
+        );
+        let slash = _mm256_set1_epi8(0x2F);
+        // The shift pulls bits of the next byte into bits 4..8; masking
+        // with 0x2F clears bit 7 (so the shuffles below look the value
+        // up, not zero it) and leaves only bit 5, which a shuffle index
+        // ignores.
+        let high_nibbles = _mm256_and_si256(_mm256_srli_epi32::<4>(chars), slash);
+        let low_nibbles = _mm256_and_si256(chars, slash);
+        let high = _mm256_shuffle_epi8(high_classes, high_nibbles);
+        let low = _mm256_shuffle_epi8(low_classes, low_nibbles);
+        if _mm256_testz_si256(low, high) == 0 {
+            return None;
+        }
+        // Char to digit value: add the offset of its range, indexed by
+        // high nibble, with `/` moved to index 1 so it does not share
+        // `+`'s.
+        let offsets = _mm256_setr_epi8(
+            0, 16, 19, 4, -65, -65, -71, -71, 0, 0, 0, 0, 0, 0, 0, 0, //
+            0, 16, 19, 4, -65, -65, -71, -71, 0, 0, 0, 0, 0, 0, 0, 0,
+        );
+        let index = _mm256_add_epi8(_mm256_cmpeq_epi8(chars, slash), high_nibbles);
+        let sextets = _mm256_add_epi8(chars, _mm256_shuffle_epi8(offsets, index));
+        // Merge digit pairs into 12-bit halves, halves into 24-bit words,
+        // then pack each lane's four words into 12 bytes and the two
+        // lanes' 12 into the low 24.
+        let pairs = _mm256_maddubs_epi16(sextets, _mm256_set1_epi32(0x0140_0140));
+        let words = _mm256_madd_epi16(pairs, _mm256_set1_epi32(0x0001_1000));
+        let lanes = _mm256_shuffle_epi8(
+            words,
+            _mm256_setr_epi8(
+                2, 1, 0, 6, 5, 4, 10, 9, 8, 14, 13, 12, -1, -1, -1, -1, //
+                2, 1, 0, 6, 5, 4, 10, 9, 8, 14, 13, 12, -1, -1, -1, -1,
+            ),
+        );
+        Some(_mm256_permutevar8x32_epi32(
+            lanes,
+            _mm256_setr_epi32(0, 1, 2, 4, 5, 6, 7, 7),
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -449,6 +698,169 @@ mod tests {
         for at in 0..=text.len() {
             let spaced = format!("{} {}", &text[..at], &text[at..]);
             assert_eq!(decode(&spaced).unwrap(), data, "space at {at}");
+        }
+    }
+
+    /// Seeded bytes, so every length gets its own contents.
+    fn seeded(len: usize) -> Vec<u8> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect()
+    }
+
+    /// Reference encoder for the kernel tests: each 3-byte group's digits
+    /// read straight out of `ALPHABET`, then `=` padding. No tables.
+    fn reference_encode(data: &[u8]) -> String {
+        let mut out = String::new();
+        for group in data.chunks(3) {
+            let n = (group.iter())
+                .zip([16, 8, 0])
+                .fold(0u32, |n, (&b, shift)| n | u32::from(b) << shift);
+            for i in 0..4 {
+                out.push(match i <= group.len() {
+                    true => char::from(ALPHABET[(n >> (18 - 6 * i) & 63) as usize]),
+                    false => '=',
+                });
+            }
+        }
+        out
+    }
+
+    /// Reference decoder for the kernel tests: the per-char state machine
+    /// alone, appending to `out`.
+    fn state_machine(text: &[u8], mut out: Vec<u8>) -> Option<Vec<u8>> {
+        let mut dec = Base64Decoder::new();
+        for &byte in text {
+            dec.step(byte, &mut out)?;
+        }
+        dec.finish()?;
+        Some(out)
+    }
+
+    type EncodeKernel = fn(&[u8], &mut String) -> usize;
+    type DecodeKernel = fn(&[u8], &mut Vec<u8>) -> usize;
+
+    /// Each block kernel this CPU runs, called directly; each call returns
+    /// how many input bytes the kernel took.
+    fn kernels() -> Vec<(&'static str, EncodeKernel, DecodeKernel)> {
+        let mut kernels: Vec<(&'static str, EncodeKernel, DecodeKernel)> = vec![(
+            "scalar",
+            |data, out| data.len() - encode_groups(data, out).len(),
+            |text, out| text.len() - decode_groups(text, out).len(),
+        )];
+        #[cfg(target_arch = "x86_64")]
+        if vector::available() {
+            kernels.push((
+                "avx2",
+                |data, out| vector::run(vector::Blocks::Encode(data, out)),
+                |text, out| vector::run(vector::Blocks::Decode(text, out)),
+            ));
+        }
+        kernels
+    }
+
+    /// Bytes `kernel` takes of `len` to encode: whole groups for the table
+    /// kernel, 24-byte steps while 32 can be loaded for the vector one.
+    fn encode_take(kernel: &str, len: usize) -> usize {
+        match kernel {
+            "avx2" => len.saturating_sub(8) / 24 * 24,
+            _ => len / 3 * 3,
+        }
+    }
+
+    /// Chars `kernel` takes of text whose first `clean` chars are digits:
+    /// whole quads for the table kernel, whole 32-char blocks for the
+    /// vector one.
+    fn decode_take(kernel: &str, clean: usize) -> usize {
+        match kernel {
+            "avx2" => clean / 32 * 32,
+            _ => clean / 4 * 4,
+        }
+    }
+
+    #[test]
+    fn kernels_match_the_references_at_every_alignment() {
+        // Inputs of 4 KiB and more, starting at each offset 0..32 of one
+        // buffer so every start address alignment comes up. Each kernel
+        // takes all it should, and what it wrote plus the reference on
+        // the rest equals the reference on the whole.
+        let data = seeded(4096 + 64);
+        let mut buf = vec![0u8; 6000];
+        for (name, encode_kernel, decode_kernel) in kernels() {
+            for align in 0..32 {
+                let input = &data[align..4096 + 2 * align];
+                let mut out = String::new();
+                let took = encode_kernel(input, &mut out);
+                assert_eq!(took, encode_take(name, input.len()), "{name} at {align}");
+                out.push_str(&reference_encode(&input[took..]));
+                assert_eq!(out, reference_encode(input), "{name} encode at {align}");
+
+                let text = reference_encode(input);
+                let placed = &mut buf[align..align + text.len()];
+                placed.copy_from_slice(text.as_bytes());
+                let mut out = Vec::new();
+                let took = decode_kernel(placed, &mut out);
+                let clean = text.trim_end_matches('=').len();
+                assert_eq!(took, decode_take(name, clean), "{name} at {align}");
+                let decoded = state_machine(&placed[took..], out);
+                assert_eq!(decoded.as_deref(), Some(input), "{name} decode at {align}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_stop_at_each_non_digit_in_the_first_two_blocks() {
+        // Whitespace, `=`, every other byte outside the alphabet and a
+        // non-ASCII char, inserted at each position of the first two
+        // 32-char blocks. Each kernel takes exactly the clean blocks before
+        // the insert, and finishing with the state machine gives what the
+        // state machine gives alone, bytes or failure.
+        let text = reference_encode(&seeded(96)).into_bytes();
+        let mut inserts: Vec<Vec<u8>> = (0..=u8::MAX)
+            .filter(|b| !ALPHABET.contains(b))
+            .map(|b| vec![b])
+            .collect();
+        inserts.push("\u{e9}".as_bytes().to_vec());
+        for (name, _, decode_kernel) in kernels() {
+            for at in 0..64 {
+                for insert in &inserts {
+                    let input = [&text[..at], insert, &text[at..]].concat();
+                    let mut out = Vec::new();
+                    let took = decode_kernel(&input, &mut out);
+                    assert_eq!(took, decode_take(name, at), "{name}: {insert:?} at {at}");
+                    assert_eq!(
+                        state_machine(&input[took..], out),
+                        state_machine(&input, Vec::new()),
+                        "{name}: {insert:?} at {at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decoder_splits_inside_a_block_match_one_shot() {
+        // Three pieces, cut inside the first three 32-char blocks and a
+        // later one: an update can end mid-block or mid-quad, and the next
+        // resumes through the state machine before the blocks take over.
+        let data = seeded(4096);
+        let text = reference_encode(&data);
+        for a in (0..96).chain(2000..2040) {
+            for b in [a, a + 1, a + 5, a + 31] {
+                let mut dec = Base64Decoder::new();
+                let mut out = Vec::new();
+                for piece in [&text[..a], &text[a..b], &text[b..]] {
+                    dec.update(piece, &mut out).unwrap();
+                }
+                dec.finish().unwrap();
+                assert_eq!(out, data, "cuts at {a} and {b}");
+            }
         }
     }
 

@@ -188,9 +188,14 @@ impl SoapClient {
         self.read_cache.read().clone()
     }
 
-    /// Invoke `method` with positional arguments.
+    /// Invoke `method` with positional arguments, each copied once, into
+    /// the request envelope.
     pub fn call(&self, method: &str, args: &[SoapValue]) -> Result<SoapValue, SoapError> {
-        self.call_envelope(Envelope::request(&self.service, method, args))
+        self.call_envelope(Envelope::request(
+            &self.service,
+            method,
+            args.iter().cloned(),
+        ))
     }
 
     /// Invoke `method` with named arguments.
@@ -254,7 +259,7 @@ impl SoapClient {
         envelope: &Envelope,
         cache_fill: bool,
     ) -> Result<(SoapValue, Option<u64>), SoapError> {
-        let mut req = Request::post(self.path.clone(), crate::scratch::envelope_body(envelope))
+        let mut req = Request::post(self.path.clone(), envelope.to_xml())
             .with_header("Content-Type", "text/xml; charset=utf-8")
             .with_header(
                 "SOAPAction",
@@ -317,7 +322,7 @@ impl SoapClient {
     /// `None` when the service is unreachable or unversioned — the cache
     /// then treats the entry as unprovable and refetches.
     fn probe_generation(&self) -> Option<u64> {
-        let mut envelope = Envelope::request(&self.service, "generation", &[]);
+        let mut envelope = Envelope::request(&self.service, "generation", []);
         if let Some(supplier) = self.header_supplier.read().clone() {
             envelope.headers.extend(supplier());
         }

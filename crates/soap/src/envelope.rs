@@ -18,7 +18,7 @@ use portalws_xml::escape::escape_attr;
 use portalws_xml::{Element, Tokenizer, XmlError};
 
 use crate::fault::Fault;
-use crate::value::{local_name, read_content, Piece, SoapValue};
+use crate::value::{element_len_hint, local_name, read_content, tags_len_hint, Piece, SoapValue};
 use crate::{SOAP_ENV_NS, XSD_NS, XSI_NS};
 
 /// A SOAP message: headers plus one body entry.
@@ -84,13 +84,17 @@ impl Envelope {
 
     /// Build an RPC request envelope for `service`/`method` with positional
     /// parameters. Parameter elements are named `arg0`, `arg1`, … unless a
-    /// name is supplied via [`Envelope::request_named`]. Each value is
-    /// copied once, into the envelope.
-    pub fn request(service: &str, method: &str, args: &[SoapValue]) -> Envelope {
+    /// name is supplied via [`Envelope::request_named`]. The values move
+    /// into the envelope.
+    pub fn request(
+        service: &str,
+        method: &str,
+        args: impl IntoIterator<Item = SoapValue>,
+    ) -> Envelope {
         let params = args
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(i, v)| (format!("arg{i}"), Ok(v.clone())))
+            .map(|(i, v)| (format!("arg{i}"), Ok(v)))
             .collect();
         Self::call(service, method, params)
     }
@@ -222,9 +226,7 @@ impl Envelope {
 
     /// Serialize into an existing buffer (appends): the envelope wrapper
     /// around the header trees and the body entry, whose values encode
-    /// straight into `out` with no intermediate tree or allocation. The
-    /// SOAP hot path (server replies, client requests) routes through this
-    /// with reusable scratch buffers.
+    /// straight into `out` with no intermediate tree or allocation.
     // portalint: hot-path-entry
     pub fn write_xml_into(&self, out: &mut String) {
         out.push_str("<SOAP-ENV:Envelope xmlns:SOAP-ENV=\"");
@@ -282,11 +284,33 @@ impl Envelope {
         out.push('>');
     }
 
-    /// Serialize to XML text (the HTTP body).
+    /// Serialize to XML text: the HTTP body of every SOAP request and
+    /// reply, written once into a buffer sized from the envelope, so a
+    /// chunk-sized body is neither regrown nor copied on its way out.
     pub fn to_xml(&self) -> String {
-        let mut out = String::with_capacity(512);
+        let mut out = String::with_capacity(self.len_hint());
         self.write_xml_into(&mut out);
         out
+    }
+
+    /// A size estimate for [`Envelope::to_xml`], exact but for escaping
+    /// and the width of scalars: the wrapper, each header entry, and the
+    /// body entry with [`SoapValue::len_hint`] for each parameter.
+    fn len_hint(&self) -> usize {
+        /// The envelope, header and body tags with their namespace
+        /// declarations.
+        const WRAPPER: usize = 263;
+        let headers: usize = self.headers.iter().map(element_len_hint).sum();
+        let body = match &self.body {
+            Body::Rpc(rpc) => {
+                let params = rpc.params.iter().filter_map(|(name, value)| {
+                    value.as_ref().ok().map(|value| value.len_hint(name))
+                });
+                tags_len_hint(&rpc.name, &rpc.attrs) + params.sum::<usize>()
+            }
+            Body::Fault(el) => element_len_hint(el),
+        };
+        WRAPPER + headers + body
     }
 
     /// Parse an envelope from XML text.
@@ -435,7 +459,7 @@ mod tests {
 
     #[test]
     fn body_text_borrows_utf8_and_is_lossy_otherwise() {
-        let body = Envelope::request("Calc", "echo", &[SoapValue::str("h\u{e9}")])
+        let body = Envelope::request("Calc", "echo", [SoapValue::str("h\u{e9}")])
             .to_xml()
             .into_bytes();
         assert!(matches!(body_text(&body), Cow::Borrowed(t) if t.as_bytes() == body));
@@ -450,7 +474,7 @@ mod tests {
         let env = Envelope::request(
             "JobSubmission",
             "submit",
-            &[SoapValue::str("tg-login"), SoapValue::Int(4)],
+            [SoapValue::str("tg-login"), SoapValue::Int(4)],
         );
         let parsed = Envelope::parse(&env.to_xml()).unwrap();
         assert_eq!(parsed.method(), "submit");
@@ -500,7 +524,7 @@ mod tests {
         let assertion = Element::new("saml:Assertion")
             .with_attr("xmlns:saml", "urn:oasis:saml")
             .with_text_child("subject", "kerberos:alice");
-        let env = Envelope::request("Ctx", "get", &[]).with_header(assertion.clone());
+        let env = Envelope::request("Ctx", "get", []).with_header(assertion.clone());
         let parsed = Envelope::parse(&env.to_xml()).unwrap();
         assert_eq!(parsed.headers.len(), 1);
         assert_eq!(parsed.header("Assertion"), Some(&assertion));
@@ -508,7 +532,7 @@ mod tests {
 
     #[test]
     fn writes_the_wire_form() {
-        let env = Envelope::request("Svc", "m", &[SoapValue::str("a & b"), SoapValue::Int(7)])
+        let env = Envelope::request("Svc", "m", [SoapValue::str("a & b"), SoapValue::Int(7)])
             .with_header(Element::new("saml:Assertion").with_text_child("subject", "<alice>"));
         let want = concat!(
             r#"<SOAP-ENV:Envelope xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/""#,
@@ -528,9 +552,40 @@ mod tests {
     }
 
     #[test]
+    fn bodies_are_sized_once_from_the_envelope() {
+        // The size hint covers every byte, so a body is never regrown, and
+        // is over by little more than each parameter's scalar allowance.
+        let header = Element::new("saml:Assertion")
+            .with_attr("xmlns:saml", "urn:oasis:names:tc:SAML:1.0:assertion")
+            .with_text_child("saml:Subject", "kerberos:alice");
+        let jobs = Element::new("jobs").with_child(
+            Element::new("job")
+                .with_attr("id", "1")
+                .with_text_child("command", "date"),
+        );
+        let chunk = [
+            SoapValue::str("h-1"),
+            SoapValue::Int(0),
+            SoapValue::Base64(vec![7; 256 * 1024 + 1]),
+        ];
+        let envelopes = [
+            Envelope::request("Calc", "add", [SoapValue::Int(1), SoapValue::Int(2)])
+                .with_header(header.clone()),
+            Envelope::request("DataManagement", "put_chunk", chunk).with_header(header),
+            Envelope::response("get", SoapValue::Xml(jobs)),
+            Envelope::response("delete", SoapValue::Null),
+            Envelope::fault(&Fault::client("no such <thing>")),
+        ];
+        for env in envelopes {
+            let (len, hint) = (env.to_xml().len(), env.len_hint());
+            assert!(len <= hint && hint - len < 200, "{len} bytes, hint {hint}");
+        }
+    }
+
+    #[test]
     fn whitespace_only_string_arguments_arrive_intact() {
         for s in [" ", "\n", "  \t  "] {
-            let xml = Envelope::request("S", "m", &[SoapValue::str(s)]).to_xml();
+            let xml = Envelope::request("S", "m", [SoapValue::str(s)]).to_xml();
             let args = Envelope::parse(&xml).unwrap().args().unwrap();
             assert_eq!(args, vec![("arg0".to_string(), SoapValue::str(s))]);
         }
@@ -538,7 +593,7 @@ mod tests {
 
     #[test]
     fn bad_argument_fails_args_not_parse() {
-        let xml = Envelope::request("S", "m", &[SoapValue::Int(1), SoapValue::Int(2)])
+        let xml = Envelope::request("S", "m", [SoapValue::Int(1), SoapValue::Int(2)])
             .to_xml()
             .replace(">2<", ">two<");
         let env = Envelope::parse(&xml).expect("well-formed");
@@ -575,11 +630,7 @@ mod tests {
         // The paper's "accepts an XML definition of a job" call shape.
         let jobs =
             Element::new("jobs").with_child(Element::new("job").with_text_child("command", "date"));
-        let env = Envelope::request(
-            "JobSubmission",
-            "submitXml",
-            &[SoapValue::Xml(jobs.clone())],
-        );
+        let env = Envelope::request("JobSubmission", "submitXml", [SoapValue::Xml(jobs.clone())]);
         let parsed = Envelope::parse(&env.to_xml()).unwrap();
         let args = parsed.args().unwrap();
         assert_eq!(args[0].1, SoapValue::Xml(jobs));

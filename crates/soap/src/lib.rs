@@ -24,7 +24,6 @@ pub mod client;
 pub mod deadline;
 pub mod envelope;
 pub mod fault;
-pub(crate) mod scratch;
 pub mod server;
 pub mod value;
 

@@ -281,13 +281,12 @@ impl Handler for SoapServer {
     }
 }
 
-/// Build the HTTP reply for an envelope, serializing through the worker
-/// thread's reusable scratch ([`crate::scratch`]).
+/// Build the HTTP reply for an envelope: its serialization is the body.
 fn xml_response(status: Status, reply: &Envelope) -> Response {
     Response {
         status,
         headers: vec![("Content-Type".into(), "text/xml; charset=utf-8".into())],
-        body: crate::scratch::envelope_body(reply),
+        body: reply.to_xml().into_bytes(),
     }
 }
 
@@ -368,14 +367,14 @@ mod tests {
 
     #[test]
     fn dispatch_success() {
-        let env = Envelope::request("Calc", "add", &[SoapValue::Int(2), SoapValue::Int(40)]);
+        let env = Envelope::request("Calc", "add", [SoapValue::Int(2), SoapValue::Int(40)]);
         let reply = server().dispatch("Calc", env);
         assert_eq!(reply.return_value().unwrap(), SoapValue::Int(42));
     }
 
     #[test]
     fn dispatch_unknown_service() {
-        let env = Envelope::request("Nope", "x", &[]);
+        let env = Envelope::request("Nope", "x", []);
         let reply = server().dispatch("Nope", env);
         assert!(reply.is_fault());
         assert_eq!(reply.as_fault().unwrap().code, FaultCode::Client);
@@ -383,7 +382,7 @@ mod tests {
 
     #[test]
     fn dispatch_bad_args_gives_portal_error() {
-        let env = Envelope::request("Calc", "add", &[SoapValue::str("x")]);
+        let env = Envelope::request("Calc", "add", [SoapValue::str("x")]);
         let reply = server().dispatch("Calc", env);
         assert_eq!(
             reply.as_fault().unwrap().kind(),
@@ -394,7 +393,7 @@ mod tests {
     #[test]
     fn http_handler_round_trip() {
         let srv = server();
-        let env = Envelope::request("Calc", "add", &[SoapValue::Int(1), SoapValue::Int(2)]);
+        let env = Envelope::request("Calc", "add", [SoapValue::Int(1), SoapValue::Int(2)]);
         let req = Request::post(endpoint_path("Calc"), env.to_xml());
         let resp = srv.handle(&req);
         assert_eq!(resp.status, Status::Ok);
@@ -405,7 +404,7 @@ mod tests {
     #[test]
     fn http_fault_is_500() {
         let srv = server();
-        let env = Envelope::request("Calc", "nosuch", &[]);
+        let env = Envelope::request("Calc", "nosuch", []);
         let resp = srv.handle(&Request::post(endpoint_path("Calc"), env.to_xml()));
         assert_eq!(resp.status, Status::InternalError);
         assert!(Envelope::parse(&resp.body_str()).unwrap().is_fault());
@@ -434,7 +433,7 @@ mod tests {
                 Err(Fault::portal(PortalErrorKind::AuthFailed, "no assertion"))
             }
         }));
-        let env = Envelope::request("Calc", "add", &[SoapValue::Int(1), SoapValue::Int(1)]);
+        let env = Envelope::request("Calc", "add", [SoapValue::Int(1), SoapValue::Int(1)]);
         let reply = srv.dispatch("Calc", env.clone());
         assert_eq!(
             reply.as_fault().unwrap().kind(),
@@ -478,14 +477,14 @@ mod tests {
     fn generation_header_stamped_on_success_and_fault() {
         let srv = SoapServer::new();
         srv.mount(Arc::new(VersionedCalc(7)));
-        let env = Envelope::request("Calc", "add", &[SoapValue::Int(1), SoapValue::Int(2)]);
+        let env = Envelope::request("Calc", "add", [SoapValue::Int(1), SoapValue::Int(2)]);
         let reply = srv.dispatch("Calc", env);
         assert_eq!(
             reply.header(GENERATION_HEADER).map(|h| h.text()).as_deref(),
             Some("7")
         );
         // Faults from a resolved service still advance the client's view.
-        let reply = srv.dispatch("Calc", Envelope::request("Calc", "nosuch", &[]));
+        let reply = srv.dispatch("Calc", Envelope::request("Calc", "nosuch", []));
         assert!(reply.is_fault());
         assert_eq!(
             reply.header(GENERATION_HEADER).map(|h| h.text()).as_deref(),
@@ -495,7 +494,7 @@ mod tests {
 
     #[test]
     fn unversioned_service_has_no_generation_header() {
-        let env = Envelope::request("Calc", "add", &[SoapValue::Int(1), SoapValue::Int(2)]);
+        let env = Envelope::request("Calc", "add", [SoapValue::Int(1), SoapValue::Int(2)]);
         let reply = server().dispatch("Calc", env);
         assert!(reply.header(GENERATION_HEADER).is_none());
     }
@@ -534,7 +533,7 @@ mod tests {
     fn deadline_header_installs_budget_around_dispatch() {
         let srv = SoapServer::new();
         srv.mount(Arc::new(BudgetProbe));
-        let env = Envelope::request("Probe", "probe", &[]);
+        let env = Envelope::request("Probe", "probe", []);
         let req = Request::post(endpoint_path("Probe"), env.to_xml())
             .with_header(DEADLINE_HEADER, "2000");
         let resp = srv.handle(&req);
@@ -576,7 +575,7 @@ mod tests {
     fn busy_fault_reply_carries_retry_hints() {
         let srv = SoapServer::new();
         srv.mount(Arc::new(AlwaysBusy));
-        let env = Envelope::request("Busy", "go", &[]);
+        let env = Envelope::request("Busy", "go", []);
         let resp = srv.handle(&Request::post(endpoint_path("Busy"), env.to_xml()));
         assert_eq!(resp.status, Status::InternalError, "faults ride on 500");
         assert_eq!(resp.header(RETRY_AFTER_HEADER), Some("1"));
@@ -586,7 +585,7 @@ mod tests {
         );
         // Non-Busy faults advise nothing: retrying cannot help them.
         let srv = server();
-        let env = Envelope::request("Calc", "nosuch", &[]);
+        let env = Envelope::request("Calc", "nosuch", []);
         let resp = srv.handle(&Request::post(endpoint_path("Calc"), env.to_xml()));
         assert!(resp.header(RETRY_AFTER_HEADER).is_none());
         assert!(resp.header(RETRY_AFTER_MS_HEADER).is_none());

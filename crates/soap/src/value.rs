@@ -12,7 +12,7 @@ use std::borrow::Cow;
 use std::fmt::Write;
 
 use portalws_xml::escape::escape_text;
-use portalws_xml::{Element, Event, Tokenizer, XmlError};
+use portalws_xml::{Element, Event, Node, Tokenizer, XmlError};
 
 use crate::base64::{Base64Decoder, Base64Encoder};
 
@@ -253,6 +253,23 @@ impl SoapValue {
         out.push('>');
     }
 
+    /// A size estimate for [`SoapValue::write_xml`] under `name`, exact
+    /// but for escaping and the width of scalars: base64 text counts
+    /// exactly, and a scalar within an allowance for the tags.
+    pub(crate) fn len_hint(&self, name: &str) -> usize {
+        /// `<name xsi:type="…">`, `</name>` less the names, and a scalar.
+        const TAGS: usize = 64;
+        let content = match self {
+            SoapValue::String(s) => s.len(),
+            SoapValue::Base64(bytes) => bytes.len().div_ceil(3) * 4,
+            SoapValue::Array(items) => items.iter().map(|v| v.len_hint("item")).sum(),
+            SoapValue::Struct(fields) => fields.iter().map(|(n, v)| v.len_hint(n)).sum(),
+            SoapValue::Xml(doc) => element_len_hint(doc),
+            _ => 0,
+        };
+        2 * name.len() + TAGS + content
+    }
+
     /// Decode the value element whose start tag `tok` has just produced
     /// (`name`, `attrs` and `self_closing` are that event's fields),
     /// consuming events through its end tag.
@@ -346,6 +363,26 @@ pub(crate) fn read_content<'a>(
             Event::Comment(_) | Event::Decl(_) | Event::Doctype(_) | Event::Pi { .. } => {}
         }
     }
+}
+
+/// A size estimate for an element's compact serialization, exact but for
+/// escaping.
+pub(crate) fn element_len_hint(el: &Element) -> usize {
+    let content: usize = (el.nodes().iter())
+        .map(|node| match node {
+            Node::Element(child) => element_len_hint(child),
+            Node::Text(text) => text.len(),
+            Node::CData(text) => text.len() + "<![CDATA[]]>".len(),
+            Node::Comment(text) => text.len() + "<!---->".len(),
+        })
+        .sum();
+    tags_len_hint(el.name(), el.attrs()) + content
+}
+
+/// The length of `<name k="v"…>` and `</name>`, exact but for escaping.
+pub(crate) fn tags_len_hint(name: &str, attrs: &[(String, String)]) -> usize {
+    let attrs: usize = attrs.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
+    2 * name.len() + "<></>".len() + attrs
 }
 
 /// Name with any `prefix:` removed.

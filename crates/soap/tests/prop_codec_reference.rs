@@ -440,7 +440,7 @@ proptest! {
         reply in value(),
         f in fault(),
     ) {
-        let mut new = Envelope::request("Svc", &method, &args);
+        let mut new = Envelope::request("Svc", &method, args.clone());
         let mut old = RefEnvelope::request("Svc", &method, &args);
         new.headers.clone_from(&headers);
         old.headers.clone_from(&headers);
@@ -472,7 +472,7 @@ proptest! {
         reply in value(),
         f in fault(),
     ) {
-        let mut request = Envelope::request("Svc", "op", &args);
+        let mut request = Envelope::request("Svc", "op", args);
         request.headers = headers;
         agree(&request.to_xml())?;
         agree(&Envelope::response("op", reply).to_xml())?;
@@ -567,7 +567,7 @@ fn malformed_values_fail_args_not_parse_with_the_reference_errors() {
 #[test]
 fn malformed_documents_fail_parse_with_the_reference_errors() {
     use portalws_xml::XmlError;
-    let ok = Envelope::request("S", "m", &[SoapValue::Int(1)]).to_xml();
+    let ok = Envelope::request("S", "m", [SoapValue::Int(1)]).to_xml();
     let cases = [
         (ok.replace("</arg0>", "</arg1>"), "mismatched"),
         (ok.replace("</SOAP-ENV:Envelope>", ""), "eof"),
@@ -629,7 +629,7 @@ fn malformed_argument_reaches_the_guard_once_then_faults() {
         assert!(ctx.header("Token").is_some());
         Ok(())
     }));
-    let xml = Envelope::request("Calc", "add", &[SoapValue::Int(1), SoapValue::Int(2)])
+    let xml = Envelope::request("Calc", "add", [SoapValue::Int(1), SoapValue::Int(2)])
         .with_header(Element::new("Token"))
         .to_xml()
         .replace(">2<", ">two<");

@@ -66,7 +66,7 @@ fn values_equal(a: &SoapValue, b: &SoapValue) -> bool {
 proptest! {
     #[test]
     fn request_envelope_round_trip(args in proptest::collection::vec(value_strategy(), 0..4)) {
-        let env = Envelope::request("Svc", "method", &args);
+        let env = Envelope::request("Svc", "method", args.clone());
         let parsed = Envelope::parse(&env.to_xml()).expect("request must reparse");
         prop_assert_eq!(parsed.method(), "method");
         prop_assert_eq!(parsed.service(), Some("Svc"));
@@ -127,7 +127,7 @@ proptest! {
 
     #[test]
     fn headers_always_preserved(n in 0usize..4) {
-        let mut env = Envelope::request("S", "m", &[]);
+        let mut env = Envelope::request("S", "m", []);
         for i in 0..n {
             env = env.with_header(
                 portalws_xml::Element::new(format!("H{i}")).with_text(i.to_string()),

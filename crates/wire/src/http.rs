@@ -181,8 +181,7 @@ impl Request {
     /// read buffer (and any pipelined bytes it holds) survives across
     /// requests.
     pub fn read_from_buffered(reader: &mut impl BufRead) -> Result<Request> {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
+        let (line, headers, body) = read_frame(reader)?;
         let mut parts = line.split_whitespace();
         let method = parts
             .next()
@@ -192,7 +191,6 @@ impl Request {
             .next()
             .ok_or_else(|| WireError::BadFrame("request line missing path".into()))?
             .to_owned();
-        let (headers, body) = read_headers_and_body(reader)?;
         Ok(Request {
             method,
             path,
@@ -207,9 +205,10 @@ impl Request {
     }
 }
 
-/// Upper bound on a request head (request line + headers). A peer that
-/// streams this much without terminating its header block is not speaking
-/// the protocol; the incremental parser refuses to buffer further.
+/// Upper bound on a frame head (start line + headers + the blank line
+/// that ends them). A peer that sends more is not speaking the protocol:
+/// the blocking reader and the incremental parser both refuse the frame
+/// instead of buffering further.
 pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 
 /// Resumable, incremental HTTP request parser for nonblocking readers.
@@ -261,16 +260,15 @@ impl RequestParser {
     ///   surplus stays buffered.
     /// * `Ok(None)` — the bytes so far are a valid *prefix*; feed more.
     /// * `Err(_)` — the bytes can never become a valid request (malformed
-    ///   request line or header, bad or oversized Content-Length, or an
-    ///   unterminated header block past [`MAX_HEAD_BYTES`]). The caller
+    ///   request line or header, bad or oversized Content-Length, or a
+    ///   head past [`MAX_HEAD_BYTES`], terminated or not). The caller
     ///   should answer 400 and close.
     pub fn try_next(&mut self) -> Result<Option<Request>> {
-        let Some(head_end) = find_head_end(&self.buf) else {
-            if self.buf.len() > MAX_HEAD_BYTES {
-                return Err(WireError::BadFrame(format!(
-                    "request head exceeds the {MAX_HEAD_BYTES}-byte cap without terminating"
-                )));
-            }
+        let head_end = find_head_end(&self.buf);
+        if head_end.unwrap_or(self.buf.len()) > MAX_HEAD_BYTES {
+            return Err(head_over_cap());
+        }
+        let Some(head_end) = head_end else {
             return Ok(None);
         };
         let head = self
@@ -470,8 +468,7 @@ impl Response {
     /// connections carrying several responses: a fresh `BufReader` per
     /// response could read ahead and drop the next frame's bytes).
     pub fn read_from_buffered(reader: &mut impl BufRead) -> Result<Response> {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
+        let (line, headers, body) = read_frame(reader)?;
         let mut parts = line.split_whitespace();
         let _version = parts
             .next()
@@ -480,7 +477,6 @@ impl Response {
             .next()
             .and_then(|c| c.parse().ok())
             .ok_or_else(|| WireError::BadFrame("status line missing code".into()))?;
-        let (headers, body) = read_headers_and_body(reader)?;
         Ok(Response {
             status: Status::from_code(code),
             headers,
@@ -611,15 +607,21 @@ fn header_lookup<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h 
 /// it would turn one header into an arbitrary allocation.
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
-/// Headers plus body, as read off the wire.
-type HeadersAndBody = (Vec<(String, String)>, Vec<u8>);
+/// Start line, headers and body, as read off the wire.
+type Frame = (String, Vec<(String, String)>, Vec<u8>);
 
-fn read_headers_and_body(reader: &mut impl BufRead) -> Result<HeadersAndBody> {
+/// Read one frame for either direction. The head is capped at
+/// [`MAX_HEAD_BYTES`], counted line by line, so a peer that never ends a
+/// line cannot grow the reader's buffer without bound. The body is read
+/// into capacity reserved for its declared length, with no zero-fill
+/// before the copy.
+fn read_frame(reader: &mut impl BufRead) -> Result<Frame> {
+    let mut head_bytes = 0;
+    let start = read_head_line(reader, &mut head_bytes)?;
     let mut headers = Vec::new();
     loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
+        let line = read_head_line(reader, &mut head_bytes)?;
+        if line.is_empty() {
             return Err(WireError::BadFrame("eof before end of headers".into()));
         }
         let line = line.trim_end_matches(['\r', '\n']);
@@ -632,9 +634,42 @@ fn read_headers_and_body(reader: &mut impl BufRead) -> Result<HeadersAndBody> {
         headers.push((k.trim().to_owned(), v.trim().to_owned()));
     }
     let len = declared_content_length(&headers)?;
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    Ok((headers, body))
+    let mut body = Vec::with_capacity(len);
+    if len > 0 {
+        // What the head's reads already buffered, then the rest straight
+        // from the reader.
+        let buffered = reader.fill_buf()?;
+        let n = buffered.len().min(len);
+        body.extend_from_slice(buffered.get(..n).unwrap_or_default());
+        reader.consume(n);
+    }
+    if body.len() < len {
+        reader
+            .take((len - body.len()) as u64)
+            .read_to_end(&mut body)?;
+    }
+    if body.len() < len {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
+    Ok((start, headers, body))
+}
+
+/// Read one head line, terminator included (empty at EOF), and add it to
+/// `head_bytes`; fails once the head passes [`MAX_HEAD_BYTES`].
+fn read_head_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<String> {
+    let mut line = String::new();
+    // One byte past the room left, so a line that overruns the cap shows.
+    let room = MAX_HEAD_BYTES.saturating_sub(*head_bytes) as u64 + 1;
+    reader.take(room).read_line(&mut line)?;
+    *head_bytes += line.len();
+    if *head_bytes > MAX_HEAD_BYTES {
+        return Err(head_over_cap());
+    }
+    Ok(line)
+}
+
+fn head_over_cap() -> WireError {
+    WireError::BadFrame(format!("frame head exceeds the {MAX_HEAD_BYTES}-byte cap"))
 }
 
 /// Validated body length from a parsed header list. Rejects duplicate
@@ -1040,6 +1075,34 @@ mod tests {
         match parser.try_next() {
             Err(WireError::BadFrame(msg)) => assert!(msg.contains("head exceeds"), "{msg}"),
             other => panic!("expected BadFrame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn heads_over_the_cap_are_refused_even_when_terminated() {
+        // A head of exactly the cap parses on both readers; one byte more
+        // is refused by both, though it arrives whole.
+        let frame = |head_len: usize| {
+            let mut raw = b"POST /p HTTP/1.0\r\nX-Pad: ".to_vec();
+            raw.resize(head_len - 4, b'a');
+            raw.extend_from_slice(b"\r\n\r\n");
+            raw
+        };
+        let mut parser = RequestParser::new();
+        parser.feed(&frame(MAX_HEAD_BYTES));
+        assert!(matches!(parser.try_next(), Ok(Some(_))));
+        assert!(Request::read_from(&frame(MAX_HEAD_BYTES)[..]).is_ok());
+        let mut parser = RequestParser::new();
+        parser.feed(&frame(MAX_HEAD_BYTES + 1));
+        for result in [
+            parser.try_next().map(|_| ()),
+            Request::read_from(&frame(MAX_HEAD_BYTES + 1)[..]).map(|_| ()),
+            Response::read_from(&frame(MAX_HEAD_BYTES + 1)[..]).map(|_| ()),
+        ] {
+            match result {
+                Err(WireError::BadFrame(msg)) => assert!(msg.contains("head exceeds"), "{msg}"),
+                other => panic!("expected BadFrame, got {other:?}"),
+            }
         }
     }
 

@@ -770,6 +770,31 @@ mod tests {
     }
 
     #[test]
+    fn unterminated_over_cap_head_gets_400_on_both_arms() {
+        // A peer that never ends a header line. Both arms refuse it once
+        // the head passes the cap; the read timeout fails the test rather
+        // than hanging it on an arm that keeps reading.
+        let mut probe = b"POST /x HTTP/1.0\r\nX-Big: ".to_vec();
+        probe.resize(probe.len() + crate::http::MAX_HEAD_BYTES + 1024, b'a');
+        for arm in ["blocking", "reactor"] {
+            let server = match arm {
+                "reactor" => HttpServer::start_reactor(echo_handler(), 1),
+                _ => HttpServer::start(echo_handler(), 1),
+            }
+            .unwrap();
+            let mut conn = TcpStream::connect(server.addr()).unwrap();
+            conn.set_read_timeout(Some(std::time::Duration::from_secs(3)))
+                .unwrap();
+            conn.write_all(&probe).unwrap();
+            let resp = Response::read_from(&conn)
+                .unwrap_or_else(|e| panic!("{arm}: no reply within 3 s: {e}"));
+            assert_eq!(resp.status, Status::BadRequest, "{arm}");
+            assert_eq!(server.stats().snapshot().bad_requests, 1, "{arm}");
+            server.shutdown();
+        }
+    }
+
+    #[test]
     fn clean_eof_before_any_byte_closes_quietly() {
         // Pinned regression companion: the shutdown poke's shape — connect
         // then hang up without a byte — is not a malformed request.

@@ -114,6 +114,13 @@ pub fn unescape(s: &str) -> Option<Cow<'_, str>> {
         stats::count_unescape(true);
         return Some(Cow::Borrowed(s));
     };
+    unescape_from(s, first).map(Cow::Owned)
+}
+
+/// Resolve the entities of `s`, whose first `&` is at byte `first`, and
+/// count the allocation; the tokenizer calls this directly once its own
+/// scan has found that `&`.
+pub(crate) fn unescape_from(s: &str, first: usize) -> Option<String> {
     stats::count_unescape(false);
     let mut out = String::with_capacity(s.len());
     let (plain, mut rest) = scan::split_at(s, first);
@@ -127,7 +134,7 @@ pub fn unescape(s: &str) -> Option<Cow<'_, str>> {
         rest = scan::split_at(tail, 1).1; // skip the ';'
         let Some(amp) = scan::find_any(rest, 0, [b'&']) else {
             out.push_str(rest);
-            return Some(Cow::Owned(out));
+            return Some(out);
         };
         let (plain, at_amp) = scan::split_at(rest, amp);
         out.push_str(plain);

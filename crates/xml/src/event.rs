@@ -13,8 +13,8 @@
 
 use std::borrow::Cow;
 
-use crate::escape::unescape;
-use crate::scan;
+use crate::escape::{unescape, unescape_from};
+use crate::{scan, stats};
 use crate::{Pos, Result, XmlError};
 
 /// One lexical event in the document, borrowing from the source text.
@@ -287,17 +287,27 @@ impl<'a> Tokenizer<'a> {
         self.start_tag_event().map(Some)
     }
 
+    /// A text run, scanned once for its end and its first entity
+    /// together: a run with no `&` is borrowed as it stands (counted as an
+    /// unescape fast path), and only a run with one is resolved.
     fn text_event(&mut self) -> Result<Event<'a>> {
         let start = self.off;
         let rest = self.rest();
-        let i = scan::find_any(rest, 0, [b'<']).unwrap_or(rest.len());
-        let (raw, _) = scan::split_at(rest, i);
-        self.advance(i);
-        let text = unescape(raw).ok_or_else(|| XmlError::BadEntity {
+        let stop = scan::find_any(rest, 0, [b'<', b'&']).unwrap_or(rest.len());
+        if rest.as_bytes().get(stop) != Some(&b'&') {
+            let (raw, _) = scan::split_at(rest, stop);
+            self.advance(stop);
+            stats::count_unescape(true);
+            return Ok(Event::Text(Cow::Borrowed(raw)));
+        }
+        let end = scan::find_any(rest, stop, [b'<']).unwrap_or(rest.len());
+        let (raw, _) = scan::split_at(rest, end);
+        self.advance(end);
+        let text = unescape_from(raw, stop).ok_or_else(|| XmlError::BadEntity {
             pos: self.pos_at(start),
             entity: raw.to_owned(),
         })?;
-        Ok(Event::Text(text))
+        Ok(Event::Text(Cow::Owned(text)))
     }
 
     fn doctype_event(&mut self) -> Result<Event<'a>> {
@@ -455,6 +465,31 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(matches!(&ev[1], Event::Text(Cow::Owned(_))));
+    }
+
+    #[test]
+    fn entity_free_text_is_borrowed_and_counted_as_a_fast_path() {
+        // Counters are process-wide and only grow, so with other tests
+        // running alongside, a delta of at least one per run is the check.
+        const RUNS: u64 = 10_000;
+        let doc = format!("<a>{}</a>", "<b/>plain text".repeat(RUNS as usize));
+        let before = stats::snapshot();
+        let mut tok = Tokenizer::new(&doc);
+        while let Some(ev) = tok.next_event().unwrap() {
+            if let Event::Text(text) = ev {
+                assert!(matches!(text, Cow::Borrowed("plain text")), "{text:?}");
+            }
+        }
+        let counted = stats::snapshot().since(&before).unescape_borrowed;
+        assert!(counted >= RUNS, "{counted} fast paths for {RUNS} runs");
+    }
+
+    #[test]
+    fn entity_past_the_first_kilobyte_is_resolved() {
+        let plain = "x".repeat(1500);
+        let doc = format!("<a>{plain}&amp;y &#65;</a>");
+        let ev = events(&doc);
+        assert_eq!(ev[1], Event::Text(Cow::Owned(format!("{plain}&y A"))));
     }
 
     #[test]
