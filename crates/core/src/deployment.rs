@@ -18,7 +18,7 @@
 //! sides of experiment E7.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use portalws_auth::{guard, AuthService, AuthSoapFacade};
 use portalws_gridsim::clock::SimClock;
@@ -37,8 +37,9 @@ use portalws_services::{
 use portalws_soap::{SoapClient, SoapServer, SoapService};
 use portalws_wire::{
     derive_seed, ChaosConfig, ChaosTransport, Handler, HttpServer, HttpTransport,
-    InMemoryTransport, Pool, PoolConfig, PooledTransport, Router, SeededServerChaos,
-    ServerChaosConfig, ServerConfig, ServerHandle, Transport,
+    InMemoryTransport, Pool, PoolConfig, PooledTransport, Request, Response, Router,
+    SeededServerChaos, ServerChaosConfig, ServerConfig, ServerHandle, Transport, WireError,
+    WireStats,
 };
 use portalws_wsdl::handler::WsdlHandler;
 use portalws_wsdl::WsdlDefinition;
@@ -171,6 +172,43 @@ impl LogicalServer {
             endpoint,
         });
         self.soap.mount(service);
+    }
+}
+
+/// A host's own transport, reached through a `Weak` reference upgraded
+/// per call: the client side of a service that calls a sibling on its own
+/// host. BatchJob's JobSubmission client rides on the grid host's
+/// transport, which in memory holds the grid router, which holds BatchJob.
+/// A strong reference would close that loop and keep the whole deployment
+/// alive after its last owner drops it. Calls still take the host
+/// transport's full framed hop and land on its counters.
+struct LoopbackTransport {
+    host: Weak<dyn Transport>,
+    stats: Arc<WireStats>,
+}
+
+impl LoopbackTransport {
+    fn new(host: &Arc<dyn Transport>) -> LoopbackTransport {
+        LoopbackTransport {
+            host: Arc::downgrade(host),
+            stats: host.stats(),
+        }
+    }
+}
+
+impl Transport for LoopbackTransport {
+    fn round_trip(&self, req: Request) -> portalws_wire::Result<Response> {
+        match self.host.upgrade() {
+            Some(host) => host.round_trip(req),
+            None => Err(WireError::Io(std::io::Error::new(
+                std::io::ErrorKind::NotConnected,
+                "host transport dropped with its deployment",
+            ))),
+        }
+    }
+
+    fn stats(&self) -> Arc<WireStats> {
+        Arc::clone(&self.stats)
     }
 }
 
@@ -543,7 +581,7 @@ impl PortalDeployment {
         // ---- composed service: BatchJob forwards to JobSubmission -------
         {
             let jobsub_client = Arc::new(SoapClient::new(
-                Arc::clone(&transports["grid.sdsc.edu"]),
+                Arc::new(LoopbackTransport::new(&transports["grid.sdsc.edu"])),
                 "JobSubmission",
             ));
             let (_, grid_ls) = servers
@@ -925,6 +963,51 @@ fn testbed_hosts() -> Vec<HostTopology> {
 mod tests {
     use super::*;
     use portalws_soap::SoapValue;
+
+    #[test]
+    fn dropping_an_in_memory_deployment_frees_its_state_plane() {
+        let deployments = [
+            (
+                "in_memory",
+                PortalDeployment::in_memory(SecurityMode::Central),
+            ),
+            (
+                "in_memory_sharded",
+                PortalDeployment::in_memory_sharded(SecurityMode::Central, 3),
+            ),
+            (
+                "chaos in-memory",
+                PortalDeployment::with_chaos(
+                    SecurityMode::Central,
+                    TransportMode::InMemory,
+                    ChaosPolicy::from_seed(7),
+                ),
+            ),
+        ];
+        for (name, d) in deployments {
+            let ui = crate::UiServer::new(Arc::clone(&d));
+            // Take the composed BatchJob → JobSubmission hop, so its
+            // client is live. Under chaos either call may fail.
+            let _ = ui.login(USERS[0].0, USERS[0].1);
+            if let Ok(batch) = ui.proxy("grid.sdsc.edu", "BatchJob") {
+                let _ = batch.call(
+                    "runBatch",
+                    &[SoapValue::str("tg-login PBS batch 2 10 -- hostname")],
+                );
+            }
+            let (srb, grid) = (Arc::downgrade(&d.srb), Arc::downgrade(&d.grid));
+            drop(ui);
+            drop(d);
+            assert!(
+                srb.upgrade().is_none(),
+                "{name}: the Srb outlived its deployment"
+            );
+            assert!(
+                grid.upgrade().is_none(),
+                "{name}: the Grid outlived its deployment"
+            );
+        }
+    }
 
     #[test]
     fn topology_stands_up_in_memory() {

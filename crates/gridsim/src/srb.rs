@@ -16,6 +16,14 @@
 //! collection, so they live on the same stripe as the tree they govern —
 //! one lock still covers the whole check-then-mutate sequence.
 //!
+//! Beside those maps, each stripe keeps a running byte total per top-level
+//! collection. Every mutation that adds, replaces or removes object bytes
+//! updates it under the stripe write lock it already holds, so a quota
+//! check reads one map entry instead of walking every object under the
+//! top. Cross-stripe moves and copies update both totals while holding both
+//! stripe locks, so no reader sees the bytes counted in neither top or in
+//! both.
+//!
 //! Cross-stripe `rename`/`cp` take both stripe locks in **ascending stripe
 //! index** order (the canonical global order). Since every multi-stripe
 //! acquisition in the process uses the same order, the acquired-before
@@ -98,6 +106,10 @@ struct SrbState {
     acls: BTreeMap<String, Vec<String>>,
     /// Byte quota per top-level collection.
     quotas: BTreeMap<String, usize>,
+    /// Object bytes stored under each top-level collection: the running
+    /// total the quota checks read. Only tops holding bytes have an entry,
+    /// so the map is bounded by the live namespace.
+    usage: BTreeMap<String, usize>,
 }
 
 impl SrbState {
@@ -106,6 +118,29 @@ impl SrbState {
             root: Collection::default(),
             acls: BTreeMap::new(),
             quotas: BTreeMap::new(),
+            usage: BTreeMap::new(),
+        }
+    }
+
+    /// Object bytes stored under `top`.
+    fn used(&self, top: &str) -> usize {
+        self.usage.get(top).copied().unwrap_or(0)
+    }
+
+    /// Record `added` bytes arriving under `top` and `removed` bytes
+    /// leaving it.
+    fn charge(&mut self, top: &str, added: usize, removed: usize) {
+        match self.usage.get_mut(top) {
+            Some(used) => {
+                *used = *used + added - removed;
+                if *used == 0 {
+                    self.usage.remove(top);
+                }
+            }
+            None if added > removed => {
+                self.usage.insert(top.to_owned(), added - removed);
+            }
+            None => {}
         }
     }
 }
@@ -290,13 +325,17 @@ impl Srb {
         self.stripes[idx].state.write().quotas.insert(top, bytes);
     }
 
-    fn check_access(state: &SrbState, principal: &str, segs: &[&str]) -> SrbResult<()> {
-        // `split` guarantees a non-empty, non-blank top segment; an empty
-        // slice here is a caller bug, not a world-readable root.
-        let top = segs
-            .first()
+    /// The top-level segment: the key of the ACL, quota and usage maps.
+    /// `split` guarantees a non-empty, non-blank top segment; an empty
+    /// slice here is a caller bug, not a world-readable root.
+    fn top<'s>(segs: &[&'s str]) -> SrbResult<&'s str> {
+        segs.first()
             .copied()
-            .ok_or_else(|| SrbError::Invalid("empty path".into()))?;
+            .ok_or_else(|| SrbError::Invalid("empty path".into()))
+    }
+
+    fn check_access(state: &SrbState, principal: &str, segs: &[&str]) -> SrbResult<()> {
+        let top = Self::top(segs)?;
         if let Some(allowed) = state.acls.get(top) {
             if !allowed.iter().any(|p| p == principal) {
                 return Err(SrbError::PermissionDenied(format!("/{top}")));
@@ -305,14 +344,37 @@ impl Srb {
         Ok(())
     }
 
-    fn collection_size(col: &Collection) -> usize {
-        col.children
-            .values()
-            .map(|n| match n {
-                Node::Object(bytes) => bytes.len(),
-                Node::Collection(c) => Self::collection_size(c),
-            })
-            .sum()
+    /// Refuse `incoming` bytes landing at `segs` when they would take its
+    /// top-level collection past its quota. With `replacing`, the bytes of
+    /// an object already at `segs` leave with the write and do not count.
+    /// The top must exist before its quota is read, so a missing top fails
+    /// `NotFound` first.
+    fn check_quota(
+        state: &SrbState,
+        segs: &[&str],
+        incoming: usize,
+        replacing: bool,
+    ) -> SrbResult<()> {
+        let top = Self::top(segs)?;
+        if let Some(&quota) = state.quotas.get(top) {
+            let existing = if replacing {
+                let (name, dirs) = Self::leaf(segs)?;
+                match Self::descend(&state.root, dirs).map(|c| c.children.get(name)) {
+                    Ok(Some(Node::Object(bytes))) => bytes.len(),
+                    _ => 0,
+                }
+            } else {
+                0
+            };
+            Self::descend(&state.root, &segs[..1])?;
+            if state.used(top) - existing + incoming > quota {
+                return Err(SrbError::DiskFull {
+                    path: format!("/{top}"),
+                    quota,
+                });
+            }
+        }
+        Ok(())
     }
 
     fn descend<'c>(root: &'c Collection, segs: &[&str]) -> SrbResult<&'c Collection> {
@@ -445,45 +507,22 @@ impl Srb {
         self.touch(idx);
         let mut state = self.stripes[idx].state.write();
         Self::check_access(&state, principal, &segs)?;
-        let (name, dirs) = segs.split_last().expect("split checked non-empty");
-        // Quota check against the top-level collection. `split` guarantees
-        // the segment exists; never fall back to the root's quota entry.
-        let top = segs
-            .first()
-            .copied()
-            .ok_or_else(|| SrbError::Invalid("empty path".into()))?;
-        if let Some(&quota) = state.quotas.get(top) {
-            let existing = match Self::descend(&state.root, dirs)
-                .ok()
-                .and_then(|c| c.children.get(*name))
-            {
-                Some(Node::Object(bytes)) => bytes.len(),
-                _ => 0,
-            };
-            let top_col = Self::descend(&state.root, &segs[..1])?;
-            let used = Self::collection_size(top_col);
-            if used - existing + data.len() > quota {
-                return Err(SrbError::DiskFull {
-                    path: format!("/{top}"),
-                    quota,
-                });
-            }
-        }
+        Self::check_quota(&state, &segs, data.len(), true)?;
+        let (top, (name, dirs)) = (Self::top(&segs)?, Self::leaf(&segs)?);
         let col = Self::descend_mut(&mut state.root, dirs)?;
-        match col.children.get_mut(*name) {
+        let replaced = match col.children.get_mut(name) {
             Some(Node::Collection(_)) => {
-                Err(SrbError::Invalid(format!("{name:?} is a collection")))
+                return Err(SrbError::Invalid(format!("{name:?} is a collection")))
             }
-            Some(Node::Object(bytes)) => {
-                *bytes = data.to_vec();
-                Ok(())
-            }
+            Some(Node::Object(bytes)) => std::mem::replace(bytes, data.to_vec()).len(),
             None => {
                 col.children
-                    .insert((*name).to_owned(), Node::Object(data.to_vec()));
-                Ok(())
+                    .insert(name.to_owned(), Node::Object(data.to_vec()));
+                0
             }
-        }
+        };
+        state.charge(top, data.len(), replaced);
+        Ok(())
     }
 
     /// Delete an object.
@@ -493,18 +532,7 @@ impl Srb {
         self.touch(idx);
         let mut state = self.stripes[idx].state.write();
         Self::check_access(&state, principal, &segs)?;
-        let (name, dirs) = segs.split_last().expect("split checked non-empty");
-        let col = Self::descend_mut(&mut state.root, dirs)?;
-        match col.children.get(*name) {
-            Some(Node::Object(_)) => {
-                col.children.remove(*name);
-                Ok(())
-            }
-            Some(Node::Collection(_)) => {
-                Err(SrbError::Invalid(format!("{name:?} is a collection")))
-            }
-            None => Err(SrbError::NotFound(path.to_owned())),
-        }
+        Self::remove_object(&mut state, &segs, path).map(drop)
     }
 
     /// Size of an object, without transferring (or cloning) it.
@@ -589,10 +617,6 @@ impl Srb {
         let mut state = self.stripes[idx].state.write();
         Self::check_access(&state, principal, &segs)?;
         let (name, dirs) = Self::leaf(&segs)?;
-        let top = segs
-            .first()
-            .copied()
-            .ok_or_else(|| SrbError::Invalid("empty path".into()))?;
         let current = match Self::descend(&state.root, dirs)
             .ok()
             .and_then(|c| c.children.get(name))
@@ -612,31 +636,25 @@ impl Srb {
             None if expected_off != 0 => return Err(SrbError::NotFound(path.to_owned())),
             _ => {}
         }
-        if let Some(&quota) = state.quotas.get(top) {
-            let top_col = Self::descend(&state.root, &segs[..1])?;
-            let used = Self::collection_size(top_col);
-            if used + data.len() > quota {
-                return Err(SrbError::DiskFull {
-                    path: format!("/{top}"),
-                    quota,
-                });
-            }
-        }
+        Self::check_quota(&state, &segs, data.len(), false)?;
+        let top = Self::top(&segs)?;
         let col = Self::descend_mut(&mut state.root, dirs)?;
-        match col.children.get_mut(name) {
+        let size = match col.children.get_mut(name) {
             Some(Node::Object(bytes)) => {
                 bytes.extend_from_slice(data);
-                Ok(bytes.len())
+                bytes.len()
             }
             Some(Node::Collection(_)) => {
-                Err(SrbError::Invalid(format!("{name:?} is a collection")))
+                return Err(SrbError::Invalid(format!("{name:?} is a collection")))
             }
             None => {
                 col.children
                     .insert(name.to_owned(), Node::Object(data.to_vec()));
-                Ok(data.len())
+                data.len()
             }
-        }
+        };
+        state.charge(top, data.len(), 0);
+        Ok(size)
     }
 
     /// Source-side validation for a move/copy: the principal may access
@@ -673,51 +691,40 @@ impl Srb {
         Self::check_access(state, principal, segs)?;
         let (name, dirs) = Self::leaf(segs)?;
         let dest = Self::descend(&state.root, dirs)?;
-        let existing = match dest.children.get(name) {
-            Some(Node::Collection(_)) => {
-                return Err(SrbError::Invalid(format!("{name:?} is a collection")))
-            }
-            Some(Node::Object(bytes)) => bytes.len(),
-            None => 0,
-        };
-        let top = segs
-            .first()
-            .copied()
-            .ok_or_else(|| SrbError::Invalid("empty path".into()))?;
-        if let Some(&quota) = state.quotas.get(top) {
-            let top_col = Self::descend(&state.root, &segs[..1])?;
-            let used = Self::collection_size(top_col);
-            if used - existing + incoming > quota {
-                return Err(SrbError::DiskFull {
-                    path: format!("/{top}"),
-                    quota,
-                });
-            }
+        if let Some(Node::Collection(_)) = dest.children.get(name) {
+            return Err(SrbError::Invalid(format!("{name:?} is a collection")));
         }
-        Ok(())
+        Self::check_quota(state, segs, incoming, true)
     }
 
-    /// Detach a validated source object, returning its bytes.
+    /// Detach a source object, returning its bytes.
     fn remove_object(state: &mut SrbState, segs: &[&str], path: &str) -> SrbResult<Vec<u8>> {
-        let (name, dirs) = Self::leaf(segs)?;
+        let (top, (name, dirs)) = (Self::top(segs)?, Self::leaf(segs)?);
         let col = Self::descend_mut(&mut state.root, dirs)?;
-        match col.children.remove(name) {
-            Some(Node::Object(bytes)) => Ok(bytes),
+        let bytes = match col.children.remove(name) {
+            Some(Node::Object(bytes)) => bytes,
             Some(other) => {
-                // Validated as an object earlier under the same lock; put
-                // whatever it was back rather than dropping it.
+                // Not an object: put whatever it was back rather than
+                // dropping it.
                 col.children.insert(name.to_owned(), other);
-                Err(SrbError::Invalid(format!("{name:?} is a collection")))
+                return Err(SrbError::Invalid(format!("{name:?} is a collection")));
             }
-            None => Err(SrbError::NotFound(path.to_owned())),
-        }
+            None => return Err(SrbError::NotFound(path.to_owned())),
+        };
+        state.charge(top, 0, bytes.len());
+        Ok(bytes)
     }
 
     /// Attach `bytes` at a validated destination (replacing any object).
     fn insert_object(state: &mut SrbState, segs: &[&str], bytes: Vec<u8>) -> SrbResult<()> {
-        let (name, dirs) = Self::leaf(segs)?;
+        let (top, (name, dirs)) = (Self::top(segs)?, Self::leaf(segs)?);
+        let added = bytes.len();
         let col = Self::descend_mut(&mut state.root, dirs)?;
-        col.children.insert(name.to_owned(), Node::Object(bytes));
+        let replaced = match col.children.insert(name.to_owned(), Node::Object(bytes)) {
+            Some(Node::Object(old)) => old.len(),
+            _ => 0,
+        };
+        state.charge(top, added, replaced);
         Ok(())
     }
 
@@ -745,8 +752,8 @@ impl Srb {
         if si == di {
             let mut state = self.stripes[si].state.write();
             let size = Self::peek_object_size(&state, principal, &from_segs, from)?;
-            // Within one top-level collection a move cannot change usage,
-            // so the quota stays out of the common staging-promotion path.
+            // Within one top-level collection a move brings no new bytes;
+            // it can only free the object it replaces.
             Self::check_dest(
                 &state,
                 principal,
@@ -1258,5 +1265,294 @@ mod tests {
             t1.elapsed() < Duration::from_millis(500),
             "zero service time means no sleeping"
         );
+    }
+
+    #[test]
+    fn rename_over_an_object_frees_its_bytes() {
+        let srb = Srb::new();
+        srb.mkdir("/small").unwrap();
+        srb.set_quota("/small", 10);
+        srb.put("u", "/small/old", b"123456").unwrap();
+        srb.put("u", "/small/new", b"1234").unwrap();
+        // The home is full. Moving `new` over `old` frees old's 6 bytes.
+        srb.rename("u", "/small/new", "/small/old").unwrap();
+        srb.put("u", "/small/more", b"123456").unwrap();
+        assert!(matches!(
+            srb.put("u", "/small/over", b"1"),
+            Err(SrbError::DiskFull { .. })
+        ));
+    }
+
+    /// The walk the running totals replaced: every object byte under
+    /// `col`. Tests keep it as the oracle for the totals.
+    fn collection_size(col: &Collection) -> usize {
+        col.children
+            .values()
+            .map(|n| match n {
+                Node::Object(bytes) => bytes.len(),
+                Node::Collection(c) => collection_size(c),
+            })
+            .sum()
+    }
+
+    /// Bytes under the top-level entry `top`, found by walking it.
+    fn walked(state: &SrbState, top: &str) -> usize {
+        match state.root.children.get(top) {
+            Some(Node::Collection(c)) => collection_size(c),
+            Some(Node::Object(bytes)) => bytes.len(),
+            None => 0,
+        }
+    }
+
+    /// Every stripe's running totals against a walk of its tree, and no
+    /// entry left holding zero.
+    fn totals_match_walk(srb: &Srb) -> Result<(), String> {
+        for (i, stripe) in srb.stripes.iter().enumerate() {
+            let state = stripe.state.read();
+            if let Some((top, _)) = state.usage.iter().find(|(_, &used)| used == 0) {
+                return Err(format!("stripe {i}: /{top} keeps an entry at zero bytes"));
+            }
+            for top in state.root.children.keys().chain(state.usage.keys()) {
+                let (used, walk) = (state.used(top), walked(&state, top));
+                if used != walk {
+                    return Err(format!(
+                        "stripe {i}: /{top} totals {used} bytes, the walk finds {walk}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Size of the object at `path`, read past any ACL.
+    fn size_of(srb: &Srb, path: &str) -> Option<usize> {
+        let segs = split(path).ok()?;
+        let state = srb.stripes[srb.stripe_for(&segs)].state.read();
+        let (name, dirs) = segs.split_last()?;
+        match Srb::descend(&state.root, dirs).ok()?.children.get(*name) {
+            Some(Node::Object(bytes)) => Some(bytes.len()),
+            _ => None,
+        }
+    }
+
+    /// Would the quota check as it stood before the running totals, a
+    /// walk of the top, refuse `incoming` bytes landing at `path`? With
+    /// `replacing`, the object already at `path` does not count.
+    fn walk_refuses(srb: &Srb, path: &str, incoming: usize, replacing: bool) -> bool {
+        let existing = if replacing {
+            size_of(srb, path).unwrap_or(0)
+        } else {
+            0
+        };
+        let segs = split(path).unwrap();
+        let state = srb.stripes[srb.stripe_for(&segs)].state.read();
+        match state.quotas.get(segs[0]) {
+            Some(&quota) => walked(&state, segs[0]) - existing + incoming > quota,
+            None => false,
+        }
+    }
+
+    /// Top-level collections of the property below. With 2 stripes `qb`
+    /// sits alone and the other four share a stripe; with 8 each has its
+    /// own. `open` has no quota and `locked` admits only `owner`.
+    const TOPS: [&str; 5] = ["qa", "qb", "qc", "open", "locked"];
+    /// Leaves under each top: two objects, an object in a sub-collection,
+    /// the sub-collection itself, and an object under a missing one.
+    const LEAVES: [&str; 5] = ["f", "g", "sub/h", "sub", "ghost/x"];
+    const WHO: [&str; 2] = ["u", "owner"];
+    /// Every top × leaf, plus one path under a top that does not exist.
+    const PATHS: usize = TOPS.len() * LEAVES.len() + 1;
+
+    fn path(i: usize) -> String {
+        match TOPS.get(i / LEAVES.len()) {
+            Some(top) => format!("/{top}/{}", LEAVES[i % LEAVES.len()]),
+            None => "/nowhere/f".to_owned(),
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Put {
+            who: usize,
+            to: usize,
+            len: usize,
+        },
+        /// `aligned` appends at the object's size; otherwise one past it.
+        Append {
+            who: usize,
+            to: usize,
+            len: usize,
+            aligned: bool,
+        },
+        Rm {
+            who: usize,
+            at: usize,
+        },
+        Rename {
+            who: usize,
+            from: usize,
+            to: usize,
+        },
+        Cp {
+            who: usize,
+            from: usize,
+            to: usize,
+        },
+        Mkdir {
+            at: usize,
+        },
+    }
+
+    fn op_strategy() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0..2usize, 0..PATHS, 0..40usize).prop_map(|(who, to, len)| Op::Put { who, to, len }),
+            (0..2usize, 0..PATHS, 0..40usize, any::<bool>()).prop_map(|(who, to, len, aligned)| {
+                Op::Append {
+                    who,
+                    to,
+                    len,
+                    aligned,
+                }
+            }),
+            (0..2usize, 0..PATHS).prop_map(|(who, at)| Op::Rm { who, at }),
+            (0..2usize, 0..PATHS, 0..PATHS).prop_map(|(who, from, to)| Op::Rename {
+                who,
+                from,
+                to
+            }),
+            (0..2usize, 0..PATHS, 0..PATHS).prop_map(|(who, from, to)| Op::Cp { who, from, to }),
+            (0..PATHS).prop_map(|at| Op::Mkdir { at }),
+        ]
+    }
+
+    /// Run `ops` on a fresh broker of `stripes` stripes. After every op
+    /// each top's running total must equal the walk, and a `DiskFull` (or
+    /// a success) must match what the walk would have decided. `seen`
+    /// tallies the outcomes and move shapes reached.
+    fn replay(
+        stripes: usize,
+        ops: &[Op],
+        seen: &mut BTreeMap<&'static str, usize>,
+    ) -> Result<(), String> {
+        let srb = Srb::with_stripes(stripes);
+        for top in TOPS {
+            srb.mkdir(&format!("/{top}/sub")).unwrap();
+        }
+        for (top, quota) in [("/qa", 48), ("/qb", 120), ("/qc", 200), ("/locked", 96)] {
+            srb.set_quota(top, quota);
+        }
+        srb.set_acl("/locked", vec!["owner".into()]);
+        for (step, op) in ops.iter().enumerate() {
+            let (result, refused, replacing) = match *op {
+                Op::Put { who, to, len } => {
+                    let to = path(to);
+                    let refused = walk_refuses(&srb, &to, len, true);
+                    let replacing = size_of(&srb, &to).is_some();
+                    (srb.put(WHO[who], &to, &vec![b'p'; len]), refused, replacing)
+                }
+                Op::Append {
+                    who,
+                    to,
+                    len,
+                    aligned,
+                } => {
+                    let to = path(to);
+                    let off = size_of(&srb, &to).unwrap_or(0) + usize::from(!aligned);
+                    let refused = walk_refuses(&srb, &to, len, false);
+                    let result = srb.append_at(WHO[who], &to, off, &vec![b'a'; len]);
+                    (result.map(drop), refused, false)
+                }
+                Op::Rm { who, at } => (srb.rm(WHO[who], &path(at)), false, false),
+                Op::Rename { who, from, to } | Op::Cp { who, from, to } => {
+                    let (from, to) = (path(from), path(to));
+                    let (ft, tt) = (split(&from).unwrap()[0], split(&to).unwrap()[0]);
+                    let is_cp = matches!(op, Op::Cp { .. });
+                    // A same-top rename brings no bytes; a self-copy is a
+                    // no-op that checks no quota.
+                    let incoming = match (is_cp, ft == tt) {
+                        (false, true) => 0,
+                        _ => size_of(&srb, &from).unwrap_or(0),
+                    };
+                    let refused = !(is_cp && from == to) && walk_refuses(&srb, &to, incoming, true);
+                    let replacing = from != to && size_of(&srb, &to).is_some();
+                    let shape = if is_cp && from == to {
+                        "self cp"
+                    } else if srb.stripe_idx(ft) != srb.stripe_idx(tt) {
+                        "cross-stripe move"
+                    } else if ft != tt {
+                        "same-stripe cross-top move"
+                    } else {
+                        "same-top move"
+                    };
+                    let result = if is_cp {
+                        srb.cp(WHO[who], &from, &to)
+                    } else {
+                        srb.rename(WHO[who], &from, &to)
+                    };
+                    if result.is_ok() {
+                        *seen.entry(shape).or_default() += 1;
+                    }
+                    (result, refused, replacing)
+                }
+                Op::Mkdir { at } => (srb.mkdir(&path(at)), false, false),
+            };
+            let outcome = match &result {
+                Ok(()) if refused => {
+                    return Err(format!(
+                        "step {step} {op:?}: succeeded where the walk refuses"
+                    ))
+                }
+                Ok(()) if replacing => "ok (replaced)",
+                Ok(()) => "ok",
+                Err(SrbError::DiskFull { .. }) if !refused => {
+                    return Err(format!(
+                        "step {step} {op:?}: DiskFull where the walk has room"
+                    ))
+                }
+                Err(SrbError::DiskFull { .. }) => "disk full",
+                Err(SrbError::NotFound(_)) => "not found",
+                Err(SrbError::Invalid(_)) => "invalid",
+                Err(SrbError::PermissionDenied(_)) => "permission denied",
+            };
+            *seen.entry(outcome).or_default() += 1;
+            totals_match_walk(&srb).map_err(|e| format!("step {step} {op:?}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Random op sequences over several tops, on 1, 2 and 8 stripes: the
+    /// running totals always equal the walk they replaced.
+    #[test]
+    fn running_totals_match_a_full_walk() {
+        use proptest::strategy::Strategy;
+        let ops = proptest::collection::vec(op_strategy(), 1..60);
+        let mut gen = proptest::Gen::from_name("srb::running_totals_match_a_full_walk");
+        let mut seen = BTreeMap::new();
+        for case in 0..128 {
+            let ops = ops.generate(&mut gen);
+            for stripes in [1, 2, 8] {
+                if let Err(e) = replay(stripes, &ops, &mut seen) {
+                    panic!("case {case}, {stripes} stripes: {e}\nops: {ops:?}");
+                }
+            }
+        }
+        for reached in [
+            "ok",
+            "ok (replaced)",
+            "disk full",
+            "not found",
+            "invalid",
+            "permission denied",
+            "self cp",
+            "same-top move",
+            "same-stripe cross-top move",
+            "cross-stripe move",
+        ] {
+            assert!(
+                seen.contains_key(reached),
+                "no op reached {reached:?}: {seen:?}"
+            );
+        }
     }
 }

@@ -107,9 +107,9 @@ impl DataManagementService {
     /// element. Used by the SOAP method, the shard router (which routes
     /// each batched command to its owning backend), and tests.
     pub(crate) fn run_command(&self, principal: &str, cmd: &Element) -> Element {
-        let op = cmd.local_name().to_owned();
+        let op = cmd.local_name();
         let outcome = (|| -> Result<Element, SrbError> {
-            match op.as_str() {
+            match op {
                 "ls" => {
                     // The broker rejects relative and blank paths, so a
                     // missing attribute faults up front instead of being
@@ -151,10 +151,11 @@ impl DataManagementService {
                     let path = cmd
                         .attr("path")
                         .ok_or_else(|| SrbError::Invalid("put needs path".into()))?;
-                    self.srb.put(principal, path, cmd.text().as_bytes())?;
+                    let text = cmd.text();
+                    self.srb.put(principal, path, text.as_bytes())?;
                     Ok(Element::new("result")
                         .with_attr("op", "put")
-                        .with_attr("bytes", cmd.text().len().to_string()))
+                        .with_attr("bytes", text.len().to_string()))
                 }
                 "rm" => {
                     let path = cmd

@@ -1319,6 +1319,76 @@ mod tests {
     }
 
     #[test]
+    fn recovered_moves_leave_each_home_its_exact_headroom() {
+        // Journaled moves and their recovery go through the brokers'
+        // own put/append/rename/rm, so each home's running byte total
+        // must come out of any crash point counting exactly the objects
+        // still visible: no tombstone, staging or lost bytes.
+        const QUOTA: usize = 400_000;
+        let cases = [
+            ("rename", "copy-chunk"),
+            ("rename", "pre-commit"),
+            ("rename", "delete-leg"),
+            ("cp", "copy-chunk"),
+            ("cp", "pre-commit"),
+        ];
+        for (method, point) in cases {
+            let (svc, c) = client(4);
+            let (a, b) = two_cross_shard_tops(&svc);
+            for top in [&a, &b] {
+                svc.mkdir(&format!("/{top}")).unwrap();
+                svc.set_quota(&format!("/{top}"), QUOTA);
+            }
+            let body: Vec<u8> = (0..150_000u32).map(|i| (i % 239) as u8).collect();
+            svc.put_bytes("anonymous", &format!("/{a}/data.bin"), &body)
+                .unwrap();
+            let fired = Arc::new(AtomicUsize::new(0));
+            let fired2 = Arc::clone(&fired);
+            let target = point.to_owned();
+            svc.set_fault_hook(Some(Arc::new(move |p: &str| {
+                p == target && fired2.fetch_add(1, Ordering::Relaxed) == 0
+            })));
+            let from = SoapValue::str(format!("/{a}/data.bin"));
+            let to = SoapValue::str(format!("/{b}/data.bin"));
+            let err = c.call(method, &[from, to]).unwrap_err();
+            assert!(
+                err.to_string().contains("injected"),
+                "{method} {point}: {err}"
+            );
+            svc.set_fault_hook(None);
+            let report = svc.recover();
+            // A rename rolled forward leaves the bytes only in b; every
+            // other recovery leaves them only in a.
+            let expected = if report.rolled_forward == 1 {
+                assert_eq!((method, point), ("rename", "delete-leg"));
+                [(&a, 0), (&b, body.len())]
+            } else {
+                assert_eq!(report.rolled_back, 1, "{method} {point}");
+                [(&a, body.len()), (&b, 0)]
+            };
+            for (top, used) in expected {
+                let visible = svc.get_bytes("anonymous", &format!("/{top}/data.bin"));
+                assert_eq!(visible.is_ok(), used > 0, "{method} {point}: /{top}");
+                let k = svc.owner_of(&format!("/{top}")).unwrap();
+                let srb = svc.backends()[k].srb();
+                let probe = format!("/{top}/probe");
+                srb.put("anonymous", &probe, &vec![0; QUOTA - used])
+                    .unwrap_or_else(|e| {
+                        panic!("{method} {point}: /{top} refuses its headroom: {e}")
+                    });
+                srb.rm("anonymous", &probe).unwrap();
+                assert!(
+                    matches!(
+                        srb.put("anonymous", &probe, &vec![0; QUOTA - used + 1]),
+                        Err(SrbError::DiskFull { .. })
+                    ),
+                    "{method} {point}: /{top} admits a byte past its quota"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn generation_bumps_on_mutations_and_topology_changes() {
         let (svc, c) = client(2);
         let g0 = svc.current_generation();

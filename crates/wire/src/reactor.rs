@@ -44,7 +44,7 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -227,29 +227,44 @@ pub(crate) fn start(
     let shutdown = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(WireStats::new());
 
-    let worker_handles = (0..config.workers.max(1))
-        .map(|_| {
+    // Workers are named `rx<server>-<worker>`, short enough to survive
+    // the kernel's 15-byte thread name, so each server's threads can be
+    // told apart from every other thread in the process.
+    let server = NEXT_SERVER.fetch_add(1, Ordering::Relaxed);
+    let mut workers = Vec::new();
+    for i in 0..config.workers.max(1) {
+        let spawned = {
             let listener = listener.try_clone();
             let handler = Arc::clone(&handler);
             let stats = Arc::clone(&stats);
             let shutdown = Arc::clone(&shutdown);
             let chaos = chaos.clone();
-            std::thread::spawn(move || {
-                let Ok(listener) = listener else { return };
-                let mut worker = Worker::new(listener, handler, stats, shutdown, chaos, config);
-                worker.run();
-            })
-        })
-        .collect();
-
+            std::thread::Builder::new()
+                .name(format!("rx{server}-{i}"))
+                .spawn(move || {
+                    let Ok(listener) = listener else { return };
+                    let mut worker = Worker::new(listener, handler, stats, shutdown, chaos, config);
+                    worker.run();
+                })
+        };
+        match spawned {
+            Ok(worker) => workers.push(worker),
+            Err(e) => {
+                // Stop the workers already running before reporting.
+                drop(ServerHandle::from_parts(
+                    addr, shutdown, None, workers, stats,
+                ));
+                return Err(e.into());
+            }
+        }
+    }
     Ok(ServerHandle::from_parts(
-        addr,
-        shutdown,
-        None,
-        worker_handles,
-        stats,
+        addr, shutdown, None, workers, stats,
     ))
 }
+
+/// Numbers reactor servers for their worker thread names.
+static NEXT_SERVER: AtomicU64 = AtomicU64::new(0);
 
 /// One reactor thread: epoll instance + connection slab.
 struct Worker {
@@ -726,14 +741,17 @@ mod tests {
         Arc::new(|req: &Request| Response::ok("text/plain", req.body.clone()))
     }
 
-    /// Current thread count of this process (Linux).
-    fn process_threads() -> usize {
-        let status = std::fs::read_to_string("/proc/self/status").expect("read /proc");
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .and_then(|v| v.trim().parse().ok())
-            .expect("Threads: line")
+    /// Threads of this process that belong to `server` (Linux): the tasks
+    /// whose kernel name is one of its workers'. A thread a worker spawns
+    /// inherits the worker's name, so it counts too; threads of tests
+    /// running beside this one do not.
+    fn server_threads(server: &ServerHandle) -> usize {
+        let names = server.worker_names();
+        std::fs::read_dir("/proc/self/task")
+            .expect("read /proc")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| names.iter().any(|n| n == comm.trim_end()))
+            .count()
     }
 
     #[test]
@@ -811,8 +829,8 @@ mod tests {
         // worker on the first idle connection and starve the rest.)
         let server = HttpServer::start_reactor(echo_handler(), 1).unwrap();
         let addr = server.addr();
-        let threads_before = process_threads();
         let mut parked = Vec::with_capacity(1000);
+        let mut threads_before = 0;
         for i in 0..1000 {
             let mut conn = TcpStream::connect(addr).unwrap();
             let req =
@@ -821,11 +839,17 @@ mod tests {
             let resp = Response::read_from(&conn).unwrap();
             assert_eq!(resp.body_str(), format!("park-{i}"));
             parked.push(conn);
+            if i == 0 {
+                // A worker names its kernel thread as it starts, so count
+                // once it has answered.
+                threads_before = server_threads(&server);
+                assert_eq!(threads_before, 1, "one named reactor worker");
+            }
         }
-        // No thread per connection: the process grew by zero threads
+        // No thread per connection: the server grew by zero threads
         // while 1000 connections went idle.
         assert_eq!(
-            process_threads(),
+            server_threads(&server),
             threads_before,
             "reactor must not spawn per-connection threads"
         );

@@ -173,6 +173,15 @@ impl ServerHandle {
         &self.stats
     }
 
+    /// Names of the server's worker threads.
+    #[cfg(test)]
+    pub(crate) fn worker_names(&self) -> Vec<String> {
+        self.workers
+            .iter()
+            .filter_map(|w| w.thread().name().map(str::to_owned))
+            .collect()
+    }
+
     /// Request shutdown and join all threads.
     pub fn shutdown(mut self) {
         self.stop();
