@@ -13,7 +13,7 @@ use portalws_gridsim::srb::Srb;
 use portalws_services::DataManagementService;
 use portalws_soap::{SoapClient, SoapServer, SoapValue};
 use portalws_wire::{
-    Handler, HttpServer, HttpTransport, InMemoryTransport, PooledTransport, Transport,
+    Handler, HttpServer, HttpTransport, InMemoryTransport, PooledTransport, ServerConfig, Transport,
 };
 use portalws_xml::Element;
 
@@ -72,7 +72,13 @@ fn run_group(c: &mut Criterion, label: &str, transport: Arc<dyn Transport>) {
 }
 
 fn over_tcp(c: &mut Criterion) {
-    let server = HttpServer::start(handler(), 4).unwrap();
+    let server = HttpServer::start(
+        "127.0.0.1:0",
+        handler(),
+        ServerConfig::with_workers(4),
+        None,
+    )
+    .unwrap();
     let transport: Arc<dyn Transport> = Arc::new(HttpTransport::new(server.addr()));
     run_group(c, "e6_xml_call_tcp", transport);
     server.shutdown();
@@ -81,7 +87,13 @@ fn over_tcp(c: &mut Criterion) {
 fn over_tcp_pooled(c: &mut Criterion) {
     // Pooled keep-alive ablation: batching still wins on protocol bytes,
     // but the connection-per-call tax the 2002 paper worked around is gone.
-    let server = HttpServer::start(handler(), 4).unwrap();
+    let server = HttpServer::start(
+        "127.0.0.1:0",
+        handler(),
+        ServerConfig::with_workers(4),
+        None,
+    )
+    .unwrap();
     let transport: Arc<dyn Transport> = Arc::new(PooledTransport::new(server.addr()));
     run_group(c, "e6_xml_call_tcp_pooled", transport);
     server.shutdown();

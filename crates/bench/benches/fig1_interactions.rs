@@ -91,7 +91,13 @@ fn overhead(c: &mut Criterion) {
         b.iter(|| framed.call("listHosts", &[]).unwrap())
     });
 
-    let tcp_server = portalws_wire::HttpServer::start(make_server(), 4).unwrap();
+    let tcp_server = portalws_wire::HttpServer::start(
+        "127.0.0.1:0",
+        make_server(),
+        portalws_wire::ServerConfig::with_workers(4),
+        None,
+    )
+    .unwrap();
     let tcp = SoapClient::new(
         Arc::new(portalws_wire::HttpTransport::new(tcp_server.addr())),
         "JobSubmission",

@@ -42,13 +42,13 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use portalws_bench::{jobs_request, representative_envelope};
+use portalws_bench::{arm_name, jobs_request, representative_envelope};
 use portalws_soap::base64::{self, Base64Decoder, Base64Encoder};
 use portalws_soap::{
     CallContext, Envelope, Fault, MethodDesc, SoapClient, SoapResult, SoapServer, SoapService,
     SoapType, SoapValue,
 };
-use portalws_wire::{Handler, HttpServer, PooledTransport};
+use portalws_wire::{Handler, HttpServer, PooledTransport, ServerArm, ServerConfig};
 
 /// Echo service: one full envelope decode + encode per call, so the
 /// round trip is dominated by the substrate under measurement.
@@ -98,7 +98,7 @@ fn median_us(n: usize, mut f: impl FnMut()) -> f64 {
 }
 
 struct ThroughputRow {
-    arm: &'static str,
+    arm: ServerArm,
     workers: usize,
     req_per_s: f64,
     scratch_growths: u64,
@@ -109,16 +109,16 @@ struct ThroughputRow {
 
 /// Closed-loop load: `workers` keep-alive clients against a server with
 /// `workers` worker threads, `per_client` echo calls each, on the chosen
-/// server arm (`"blocking"` or `"reactor"`).
-fn throughput(arm: &'static str, workers: usize, per_client: usize) -> ThroughputRow {
+/// server arm.
+fn throughput(arm: ServerArm, workers: usize, per_client: usize) -> ThroughputRow {
     let soap = SoapServer::new();
     soap.mount(Arc::new(EchoService));
     let handler: Arc<dyn Handler> = Arc::new(soap);
-    let server = match arm {
-        "reactor" => HttpServer::start_reactor(handler, workers),
-        _ => HttpServer::start(handler, workers),
-    }
-    .expect("bind");
+    let config = ServerConfig {
+        arm,
+        ..ServerConfig::with_workers(workers)
+    };
+    let server = HttpServer::start("127.0.0.1:0", handler, config, None).expect("bind");
     let addr = server.addr();
 
     let t0 = Instant::now();
@@ -167,7 +167,11 @@ fn idle_mix(idle: usize, active: usize, per_client: usize) -> IdleMixRow {
     let soap = SoapServer::new();
     soap.mount(Arc::new(EchoService));
     let handler: Arc<dyn Handler> = Arc::new(soap);
-    let server = HttpServer::start_reactor(handler, 1).expect("bind");
+    let config = ServerConfig {
+        arm: ServerArm::Reactor,
+        ..ServerConfig::with_workers(1)
+    };
+    let server = HttpServer::start("127.0.0.1:0", handler, config, None).expect("bind");
     let addr = server.addr();
 
     let parked: Vec<std::net::TcpStream> = (0..idle)
@@ -346,12 +350,12 @@ fn main() {
         "\n  arm        workers   req/s   scratch-growths   high-water   escape-fast   unescape-fast"
     );
     let mut rows = Vec::new();
-    for arm in ["blocking", "reactor"] {
+    for arm in [ServerArm::Blocking, ServerArm::Reactor] {
         for workers in [1usize, 2, 4, 8] {
             let row = throughput(arm, workers, per_client);
             println!(
                 "  {:<9}  {:>7}   {:>7.0}   {:>15}   {:>10}   {:>10.3}   {:>12.3}",
-                row.arm,
+                arm_name(row.arm),
                 row.workers,
                 row.req_per_s,
                 row.scratch_growths,
@@ -396,7 +400,7 @@ fn main() {
         for (i, row) in rows.iter().enumerate() {
             doc.push_str(&format!(
                 "    {{\"arm\": \"{}\", \"workers\": {}, \"req_per_s\": {:.1}, \"scratch_growths\": {}, \"scratch_high_water\": {}, \"escape_fast_path_rate\": {:.4}, \"unescape_fast_path_rate\": {:.4}}}{}\n",
-                row.arm,
+                arm_name(row.arm),
                 row.workers,
                 row.req_per_s,
                 row.scratch_growths,

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use portalws_auth::{QuotaConfig, TenantQuotas, UserSession};
 use portalws_core::{
-    ChaosPolicy, PortalDeployment, PortalShell, SecurityMode, ServerArm, TransferClient,
+    ChaosPolicy, PortalDeployment, PortalShell, SecurityMode, ServerArm, Topology, TransferClient,
     TransferConfig, TransportMode, UiServer,
 };
 use portalws_gridsim::cred::Mechanism;
@@ -103,7 +103,15 @@ fn run_schedule(
 ) -> ScheduleOutcome {
     let mut out = ScheduleOutcome::default();
     let policy = ChaosPolicy::from_seed(seed);
-    let deployment = PortalDeployment::with_chaos_arm(security, mode, policy, arm);
+    let deployment = PortalDeployment::new(Topology {
+        transport: mode,
+        server: ServerConfig {
+            arm,
+            ..ServerConfig::default()
+        },
+        chaos: Some(policy),
+        ..Topology::new(security)
+    });
     let ui = Arc::new(UiServer::new(Arc::clone(&deployment)));
     // Every schedule runs with versioned read caching on, so the cached
     // discovery path itself soaks under chaos (invariant 5 below).
@@ -508,19 +516,18 @@ const SHED_SCHEDULE_DEADLINE_MS: u128 = 30_000;
 fn run_shed_schedule(seed: u64, arm: ServerArm) -> ShedOutcome {
     let mut out = ShedOutcome::default();
     let policy = ChaosPolicy::from_seed(seed);
-    let config = ServerConfig {
-        workers: 2,
-        queue_cap: Some(2),
-        max_connections: 64,
-        shed_retry_after_ms: 5,
-    };
-    let deployment = PortalDeployment::with_chaos_arm_tuned(
-        SecurityMode::Local,
-        TransportMode::TcpPooled,
-        policy,
-        arm,
-        config,
-    );
+    let deployment = PortalDeployment::new(Topology {
+        transport: TransportMode::TcpPooled,
+        server: ServerConfig {
+            arm,
+            workers: 2,
+            queue_cap: Some(2),
+            max_connections: 64,
+            shed_retry_after_ms: 5,
+        },
+        chaos: Some(policy),
+        ..Topology::new(SecurityMode::Local)
+    });
     deployment.enable_tenant_quotas(TenantQuotas::new(QuotaConfig {
         burst: 8.0,
         refill_per_sec: 20.0,
@@ -620,13 +627,16 @@ fn run_move_schedule(seed: u64, arm: ServerArm) -> MoveOutcome {
 
     let mut out = MoveOutcome::default();
     let policy = ChaosPolicy::from_seed(seed);
-    let deployment = PortalDeployment::with_chaos_arm_sharded(
-        SecurityMode::Open,
-        TransportMode::TcpPooled,
-        policy,
-        arm,
-        3,
-    );
+    let deployment = PortalDeployment::new(Topology {
+        transport: TransportMode::TcpPooled,
+        server: ServerConfig {
+            arm,
+            ..ServerConfig::default()
+        },
+        chaos: Some(policy),
+        data_shards: 3,
+        ..Topology::new(SecurityMode::Open)
+    });
     let router = Arc::clone(
         deployment
             .data_shards

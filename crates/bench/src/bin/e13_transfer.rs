@@ -35,7 +35,7 @@ use portalws_core::{TransferClient, TransferConfig};
 use portalws_gridsim::Srb;
 use portalws_services::DataManagementService;
 use portalws_soap::{SoapClient, SoapValue};
-use portalws_wire::{Handler, HttpServer, PooledTransport, ServerHandle};
+use portalws_wire::{Handler, HttpServer, PooledTransport, ServerConfig, ServerHandle};
 
 const MIB: usize = 1024 * 1024;
 
@@ -83,7 +83,8 @@ fn rig() -> Rig {
     let server = portalws_soap::SoapServer::new();
     server.mount(Arc::clone(&data) as Arc<dyn portalws_soap::SoapService>);
     let handler: Arc<dyn Handler> = Arc::new(server);
-    let server = HttpServer::start(handler, 8).expect("bind");
+    let server = HttpServer::start("127.0.0.1:0", handler, ServerConfig::with_workers(8), None)
+        .expect("bind");
     let client = SoapClient::new(
         Arc::new(PooledTransport::new(server.addr())),
         "DataManagement",

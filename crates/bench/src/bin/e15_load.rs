@@ -39,7 +39,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use portalws_auth::{QuotaConfig, TenantQuotas, UserSession};
-use portalws_core::{PortalDeployment, SecurityMode, ServerArm};
+use portalws_bench::arm_name;
+use portalws_core::{PortalDeployment, SecurityMode, ServerArm, Topology, TransportMode};
 use portalws_gridsim::cred::Mechanism;
 use portalws_soap::{PortalErrorKind, SoapClient, SoapError, SoapValue};
 use portalws_wire::ServerConfig;
@@ -60,6 +61,7 @@ fn server_config() -> ServerConfig {
         queue_cap: Some(16),
         max_connections: 256,
         shed_retry_after_ms: 10,
+        ..ServerConfig::default()
     }
 }
 
@@ -305,7 +307,14 @@ fn run_load(
     with_quotas: bool,
     seed: u64,
 ) -> Run {
-    let dep = PortalDeployment::over_tcp_pooled_tuned(SecurityMode::Local, arm, server_config());
+    let dep = PortalDeployment::new(Topology {
+        transport: TransportMode::TcpPooled,
+        server: ServerConfig {
+            arm,
+            ..server_config()
+        },
+        ..Topology::new(SecurityMode::Local)
+    });
     if with_quotas {
         dep.enable_tenant_quotas(TenantQuotas::new(quota_config()));
     }
@@ -362,13 +371,6 @@ fn run_load(
         late,
         fail,
         per_tenant,
-    }
-}
-
-fn arm_name(arm: ServerArm) -> &'static str {
-    match arm {
-        ServerArm::Blocking => "blocking",
-        ServerArm::Reactor => "reactor",
     }
 }
 

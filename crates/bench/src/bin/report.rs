@@ -124,7 +124,13 @@ fn e1() {
     println!("    {:<28} {:>12} {:>14}", "regime", "median", "bytes/call");
     let direct: Arc<dyn Transport> = Arc::new(InMemoryTransport::direct(make_server()));
     let framed: Arc<dyn Transport> = Arc::new(InMemoryTransport::new(make_server()));
-    let tcp_server = portalws_wire::HttpServer::start(make_server(), 4).unwrap();
+    let tcp_server = portalws_wire::HttpServer::start(
+        "127.0.0.1:0",
+        make_server(),
+        portalws_wire::ServerConfig::with_workers(4),
+        None,
+    )
+    .unwrap();
     let tcp: Arc<dyn Transport> = Arc::new(portalws_wire::HttpTransport::new(tcp_server.addr()));
     let tcp_ka: Arc<dyn Transport> =
         Arc::new(portalws_wire::HttpTransport::keep_alive(tcp_server.addr()));
@@ -430,7 +436,13 @@ fn e6() {
     let server = SoapServer::new();
     server.mount(Arc::new(portalws_services::DataManagementService::new(srb)));
     let handler: Arc<dyn Handler> = Arc::new(server);
-    let tcp_server = portalws_wire::HttpServer::start(handler, 4).unwrap();
+    let tcp_server = portalws_wire::HttpServer::start(
+        "127.0.0.1:0",
+        handler,
+        portalws_wire::ServerConfig::with_workers(4),
+        None,
+    )
+    .unwrap();
     let per_call: Arc<dyn Transport> =
         Arc::new(portalws_wire::HttpTransport::new(tcp_server.addr()));
     let pooled: Arc<dyn Transport> =

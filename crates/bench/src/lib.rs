@@ -10,7 +10,16 @@ use std::sync::Arc;
 
 use portalws_registry::{ContainerRegistry, ServiceEntry, UddiRegistry};
 use portalws_soap::{Envelope, SoapValue};
+use portalws_wire::ServerArm;
 use portalws_xml::{ComplexType, Element, ElementDecl, Schema, TypeDef};
+
+/// The name a report and its JSON artifact give a server arm.
+pub fn arm_name(arm: ServerArm) -> &'static str {
+    match arm {
+        ServerArm::Blocking => "blocking",
+        ServerArm::Reactor => "reactor",
+    }
+}
 
 /// A representative SOAP request envelope for the E11 substrate
 /// experiment: a multi-job submission with a SAML-style assertion header —

@@ -38,8 +38,8 @@ use portalws_soap::{SoapClient, SoapServer, SoapService};
 use portalws_wire::{
     derive_seed, ChaosConfig, ChaosTransport, Handler, HttpServer, HttpTransport,
     InMemoryTransport, Pool, PoolConfig, PooledTransport, Request, Response, Router,
-    SeededServerChaos, ServerChaosConfig, ServerConfig, ServerHandle, Transport, WireError,
-    WireStats,
+    SeededServerChaos, ServerArm, ServerChaosConfig, ServerConfig, ServerHandle, Transport,
+    WireError, WireStats,
 };
 use portalws_wsdl::handler::WsdlHandler;
 use portalws_wsdl::WsdlDefinition;
@@ -74,22 +74,6 @@ pub enum TransportMode {
     /// Keep-alive connections drawn from a deployment-wide pool, with
     /// per-request deadlines and bounded idempotent retry.
     TcpPooled,
-}
-
-/// Server concurrency regime for the testbed's TCP arms — orthogonal to
-/// [`TransportMode`], which picks the *client* side. The blocking arm is
-/// the thread-per-connection pool the 2002 servers ran; the reactor arm
-/// drives all connections per worker through epoll state machines, so
-/// idle keep-alive sessions park instead of pinning worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerArm {
-    /// Fixed worker pool, one blocking connection per worker at a time
-    /// (the ablation baseline).
-    #[default]
-    Blocking,
-    /// Epoll reactor: each worker multiplexes many nonblocking
-    /// connections (`wire::reactor`).
-    Reactor,
 }
 
 /// A deployment-wide fault schedule: one master seed fans out to a
@@ -127,6 +111,41 @@ impl ChaosPolicy {
             seed,
             client: ChaosConfig::moderate(),
             server: ServerChaosConfig::moderate(),
+        }
+    }
+}
+
+/// Everything that varies between testbed stand-ups, for
+/// [`PortalDeployment::new`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Topology {
+    /// How SSPs verify callers.
+    pub security: SecurityMode,
+    /// How clients reach the logical hosts.
+    pub transport: TransportMode,
+    /// Server loop and admission bounds on every logical host, orthogonal
+    /// to [`Topology::transport`], which picks the *client* side. TCP
+    /// modes only: in-memory deployments run no server loop.
+    pub server: ServerConfig,
+    /// The fault schedule, if any: every client transport is wrapped in a
+    /// [`ChaosTransport`] and (in TCP modes) every server gets a seeded
+    /// response hook. E12 soaks this.
+    pub chaos: Option<ChaosPolicy>,
+    /// Backend brokers behind `DataManagement`. More than one mounts a
+    /// consistent-hash router over them (the e12 cross-shard move family
+    /// runs this on both server arms).
+    pub data_shards: usize,
+}
+
+impl Topology {
+    /// In memory, unsharded, fault-free, default servers, under `security`.
+    pub fn new(security: SecurityMode) -> Topology {
+        Topology {
+            security,
+            transport: TransportMode::InMemory,
+            server: ServerConfig::default(),
+            chaos: None,
+            data_shards: 1,
         }
     }
 }
@@ -253,10 +272,7 @@ pub struct PortalDeployment {
     policy: parking_lot::RwLock<Option<Arc<portalws_auth::PolicyEngine>>>,
     /// Per-tenant admission quotas composed into the guards, if enabled.
     quotas: parking_lot::RwLock<Option<Arc<portalws_auth::TenantQuotas>>>,
-    security: SecurityMode,
-    mode: TransportMode,
-    arm: ServerArm,
-    chaos: Option<ChaosPolicy>,
+    topology: Topology,
 }
 
 /// Registered demo users: (principal, secret).
@@ -266,148 +282,45 @@ impl PortalDeployment {
     /// Stand the testbed up over in-memory transports (full message
     /// framing, no sockets) — the default for tests and benchmarks.
     pub fn in_memory(security: SecurityMode) -> Arc<PortalDeployment> {
-        Self::build(security, TransportMode::InMemory)
-    }
-
-    /// In-memory testbed whose `DataManagement` endpoint is a
-    /// consistent-hash router over `shards` backend brokers instead of a
-    /// single one. With `shards <= 1` this is exactly
-    /// [`PortalDeployment::in_memory`].
-    pub fn in_memory_sharded(security: SecurityMode, shards: usize) -> Arc<PortalDeployment> {
-        Self::build_inner(
-            security,
-            TransportMode::InMemory,
-            None,
-            ServerArm::Blocking,
-            None,
-            shards,
-        )
-    }
-
-    /// Chaos deployment with a sharded data plane — the e12 cross-shard
-    /// move fault family runs this on both server arms.
-    pub fn with_chaos_arm_sharded(
-        security: SecurityMode,
-        mode: TransportMode,
-        policy: ChaosPolicy,
-        arm: ServerArm,
-        shards: usize,
-    ) -> Arc<PortalDeployment> {
-        Self::build_inner(security, mode, Some(policy), arm, None, shards)
+        Self::new(Topology::new(security))
     }
 
     /// Stand the testbed up over real TCP servers on localhost, each
     /// logical host on its own port with `2` worker threads. One TCP
     /// connection per call, as deployed in 2002.
     pub fn over_tcp(security: SecurityMode) -> Arc<PortalDeployment> {
-        Self::build(security, TransportMode::TcpPerCall)
+        Self::new(Topology {
+            transport: TransportMode::TcpPerCall,
+            ..Topology::new(security)
+        })
     }
 
     /// Like [`PortalDeployment::over_tcp`], but clients draw keep-alive
     /// connections from a deployment-wide pool instead of dialing per
     /// call.
     pub fn over_tcp_pooled(security: SecurityMode) -> Arc<PortalDeployment> {
-        Self::build(security, TransportMode::TcpPooled)
+        Self::new(Topology {
+            transport: TransportMode::TcpPooled,
+            ..Topology::new(security)
+        })
     }
 
-    /// Like [`PortalDeployment::over_tcp_pooled`], but every logical host
-    /// serves through the epoll reactor arm instead of the blocking
-    /// worker pool.
-    pub fn over_tcp_pooled_reactor(security: SecurityMode) -> Arc<PortalDeployment> {
-        Self::build_with_chaos_arm(security, TransportMode::TcpPooled, None, ServerArm::Reactor)
-    }
-
-    /// Pooled TCP deployment with explicit admission-control tuning:
-    /// every logical host serves under `config` (bounded queues, shed
-    /// retry hints, connection caps) on the chosen server `arm`. This is
-    /// the production posture E15 loads to the knee and beyond.
-    pub fn over_tcp_pooled_tuned(
-        security: SecurityMode,
-        arm: ServerArm,
-        config: ServerConfig,
-    ) -> Arc<PortalDeployment> {
-        Self::build_inner(
-            security,
-            TransportMode::TcpPooled,
-            None,
-            arm,
-            Some(config),
-            1,
-        )
-    }
-
-    /// Stand the testbed up under a deterministic fault schedule: every
-    /// client transport is wrapped in a [`ChaosTransport`] and (in TCP
-    /// modes) every server gets a seeded response hook. The full Fig. 4
-    /// topology then runs under the schedule — E12 soaks this.
-    pub fn with_chaos(
-        security: SecurityMode,
-        mode: TransportMode,
-        policy: ChaosPolicy,
-    ) -> Arc<PortalDeployment> {
-        Self::build_with_chaos_arm(security, mode, Some(policy), ServerArm::Blocking)
-    }
-
-    /// Like [`PortalDeployment::with_chaos`], but also choosing the server
-    /// concurrency regime — the E12 soak runs both arms under the same
-    /// schedule.
-    pub fn with_chaos_arm(
-        security: SecurityMode,
-        mode: TransportMode,
-        policy: ChaosPolicy,
-        arm: ServerArm,
-    ) -> Arc<PortalDeployment> {
-        Self::build_with_chaos_arm(security, mode, Some(policy), arm)
-    }
-
-    /// Chaos plus explicit admission bounds: the E12 shed-under-chaos
-    /// schedules run overloaded, fault-injected deployments and assert
-    /// that shed replies still arrive typed and whole.
-    pub fn with_chaos_arm_tuned(
-        security: SecurityMode,
-        mode: TransportMode,
-        policy: ChaosPolicy,
-        arm: ServerArm,
-        config: ServerConfig,
-    ) -> Arc<PortalDeployment> {
-        Self::build_inner(security, mode, Some(policy), arm, Some(config), 1)
-    }
-
-    fn build(security: SecurityMode, mode: TransportMode) -> Arc<PortalDeployment> {
-        Self::build_with_chaos_arm(security, mode, None, ServerArm::Blocking)
-    }
-
-    fn build_with_chaos_arm(
-        security: SecurityMode,
-        mode: TransportMode,
-        chaos: Option<ChaosPolicy>,
-        arm: ServerArm,
-    ) -> Arc<PortalDeployment> {
-        Self::build_inner(security, mode, chaos, arm, None, 1)
-    }
-
-    fn build_inner(
-        security: SecurityMode,
-        mode: TransportMode,
-        chaos: Option<ChaosPolicy>,
-        arm: ServerArm,
-        tuning: Option<ServerConfig>,
-        shards: usize,
-    ) -> Arc<PortalDeployment> {
+    /// Stand the testbed up as `topology` describes.
+    pub fn new(topology: Topology) -> Arc<PortalDeployment> {
         let clock = SimClock::new();
         let grid = Grid::with_clock(Arc::clone(&clock));
         // Mirror the paper testbed hosts/schedulers.
         for spec in testbed_hosts() {
             grid.add_host(spec.0, spec.1);
         }
-        // With `shards > 1` the `DataManagement` endpoint is a
+        // With `data_shards > 1` the `DataManagement` endpoint is a
         // consistent-hash router over that many backend brokers; the
         // deployment's `srb`/`data_service` fields then point at shard 0
         // so existing benches and tests keep a valid (if partial) view.
-        let data_shards = (shards > 1).then(|| {
+        let data_shards = (topology.data_shards > 1).then(|| {
             Arc::new(ShardedDataService::testbed(
                 &["alice@GCE.ORG", "bob@GCE.ORG"],
-                shards,
+                topology.data_shards,
             ))
         });
         let srb = match data_shards
@@ -520,6 +433,7 @@ impl PortalDeployment {
         let mut server_stats: HashMap<String, Arc<portalws_wire::WireStats>> = HashMap::new();
         // Per-host client-side fault wrapper; the seed fans out so each
         // host draws an independent but replayable fault stream.
+        let chaos = topology.chaos;
         let chaos_wrap = |host: &str, inner: Arc<dyn Transport>| -> Arc<dyn Transport> {
             match &chaos {
                 Some(policy) => Arc::new(ChaosTransport::new(
@@ -530,7 +444,7 @@ impl PortalDeployment {
                 None => inner,
             }
         };
-        match mode {
+        match topology.transport {
             TransportMode::InMemory => {
                 for (host, server) in &servers {
                     let inner = Arc::new(InMemoryTransport::new(
@@ -551,21 +465,10 @@ impl PortalDeployment {
                             policy.server,
                         )) as Arc<dyn portalws_wire::ServerChaos>
                     });
-                    let config = tuning.unwrap_or_default();
-                    let handle = match (arm, server_chaos) {
-                        (ServerArm::Blocking, Some(hook)) => {
-                            HttpServer::start_tuned_chaotic(handler, config, hook)
-                        }
-                        (ServerArm::Blocking, None) => HttpServer::start_tuned(handler, config),
-                        (ServerArm::Reactor, Some(hook)) => {
-                            HttpServer::start_reactor_tuned_chaotic(handler, config, hook)
-                        }
-                        (ServerArm::Reactor, None) => {
-                            HttpServer::start_reactor_tuned(handler, config)
-                        }
-                    }
-                    .expect("bind localhost");
-                    let inner: Arc<dyn Transport> = match mode {
+                    let handle =
+                        HttpServer::start("127.0.0.1:0", handler, topology.server, server_chaos)
+                            .expect("bind localhost");
+                    let inner: Arc<dyn Transport> = match topology.transport {
                         TransportMode::TcpPooled => {
                             Arc::new(PooledTransport::with_pool(handle.addr(), Arc::clone(&pool)))
                         }
@@ -616,10 +519,7 @@ impl PortalDeployment {
             server_stats,
             policy: parking_lot::RwLock::new(None),
             quotas: parking_lot::RwLock::new(None),
-            security,
-            mode,
-            arm,
-            chaos,
+            topology,
         };
         deployment.apply_guards();
         deployment.populate_registries();
@@ -628,23 +528,23 @@ impl PortalDeployment {
 
     /// Security mode in effect.
     pub fn security(&self) -> SecurityMode {
-        self.security
+        self.topology.security
     }
 
     /// Transport regime in effect.
     pub fn transport_mode(&self) -> TransportMode {
-        self.mode
+        self.topology.transport
     }
 
     /// Server concurrency regime in effect (TCP modes; in-memory
     /// deployments have no server loop either way).
     pub fn server_arm(&self) -> ServerArm {
-        self.arm
+        self.topology.server.arm
     }
 
     /// The fault schedule in effect, if any.
     pub fn chaos_policy(&self) -> Option<ChaosPolicy> {
-        self.chaos
+        self.topology.chaos
     }
 
     /// Server-side wire counters for a logical host (TCP modes only;
@@ -663,7 +563,7 @@ impl PortalDeployment {
 
     /// Build the authentication guard for the deployment's security mode.
     fn authn_guard(&self) -> portalws_soap::Guard {
-        match self.security {
+        match self.topology.security {
             SecurityMode::Open => guard::no_auth_guard(),
             SecurityMode::Central => {
                 let auth_client = Arc::new(SoapClient::new(
@@ -683,7 +583,7 @@ impl PortalDeployment {
     fn apply_guards(&self) {
         let policy = self.policy.read().clone();
         let quotas = self.quotas.read().clone();
-        if self.security == SecurityMode::Open && policy.is_none() && quotas.is_none() {
+        if self.topology.security == SecurityMode::Open && policy.is_none() && quotas.is_none() {
             return;
         }
         for (host, server) in &self.soap_servers {
@@ -693,7 +593,7 @@ impl PortalDeployment {
             // Policies and quotas require a verified subject, so Open
             // mode keeps its authn-less base only when neither is
             // installed.
-            let mut g = if self.security == SecurityMode::Open {
+            let mut g = if self.topology.security == SecurityMode::Open {
                 guard::local_guard(Arc::clone(&self.auth))
             } else {
                 self.authn_guard()
@@ -972,16 +872,18 @@ mod tests {
                 PortalDeployment::in_memory(SecurityMode::Central),
             ),
             (
-                "in_memory_sharded",
-                PortalDeployment::in_memory_sharded(SecurityMode::Central, 3),
+                "sharded in-memory",
+                PortalDeployment::new(Topology {
+                    data_shards: 3,
+                    ..Topology::new(SecurityMode::Central)
+                }),
             ),
             (
                 "chaos in-memory",
-                PortalDeployment::with_chaos(
-                    SecurityMode::Central,
-                    TransportMode::InMemory,
-                    ChaosPolicy::from_seed(7),
-                ),
+                PortalDeployment::new(Topology {
+                    chaos: Some(ChaosPolicy::from_seed(7)),
+                    ..Topology::new(SecurityMode::Central)
+                }),
             ),
         ];
         for (name, d) in deployments {
@@ -1099,49 +1001,41 @@ mod tests {
     }
 
     #[test]
-    fn reactor_arm_round_trip_and_reuse() {
-        // The full topology on the reactor server arm: SOAP round trips
-        // work and pooled keep-alive connections stay reusable, i.e. the
-        // reactor honors `Connection: keep-alive` across exchanges.
-        let d = PortalDeployment::over_tcp_pooled_reactor(SecurityMode::Open);
-        assert_eq!(d.server_arm(), ServerArm::Reactor);
-        assert_eq!(d.transport_mode(), TransportMode::TcpPooled);
-        let t = d.transport("grid.sdsc.edu").unwrap();
-        let client = SoapClient::new(Arc::clone(&t), "JobSubmission");
-        for _ in 0..4 {
-            let hosts = client.call("listHosts", &[]).unwrap();
-            assert_eq!(hosts.as_array().unwrap().len(), 2);
-        }
-        let snap = t.stats().snapshot();
-        assert_eq!(snap.connections, 1, "one dial for four calls");
-        assert_eq!(snap.pool_reuse_hits, 3);
-        let server = d.server_wire_stats("grid.sdsc.edu").unwrap().snapshot();
-        assert_eq!(server.requests, 4);
-        assert!(server.connections_high_water >= 1, "{server:?}");
-    }
-
-    #[test]
     fn tuned_deployment_serves_on_both_arms() {
         // The production posture: explicit admission bounds on every
-        // host. Under nominal load nothing sheds and both arms serve the
-        // full topology normally.
-        let config = ServerConfig {
-            workers: 2,
-            queue_cap: Some(64),
-            max_connections: 128,
-            shed_retry_after_ms: 25,
-        };
+        // host. Under nominal load nothing sheds, both arms serve the full
+        // topology, and pooled keep-alive connections stay reusable, i.e.
+        // both arms honor `Connection: keep-alive` across exchanges.
         for arm in [ServerArm::Blocking, ServerArm::Reactor] {
-            let d = PortalDeployment::over_tcp_pooled_tuned(SecurityMode::Open, arm, config);
+            let d = PortalDeployment::new(Topology {
+                transport: TransportMode::TcpPooled,
+                server: ServerConfig {
+                    arm,
+                    workers: 2,
+                    queue_cap: Some(64),
+                    max_connections: 128,
+                    shed_retry_after_ms: 25,
+                },
+                ..Topology::new(SecurityMode::Open)
+            });
             assert_eq!(d.server_arm(), arm);
-            let client = SoapClient::new(d.transport("grid.sdsc.edu").unwrap(), "JobSubmission");
-            for _ in 0..3 {
+            assert_eq!(d.transport_mode(), TransportMode::TcpPooled);
+            let t = d.transport("grid.sdsc.edu").unwrap();
+            let client = SoapClient::new(Arc::clone(&t), "JobSubmission");
+            for _ in 0..4 {
                 let hosts = client.call("listHosts", &[]).unwrap();
                 assert_eq!(hosts.as_array().unwrap().len(), 2);
             }
-            let stats = d.server_wire_stats("grid.sdsc.edu").unwrap().snapshot();
-            assert_eq!(stats.requests, 3);
-            assert_eq!(stats.shed_queue_full, 0, "nominal load never sheds");
+            let snap = t.stats().snapshot();
+            assert_eq!(snap.connections, 1, "{arm:?}: one dial for four calls");
+            assert_eq!(snap.pool_reuse_hits, 3, "{arm:?}");
+            let server = d.server_wire_stats("grid.sdsc.edu").unwrap().snapshot();
+            assert_eq!(server.requests, 4, "{arm:?}");
+            assert_eq!(server.shed_queue_full, 0, "nominal load never sheds");
+            if arm == ServerArm::Reactor {
+                // Only the reactor keeps an open-connection gauge.
+                assert!(server.connections_high_water >= 1, "{server:?}");
+            }
         }
     }
 
@@ -1219,11 +1113,10 @@ mod tests {
         // same per-class fault counts for the same call sequence — that
         // is the whole point of printing a seed on soak failure.
         let counts = |seed: u64| {
-            let d = PortalDeployment::with_chaos(
-                SecurityMode::Open,
-                TransportMode::InMemory,
-                ChaosPolicy::moderate(seed),
-            );
+            let d = PortalDeployment::new(Topology {
+                chaos: Some(ChaosPolicy::moderate(seed)),
+                ..Topology::new(SecurityMode::Open)
+            });
             let t = d.transport("grid.sdsc.edu").unwrap();
             let client = SoapClient::new(Arc::clone(&t), "JobSubmission");
             for _ in 0..40 {
@@ -1245,11 +1138,10 @@ mod tests {
 
     #[test]
     fn chaos_policy_fans_out_per_host() {
-        let d = PortalDeployment::with_chaos(
-            SecurityMode::Open,
-            TransportMode::InMemory,
-            ChaosPolicy::from_seed(7),
-        );
+        let d = PortalDeployment::new(Topology {
+            chaos: Some(ChaosPolicy::from_seed(7)),
+            ..Topology::new(SecurityMode::Open)
+        });
         assert_eq!(d.chaos_policy().map(|p| p.seed), Some(7));
         // Transports on different hosts still answer (chaos is a wrapper,
         // not a replacement), and calls can succeed under a from_seed mix.
@@ -1265,7 +1157,10 @@ mod tests {
 
     #[test]
     fn sharded_deployment_serves_data_management_end_to_end() {
-        let d = PortalDeployment::in_memory_sharded(SecurityMode::Open, 4);
+        let d = PortalDeployment::new(Topology {
+            data_shards: 4,
+            ..Topology::new(SecurityMode::Open)
+        });
         let router = d.data_shards.as_ref().expect("sharded deployment");
         assert_eq!(router.backends().len(), 4);
         let c = SoapClient::new(d.transport("grid.sdsc.edu").unwrap(), "DataManagement");

@@ -159,7 +159,7 @@ impl CallGraph {
     /// * **`recv.f(…)`**: same-file functions first; otherwise *every*
     ///   function named `f` in the workspace — the documented
     ///   over-approximation (a method call may dispatch to any impl we
-    ///   cannot distinguish), except for [`STOP_NAMES`], which stay
+    ///   cannot distinguish), except for `STOP_NAMES`, which stay
     ///   unresolved (the documented under-approximation; calls through
     ///   `dyn` trait objects such as `Handler::handle` are likewise
     ///   dispatch boundaries the resolver does not cross).

@@ -341,7 +341,9 @@ mod tests {
     use crate::fault::PortalErrorKind;
     use crate::server::test_support::Calculator;
     use crate::server::SoapServer;
-    use portalws_wire::{Handler, HttpServer, HttpTransport, InMemoryTransport};
+    use portalws_wire::{
+        Handler, HttpServer, HttpTransport, InMemoryTransport, ServerArm, ServerConfig,
+    };
 
     fn in_memory_client() -> SoapClient {
         let server = SoapServer::new();
@@ -414,7 +416,8 @@ mod tests {
         let soap = SoapServer::new();
         soap.mount(Arc::new(Calculator));
         let handler: Arc<dyn Handler> = Arc::new(soap);
-        let server = HttpServer::start(handler, 2).unwrap();
+        let server =
+            HttpServer::start("127.0.0.1:0", handler, ServerConfig::with_workers(2), None).unwrap();
         let client = SoapClient::new(Arc::new(HttpTransport::new(server.addr())), "Calc");
         assert_eq!(
             client
@@ -431,7 +434,8 @@ mod tests {
         let soap = SoapServer::new();
         soap.mount(Arc::new(Calculator));
         let handler: Arc<dyn Handler> = Arc::new(soap);
-        let server = HttpServer::start(handler, 2).unwrap();
+        let server =
+            HttpServer::start("127.0.0.1:0", handler, ServerConfig::with_workers(2), None).unwrap();
         let client = SoapClient::new(Arc::new(PooledTransport::new(server.addr())), "Calc");
         for i in 0..5 {
             assert_eq!(
@@ -456,7 +460,11 @@ mod tests {
         let soap = SoapServer::new();
         soap.mount(Arc::new(Calculator));
         let handler: Arc<dyn Handler> = Arc::new(soap);
-        let server = HttpServer::start_reactor(handler, 2).unwrap();
+        let config = ServerConfig {
+            arm: ServerArm::Reactor,
+            ..ServerConfig::with_workers(2)
+        };
+        let server = HttpServer::start("127.0.0.1:0", handler, config, None).unwrap();
         let client = SoapClient::new(Arc::new(PooledTransport::new(server.addr())), "Calc");
         for i in 0..5 {
             assert_eq!(

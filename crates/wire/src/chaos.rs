@@ -280,7 +280,8 @@ impl ChaosTransport {
 /// full length), positioned by `unit` in `[0, 1)`. A frame shorter than
 /// 2 bytes has no interior, so the cut collapses to 0 (write nothing) —
 /// a fault schedule can land on an empty or 1-byte frame and must not
-/// underflow or deliver the frame whole. Shared with `wire::reactor`.
+/// underflow or deliver the frame whole. Shared with the server's request
+/// path, which cuts server-side `Truncate` frames with it.
 pub(crate) fn cut_inside(len: usize, unit: f64) -> usize {
     if len < 2 {
         return 0;
@@ -402,14 +403,15 @@ pub enum ServerFault {
     /// Close the connection without writing anything (the handler's
     /// effects stand; the client sees a dead connection).
     Drop,
-    /// Sleep before writing the response.
+    /// Hold the response this long before writing it (the blocking arm
+    /// sleeps, the reactor parks the connection).
     Delay(Duration),
     /// Write only a prefix of the serialized response (the fraction in
     /// `[0, 1)` positions the cut strictly inside the frame), then close.
     Truncate(f64),
 }
 
-/// Per-request server-side chaos hook, consulted by the worker loop.
+/// Per-request server-side chaos hook, consulted by both server arms.
 pub trait ServerChaos: Send + Sync {
     /// Decide the fate of the response to `req`.
     fn decide(&self, req: &Request) -> ServerFault;
@@ -504,41 +506,6 @@ impl ServerChaos for SeededServerChaos {
             return ServerFault::Truncate(cut_unit);
         }
         ServerFault::Deliver
-    }
-}
-
-/// Apply a server-side fault to a serialized response. Returns `true` when
-/// the response (or its decided prefix) should still be written by the
-/// caller — `false` means the connection must be closed with nothing
-/// (more) sent. Shared by the worker loop so the cut-point arithmetic has
-/// one definition.
-pub(crate) fn apply_server_fault(
-    fault: ServerFault,
-    out: &mut dyn std::io::Write,
-    frame: &[u8],
-    stats: &WireStats,
-) -> bool {
-    match fault {
-        ServerFault::Deliver => true,
-        ServerFault::Drop => {
-            stats.record_chaos(ChaosClass::Drop);
-            false
-        }
-        ServerFault::Delay(d) => {
-            stats.record_chaos(ChaosClass::Delay);
-            std::thread::sleep(d);
-            true
-        }
-        ServerFault::Truncate(unit) => {
-            stats.record_chaos(ChaosClass::Truncation);
-            let cut = cut_inside(frame.len(), unit);
-            // A frame with no interior cuts to the empty prefix: the
-            // close itself is the fault.
-            let prefix = frame.get(..cut).unwrap_or(&[]);
-            let _ = out.write_all(prefix);
-            let _ = out.flush();
-            false
-        }
     }
 }
 
@@ -779,58 +746,5 @@ mod tests {
         assert_eq!(resp.status, Status::Ok);
         assert!(resp.body.is_empty(), "nothing to corrupt in an empty body");
         assert_eq!(chaos.stats().snapshot().chaos_corruptions, 1);
-    }
-
-    #[test]
-    fn server_truncate_of_a_tiny_frame_writes_nothing() {
-        // Regression: a server-side truncation landing on a frame with no
-        // interior (empty or 1 byte) must write nothing rather than
-        // underflow or deliver the frame whole.
-        let stats = WireStats::new();
-        for frame in [vec![], vec![b'X']] {
-            let mut sink = Vec::new();
-            assert!(!apply_server_fault(
-                ServerFault::Truncate(0.5),
-                &mut sink,
-                &frame,
-                &stats
-            ));
-            assert!(sink.is_empty(), "no interior to cut: nothing written");
-        }
-        assert_eq!(stats.snapshot().chaos_truncations, 2);
-    }
-
-    #[test]
-    fn server_fault_application_counts_and_gates_writes() {
-        let stats = WireStats::new();
-        let frame = Response::xml("<ok/>").to_bytes();
-        let mut sink = Vec::new();
-        assert!(apply_server_fault(
-            ServerFault::Deliver,
-            &mut sink,
-            &frame,
-            &stats
-        ));
-        assert!(!apply_server_fault(
-            ServerFault::Drop,
-            &mut sink,
-            &frame,
-            &stats
-        ));
-        assert!(sink.is_empty(), "drop writes nothing");
-        assert!(!apply_server_fault(
-            ServerFault::Truncate(0.5),
-            &mut sink,
-            &frame,
-            &stats
-        ));
-        assert!(
-            !sink.is_empty() && sink.len() < frame.len(),
-            "partial write"
-        );
-        assert!(Response::read_from(sink.as_slice()).is_err());
-        let snap = stats.snapshot();
-        assert_eq!(snap.chaos_drops, 1);
-        assert_eq!(snap.chaos_truncations, 1);
     }
 }

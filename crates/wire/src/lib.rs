@@ -9,11 +9,13 @@
 //!
 //! * [`http`] — minimal HTTP/1.0-style request/response framing, with an
 //!   incremental [`http::RequestParser`] for nonblocking reads.
-//! * [`server`] — a thread-pooled TCP server with a path [`server::Router`].
-//! * [`reactor`] — the epoll arm of the same server: each worker thread
-//!   drives many nonblocking connections through readiness-driven state
-//!   machines, so idle keep-alive connections park instead of pinning a
-//!   worker. The blocking arm stays as the ablation baseline.
+//! * [`server`] — the TCP server with a path [`server::Router`]: one
+//!   constructor, one request path, and two loops to drive it, picked by
+//!   [`ServerArm`]. The blocking arm is a thread-per-connection worker
+//!   pool.
+//! * [`reactor`] — the epoll arm: each worker thread drives many
+//!   nonblocking connections through readiness-driven state machines, so
+//!   idle keep-alive connections park instead of pinning a worker.
 //! * [`transport`] — the client-side [`Transport`] abstraction with two
 //!   implementations: a real [`transport::HttpTransport`] (one connection
 //!   per call, as in 2002) and an [`transport::InMemoryTransport`] that
@@ -53,7 +55,7 @@ pub use pool::{
     Deadline, Pool, PoolConfig, PooledTransport, RetryPolicy, CACHE_FILL_HEADER, DEADLINE_HEADER,
     IDEMPOTENT_HEADER,
 };
-pub use server::{Handler, HttpServer, Router, ServerConfig, ServerHandle};
+pub use server::{Handler, HttpServer, Router, ServerArm, ServerConfig, ServerHandle};
 pub use stats::{ChaosClass, StatsSnapshot, WireStats};
 pub use transport::{HttpTransport, InMemoryTransport, Transport};
 

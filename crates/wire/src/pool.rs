@@ -558,7 +558,7 @@ impl Transport for PooledTransport {
 mod tests {
     use super::*;
     use crate::http::Status;
-    use crate::server::{Handler, HttpServer};
+    use crate::server::{Handler, HttpServer, ServerConfig};
 
     fn upper_handler() -> Arc<dyn Handler> {
         Arc::new(|req: &Request| Response::ok("text/plain", req.body_str().to_uppercase()))
@@ -566,7 +566,13 @@ mod tests {
 
     #[test]
     fn reuses_pooled_connection() {
-        let server = HttpServer::start(upper_handler(), 2).unwrap();
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            upper_handler(),
+            ServerConfig::with_workers(2),
+            None,
+        )
+        .unwrap();
         let t = PooledTransport::new(server.addr());
         let mut received = 0;
         for _ in 0..8 {
@@ -586,7 +592,13 @@ mod tests {
 
     #[test]
     fn checkout_of_peer_closed_connection_redials() {
-        let server = HttpServer::start(upper_handler(), 2).unwrap();
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            upper_handler(),
+            ServerConfig::with_workers(2),
+            None,
+        )
+        .unwrap();
         let addr = server.addr();
         let pool = Arc::new(Pool::new(PoolConfig::default()));
         let t = PooledTransport::with_pool(addr, Arc::clone(&pool));
@@ -614,7 +626,13 @@ mod tests {
 
     #[test]
     fn max_idle_bounds_parked_connections() {
-        let server = HttpServer::start(upper_handler(), 4).unwrap();
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            upper_handler(),
+            ServerConfig::with_workers(4),
+            None,
+        )
+        .unwrap();
         let pool = Arc::new(Pool::new(PoolConfig {
             max_idle: 2,
             max_age: Duration::from_secs(30),
@@ -635,7 +653,13 @@ mod tests {
 
     #[test]
     fn max_age_evicts_stale_connections() {
-        let server = HttpServer::start(upper_handler(), 2).unwrap();
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            upper_handler(),
+            ServerConfig::with_workers(2),
+            None,
+        )
+        .unwrap();
         let pool = Arc::new(Pool::new(PoolConfig {
             max_idle: 4,
             max_age: Duration::from_millis(20),
@@ -706,7 +730,7 @@ mod tests {
         });
         let starter = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            HttpServer::start_on(addr, upper_handler(), 2)
+            HttpServer::start(addr, upper_handler(), ServerConfig::with_workers(2), None)
         });
         let resp = t.round_trip(Request::get("/x")).unwrap();
         assert_eq!(resp.status, Status::Ok);
@@ -888,7 +912,8 @@ mod tests {
                 }
             })
         };
-        let server = HttpServer::start(handler, 1).unwrap();
+        let server =
+            HttpServer::start("127.0.0.1:0", handler, ServerConfig::with_workers(1), None).unwrap();
         let t = PooledTransport::new(server.addr());
 
         // Idempotent call: shed once, retried after >= the 80 ms hint.
@@ -912,7 +937,8 @@ mod tests {
                 Response::shed_fault("always busy", 500)
             })
         };
-        let server = HttpServer::start(handler, 1).unwrap();
+        let server =
+            HttpServer::start("127.0.0.1:0", handler, ServerConfig::with_workers(1), None).unwrap();
         let t = PooledTransport::new(server.addr());
         let start = Instant::now();
         let resp = t.round_trip(Request::post("/soap/x", "<e/>")).unwrap();
@@ -933,7 +959,8 @@ mod tests {
         // a spent budget.
         let handler: Arc<dyn crate::server::Handler> =
             Arc::new(|_: &Request| Response::deadline_fault("spent"));
-        let server = HttpServer::start(handler, 1).unwrap();
+        let server =
+            HttpServer::start("127.0.0.1:0", handler, ServerConfig::with_workers(1), None).unwrap();
         let t = PooledTransport::new(server.addr());
         let resp = t.round_trip(Request::get("/status")).unwrap();
         assert_eq!(resp.status, Status::ServiceUnavailable);
@@ -960,7 +987,13 @@ mod tests {
 
     #[test]
     fn cache_fill_reuse_hits_attributed_separately() {
-        let server = HttpServer::start(upper_handler(), 2).unwrap();
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            upper_handler(),
+            ServerConfig::with_workers(2),
+            None,
+        )
+        .unwrap();
         let t = PooledTransport::new(server.addr());
         // Cold start: a plain call parks the connection.
         t.round_trip(Request::post("/x", "warm")).unwrap();
@@ -981,7 +1014,13 @@ mod tests {
 
     #[test]
     fn pool_shared_across_transports() {
-        let server = HttpServer::start(upper_handler(), 2).unwrap();
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            upper_handler(),
+            ServerConfig::with_workers(2),
+            None,
+        )
+        .unwrap();
         let pool = Arc::new(Pool::new(PoolConfig::default()));
         let a = PooledTransport::with_pool(server.addr(), Arc::clone(&pool));
         let b = PooledTransport::with_pool(server.addr(), Arc::clone(&pool));

@@ -2,44 +2,45 @@
 //!
 //! The blocking server pins one worker thread per live connection — an
 //! idle keep-alive connection occupies a worker for its whole lifetime
-//! (busy-polling `peek` at 100 ms granularity), so closed-loop throughput
-//! goes flat as soon as connections outnumber workers. This module
-//! removes the pin: each worker thread owns an epoll instance and drives
-//! *every* connection assigned to it through a nonblocking state machine,
-//! so one worker sustains thousands of parked keep-alive connections.
+//! (waking on a 100 ms read timeout only to check for shutdown), so
+//! closed-loop throughput goes flat as soon as connections outnumber
+//! workers. This module removes the pin: each worker thread owns an epoll
+//! instance and drives *every* connection assigned to it through a
+//! nonblocking state machine, so one worker sustains thousands of parked
+//! keep-alive connections.
 //!
 //! Connection lifecycle (`Accepted → ReadingHead → ReadingBody → Handling
 //! → Writing → Idle`): the reading states live inside the connection's
-//! [`RequestParser`], handling is the synchronous [`Handler`] call, and
-//! writing drains the connection's serialize scratch through nonblocking
-//! writes (registering `EPOLLOUT` only while bytes are pending). The
-//! buffer-ownership rule from E11 — *scratch moves with the connection,
-//! not the thread* — is preserved exactly: each [`Conn`] owns its read
-//! scratch (the parser buffer) and its response serialize scratch, both
-//! of which keep their capacity across keep-alive requests, with growths
-//! and the capacity high-water mark recorded in [`WireStats`].
+//! [`RequestParser`]; handling is the request path both arms share
+//! (`server::RequestPath::serve_next`: parse, admit, dispatch, serialize,
+//! chaos verdict); writing drains the connection's serialize scratch
+//! through nonblocking writes (registering `EPOLLOUT` only while bytes are
+//! pending). The buffer-ownership rule from E11 — *scratch moves with the
+//! connection, not the thread* — holds: each connection (`Conn`) owns its
+//! read scratch (the parser buffer) and its response serialize scratch,
+//! both of which keep their capacity across keep-alive requests.
+//!
+//! What the reactor owns beyond its I/O loop:
+//!
+//! * **Admission**: a per-worker dispatch budget per epoll cycle
+//!   ([`ServerConfig::queue_cap`]), the analogue of the blocking arm's
+//!   accept queue, and a connection cap that pauses the listener
+//!   ([`ServerConfig::max_connections`]).
+//! * **Chaos delay**: the blocking arm *sleeps* for `Delay`; a reactor
+//!   worker must never sleep, so a delayed connection is parked with its
+//!   response held in the serialize scratch until the deadline, while
+//!   other connections keep being served.
+//! * **Shutdown** joins promptly even with idle connections parked: the
+//!   `ServerHandle::stop` poke wakes the listener in every worker's
+//!   epoll, and the wait also times out at a 25 ms backstop.
+//! * **Pipelining**: bytes beyond the current request stay in the parser
+//!   and are served before the reactor returns to `epoll_wait`.
 //!
 //! There is no external runtime (the build is offline): epoll is reached
 //! through three `extern "C"` declarations against the libc every Rust
 //! binary already links (the `shims/` discipline of PR 1, applied to a
 //! syscall surface instead of a crate). Everything else — nonblocking
 //! sockets, accept, read, write — is std.
-//!
-//! Semantics carried over from the blocking arm and pinned by tests:
-//!
-//! * **Shutdown** joins promptly even with idle connections parked: the
-//!   `ServerHandle::stop` poke wakes the listener in every worker's
-//!   epoll, and the wait also times out at [`IDLE_POLL_MS`] as backstop.
-//! * **Pipelining**: bytes beyond the current request stay in the parser
-//!   and are served before the reactor returns to `epoll_wait` — the
-//!   reactor's equivalent of `read_from_buffered`'s peek gating.
-//! * **`ServerChaos`**: the post-handler hook applies per response. The
-//!   blocking arm *sleeps* for `Delay`; a reactor worker must never
-//!   sleep, so a delayed connection is parked with its response held in
-//!   the serialize scratch until the deadline, while other connections
-//!   keep being served.
-//! * **Malformed requests** answer a `400` SOAP fault and close; a clean
-//!   EOF (or the shutdown poke) before any byte closes quietly.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -48,10 +49,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::chaos::{cut_inside, ServerChaos, ServerFault};
-use crate::http::{wants_keep_alive, RequestParser, Response};
-use crate::server::{admit_deadline, Handler, ServerConfig, ServerHandle};
-use crate::stats::WireStats;
+use crate::http::{RequestParser, Response};
+use crate::server::{RequestPath, ServerConfig, ServerHandle, READ_CHUNK};
 use crate::Result;
 
 /// Raw epoll bindings. The symbols live in the libc the binary is linked
@@ -89,11 +88,6 @@ const IDLE_POLL_MS: i32 = 25;
 
 /// Events drained per `epoll_wait` call.
 const EVENT_BATCH: usize = 256;
-
-/// Read staging chunk: bytes move socket → chunk → connection parser.
-/// The chunk is per-worker (pure staging, no state survives in it); the
-/// parser buffer is the per-connection read scratch.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// RAII epoll instance.
 struct Epoll {
@@ -169,7 +163,6 @@ struct Conn {
     /// How much of `out` has been written so far.
     out_pos: usize,
     state: ConnState,
-    keep_alive: bool,
     /// Close once `out` drains (non-keep-alive, chaos drop/truncate, or a
     /// 400 answer).
     close_after_flush: bool,
@@ -190,7 +183,6 @@ impl Conn {
             out: Vec::new(),
             out_pos: 0,
             state: ConnState::Open,
-            keep_alive: false,
             close_after_flush: false,
             armed_for_write: false,
             arrival: Instant::now(),
@@ -211,56 +203,36 @@ enum Verdict {
     Close,
 }
 
-/// Start the reactor server: binds `addr` and spawns `workers` reactor
-/// threads, each owning an epoll instance. The shared listener is
-/// registered in every worker's epoll (level-triggered), so any worker
-/// can accept; an accepted connection stays with its worker for life.
+/// Start the reactor arm on `listener`: spawns `config.workers` reactor
+/// threads onto `server`, each owning an epoll instance. The shared
+/// listener is registered in every worker's epoll (level-triggered), so
+/// any worker can accept; an accepted connection stays with its worker
+/// for life.
 pub(crate) fn start(
-    addr: impl std::net::ToSocketAddrs,
-    handler: Arc<dyn Handler>,
+    server: &mut ServerHandle,
+    listener: TcpListener,
+    path: RequestPath,
     config: ServerConfig,
-    chaos: Option<Arc<dyn ServerChaos>>,
-) -> Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
+) -> Result<()> {
     listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(WireStats::new());
-
     // Workers are named `rx<server>-<worker>`, short enough to survive
     // the kernel's 15-byte thread name, so each server's threads can be
     // told apart from every other thread in the process.
-    let server = NEXT_SERVER.fetch_add(1, Ordering::Relaxed);
-    let mut workers = Vec::new();
+    let id = NEXT_SERVER.fetch_add(1, Ordering::Relaxed);
     for i in 0..config.workers.max(1) {
-        let spawned = {
-            let listener = listener.try_clone();
-            let handler = Arc::clone(&handler);
-            let stats = Arc::clone(&stats);
-            let shutdown = Arc::clone(&shutdown);
-            let chaos = chaos.clone();
+        let mut worker = Worker::new(
+            listener.try_clone()?,
+            path.clone(),
+            Arc::clone(&server.shutdown),
+            config,
+        );
+        server.workers.push(
             std::thread::Builder::new()
-                .name(format!("rx{server}-{i}"))
-                .spawn(move || {
-                    let Ok(listener) = listener else { return };
-                    let mut worker = Worker::new(listener, handler, stats, shutdown, chaos, config);
-                    worker.run();
-                })
-        };
-        match spawned {
-            Ok(worker) => workers.push(worker),
-            Err(e) => {
-                // Stop the workers already running before reporting.
-                drop(ServerHandle::from_parts(
-                    addr, shutdown, None, workers, stats,
-                ));
-                return Err(e.into());
-            }
-        }
+                .name(format!("rx{id}-{i}"))
+                .spawn(move || worker.run())?,
+        );
     }
-    Ok(ServerHandle::from_parts(
-        addr, shutdown, None, workers, stats,
-    ))
+    Ok(())
 }
 
 /// Numbers reactor servers for their worker thread names.
@@ -269,10 +241,8 @@ static NEXT_SERVER: AtomicU64 = AtomicU64::new(0);
 /// One reactor thread: epoll instance + connection slab.
 struct Worker {
     listener: TcpListener,
-    handler: Arc<dyn Handler>,
-    stats: Arc<WireStats>,
+    path: RequestPath,
     shutdown: Arc<AtomicBool>,
-    chaos: Option<Arc<dyn ServerChaos>>,
     config: ServerConfig,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -296,18 +266,14 @@ const LISTENER_TOKEN: u64 = 0;
 impl Worker {
     fn new(
         listener: TcpListener,
-        handler: Arc<dyn Handler>,
-        stats: Arc<WireStats>,
+        path: RequestPath,
         shutdown: Arc<AtomicBool>,
-        chaos: Option<Arc<dyn ServerChaos>>,
         config: ServerConfig,
     ) -> Worker {
         Worker {
             listener,
-            handler,
-            stats,
+            path,
             shutdown,
-            chaos,
             config,
             conns: Vec::new(),
             free: Vec::new(),
@@ -392,7 +358,7 @@ impl Worker {
                         .is_ok()
                 {
                     self.listener_paused = true;
-                    self.stats.record_listener_pause();
+                    self.path.stats.record_listener_pause();
                 }
                 return;
             }
@@ -403,7 +369,7 @@ impl Worker {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    self.stats.record_connection();
+                    self.path.stats.record_connection();
                     let conn = Conn::new(stream);
                     let slot = match self.free.pop() {
                         Some(slot) => slot,
@@ -424,7 +390,7 @@ impl Worker {
                     if let Some(entry) = self.conns.get_mut(slot) {
                         *entry = Some(conn);
                         self.open += 1;
-                        self.stats.record_conn_open();
+                        self.path.stats.record_conn_open();
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -463,7 +429,7 @@ impl Worker {
             self.delayed = self.delayed.saturating_sub(1);
         }
         let _ = epoll.ctl(sys::EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
-        self.stats.record_conn_close();
+        self.path.stats.record_conn_close();
         self.free.push(slot);
         self.open = self.open.saturating_sub(1);
         // A close frees a slot below the cap: resume accepting.
@@ -519,9 +485,7 @@ impl Worker {
         if readable && self.fill(conn, read_chunk) == Verdict::Close {
             return Verdict::Close;
         }
-        if self.serve_buffered(conn) == Verdict::Close {
-            return Verdict::Close;
-        }
+        self.serve_buffered(conn);
         self.flush(conn)
     }
 
@@ -540,7 +504,8 @@ impl Worker {
                     // e.g. the shutdown poke or an idle keep-alive hangup)
                     // closes quietly; a half-sent request is malformed.
                     if !conn.parser.is_empty() {
-                        self.answer_bad_request(conn, "connection closed mid-request");
+                        self.path
+                            .bad_request(&mut conn.out, "connection closed mid-request");
                         // The peer is gone; flush is best-effort.
                         let _ = self.flush(conn);
                     }
@@ -567,116 +532,40 @@ impl Worker {
     }
 
     /// Serve every complete request already buffered (pipelining: no
-    /// return to `epoll_wait` while a full request is waiting in memory).
-    fn serve_buffered(&mut self, conn: &mut Conn) -> Verdict {
-        loop {
-            if conn.close_after_flush || matches!(conn.state, ConnState::Delayed(_)) {
-                return Verdict::Keep;
+    /// return to `epoll_wait` while a full request is waiting in memory)
+    /// through the shared request path, behind this worker's per-cycle
+    /// dispatch budget.
+    fn serve_buffered(&mut self, conn: &mut Conn) {
+        while !conn.close_after_flush && !matches!(conn.state, ConnState::Delayed(_)) {
+            let (dispatched, config, stats) = (self.dispatched, self.config, &self.path.stats);
+            // The budget is checked before the deadline so an overloaded
+            // worker sheds without even reading header values.
+            let gate = || {
+                let budget = config.queue_cap?;
+                (dispatched >= budget).then(|| {
+                    stats.record_shed_queue_full();
+                    Response::shed_fault(
+                        &format!("dispatch budget ({budget}) spent this cycle"),
+                        config.shed_retry_after_ms,
+                    )
+                })
+            };
+            let Some(answer) =
+                self.path
+                    .serve_next(&mut conn.parser, conn.arrival, &mut conn.out, gate)
+            else {
+                return;
+            };
+            if answer.dispatched {
+                self.dispatched += 1;
+                stats.record_queue_depth(self.dispatched as u64);
             }
-            match conn.parser.try_next() {
-                Ok(Some(mut req)) => {
-                    conn.keep_alive = wants_keep_alive(req.header("Connection"));
-                    // Admission before dispatch, cheapest check first: the
-                    // per-cycle dispatch budget (the reactor's analogue of
-                    // the blocking arm's accept queue), then the deadline
-                    // budget. A shed is not a dispatch: it skips the
-                    // exchange counters and the chaos hook, and keeps the
-                    // connection alive (the client is told to retry, not
-                    // hung up on).
-                    let shed = self.admit(conn, &mut req);
-                    let was_shed = shed.is_some();
-                    let resp = match shed {
-                        Some(fault) => fault,
-                        None => {
-                            self.dispatched += 1;
-                            self.stats.record_queue_depth(self.dispatched as u64);
-                            self.handler.handle(&req)
-                        }
-                    };
-                    let frame_start = conn.out.len();
-                    let cap_before = conn.out.capacity();
-                    resp.write_into(&mut conn.out);
-                    if conn.out.capacity() > cap_before {
-                        self.stats.record_scratch_growth();
-                    }
-                    self.stats
-                        .record_scratch_high_water(conn.out.capacity() as u64);
-                    if !was_shed {
-                        self.stats
-                            .record_exchange(conn.out.len() - frame_start, req.wire_len());
-                        self.apply_chaos(conn, &req, frame_start);
-                    }
-                    if !conn.keep_alive {
-                        conn.close_after_flush = true;
-                    }
-                }
-                Ok(None) => return Verdict::Keep,
-                Err(e) => {
-                    self.answer_bad_request(conn, &e.to_string());
-                    return Verdict::Keep; // close happens after the flush
-                }
-            }
-        }
-    }
-
-    /// Admission control for one parsed request: returns the shed fault
-    /// to answer with, or `None` to dispatch. Order matters — the dispatch
-    /// budget is checked before the deadline so an overloaded worker sheds
-    /// without even reading header values.
-    fn admit(&mut self, conn: &mut Conn, req: &mut crate::http::Request) -> Option<Response> {
-        if let Some(budget) = self.config.queue_cap {
-            if self.dispatched >= budget {
-                self.stats.record_shed_queue_full();
-                return Some(Response::shed_fault(
-                    &format!("dispatch budget ({budget}) spent this cycle"),
-                    self.config.shed_retry_after_ms,
-                ));
-            }
-        }
-        admit_deadline(req, conn.arrival, &self.stats)
-    }
-
-    /// The post-handler `ServerChaos` hook, translated to reactor terms:
-    /// `Drop` discards the just-serialized frame, `Truncate` cuts it
-    /// mid-frame (both then close), and `Delay` parks the connection with
-    /// the frame held in scratch instead of sleeping on the worker.
-    fn apply_chaos(&mut self, conn: &mut Conn, req: &crate::http::Request, frame_start: usize) {
-        let Some(chaos) = self.chaos.as_deref() else {
-            return;
-        };
-        match chaos.decide(req) {
-            ServerFault::Deliver => {}
-            ServerFault::Drop => {
-                self.stats.record_chaos(crate::stats::ChaosClass::Drop);
-                conn.out.truncate(frame_start);
-                conn.close_after_flush = true;
-            }
-            ServerFault::Delay(d) => {
-                self.stats.record_chaos(crate::stats::ChaosClass::Delay);
-                conn.state = ConnState::Delayed(Instant::now() + d);
+            conn.close_after_flush = answer.close;
+            if let Some(delay) = answer.delay {
+                conn.state = ConnState::Delayed(Instant::now() + delay);
                 self.delayed += 1;
             }
-            ServerFault::Truncate(unit) => {
-                self.stats
-                    .record_chaos(crate::stats::ChaosClass::Truncation);
-                let frame_len = conn.out.len() - frame_start;
-                let cut = cut_inside(frame_len, unit);
-                conn.out.truncate(frame_start + cut);
-                conn.close_after_flush = true;
-            }
         }
-    }
-
-    /// Queue the 400 SOAP fault for a request that consumed bytes but
-    /// could not parse, and mark the connection to close once it drains.
-    fn answer_bad_request(&mut self, conn: &mut Conn, detail: &str) {
-        self.stats.record_bad_request();
-        let cap_before = conn.out.capacity();
-        Response::bad_request_fault(detail).write_into(&mut conn.out);
-        if conn.out.capacity() > cap_before {
-            self.stats.record_scratch_growth();
-        }
-        conn.close_after_flush = true;
     }
 
     /// Drain the serialize scratch as far as the socket accepts.
@@ -732,13 +621,23 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ServerChaos;
     use crate::http::{Request, Status};
-    use crate::server::HttpServer;
+    use crate::server::{Handler, HttpServer, ServerArm};
     use std::io::BufReader;
     use std::time::Duration;
 
     fn echo_handler() -> Arc<dyn Handler> {
         Arc::new(|req: &Request| Response::ok("text/plain", req.body.clone()))
+    }
+
+    /// An echo server on the reactor arm, on an ephemeral port.
+    fn start(config: ServerConfig, chaos: Option<Arc<dyn ServerChaos>>) -> ServerHandle {
+        let config = ServerConfig {
+            arm: ServerArm::Reactor,
+            ..config
+        };
+        HttpServer::start("127.0.0.1:0", echo_handler(), config, chaos).unwrap()
     }
 
     /// Threads of this process that belong to `server` (Linux): the tasks
@@ -755,20 +654,8 @@ mod tests {
     }
 
     #[test]
-    fn serves_and_shuts_down() {
-        let server = HttpServer::start_reactor(echo_handler(), 2).unwrap();
-        let mut conn = TcpStream::connect(server.addr()).unwrap();
-        conn.write_all(&Request::post("/x", "hello").to_bytes())
-            .unwrap();
-        let resp = Response::read_from(&conn).unwrap();
-        assert_eq!(resp.body_str(), "hello");
-        assert_eq!(server.stats().snapshot().requests, 1);
-        server.shutdown();
-    }
-
-    #[test]
     fn non_keep_alive_connection_closes_after_response() {
-        let server = HttpServer::start_reactor(echo_handler(), 1).unwrap();
+        let server = start(ServerConfig::with_workers(1), None);
         let mut conn = TcpStream::connect(server.addr()).unwrap();
         conn.write_all(&Request::post("/x", "one-shot").to_bytes())
             .unwrap();
@@ -784,7 +671,7 @@ mod tests {
 
     #[test]
     fn keep_alive_sequence_on_one_connection() {
-        let server = HttpServer::start_reactor(echo_handler(), 1).unwrap();
+        let server = start(ServerConfig::with_workers(1), None);
         let mut conn = TcpStream::connect(server.addr()).unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
         for i in 0..8 {
@@ -801,33 +688,12 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_keep_alive_requests_both_served() {
-        let server = HttpServer::start_reactor(echo_handler(), 1).unwrap();
-        let conn = TcpStream::connect(server.addr()).unwrap();
-        let mut burst = Vec::new();
-        Request::post("/x", "first")
-            .with_header("Connection", "keep-alive")
-            .write_into(&mut burst);
-        Request::post("/x", "second")
-            .with_header("Connection", "keep-alive")
-            .write_into(&mut burst);
-        (&conn).write_all(&burst).unwrap();
-        let mut reader = BufReader::new(&conn);
-        let r1 = Response::read_from_buffered(&mut reader).unwrap();
-        let r2 = Response::read_from_buffered(&mut reader).unwrap();
-        assert_eq!(r1.body_str(), "first");
-        assert_eq!(r2.body_str(), "second");
-        assert_eq!(server.stats().snapshot().requests, 2);
-        server.shutdown();
-    }
-
-    #[test]
     fn thousand_idle_keep_alive_connections_on_one_worker() {
         // The acceptance claim: one reactor worker sustains ≥1k parked
         // keep-alive connections with no per-connection thread, and still
         // serves active traffic. (The blocking arm would pin its single
         // worker on the first idle connection and starve the rest.)
-        let server = HttpServer::start_reactor(echo_handler(), 1).unwrap();
+        let server = start(ServerConfig::with_workers(1), None);
         let addr = server.addr();
         let mut parked = Vec::with_capacity(1000);
         let mut threads_before = 0;
@@ -878,7 +744,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_promptly_with_idle_connections_parked() {
-        let server = HttpServer::start_reactor(echo_handler(), 2).unwrap();
+        let server = start(ServerConfig::with_workers(2), None);
         let addr = server.addr();
         let mut parked = Vec::new();
         for _ in 0..50 {
@@ -902,137 +768,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_request_gets_400_soap_fault() {
-        let server = HttpServer::start_reactor(echo_handler(), 1).unwrap();
-        let mut conn = TcpStream::connect(server.addr()).unwrap();
-        conn.write_all(b"GARBAGE WITHOUT MEANING\r\nbadheader\r\n\r\n")
-            .unwrap();
-        let resp = Response::read_from(&conn).unwrap();
-        assert_eq!(resp.status, Status::BadRequest);
-        assert!(resp.body_str().contains("SOAP-ENV:Fault"));
-        assert_eq!(server.stats().snapshot().bad_requests, 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn clean_eof_before_any_byte_closes_quietly() {
-        let server = HttpServer::start_reactor(echo_handler(), 1).unwrap();
-        {
-            let _conn = TcpStream::connect(server.addr()).unwrap();
-            // Connect and hang up without sending a byte (the shutdown
-            // poke's shape): no 400, no request, no error.
-        }
-        // Give the reactor a moment to observe the close.
-        std::thread::sleep(Duration::from_millis(100));
-        let snap = server.stats().snapshot();
-        assert_eq!(snap.bad_requests, 0, "{snap:?}");
-        assert_eq!(snap.requests, 0, "{snap:?}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn connection_close_token_honored() {
-        // `Connection: keep-alive, close` must close (close wins), and a
-        // token list with keep-alive among others must keep alive.
-        let server = HttpServer::start_reactor(echo_handler(), 1).unwrap();
-        let mut conn = TcpStream::connect(server.addr()).unwrap();
-        conn.write_all(
-            &Request::post("/x", "bye")
-                .with_header("Connection", "keep-alive, close")
-                .to_bytes(),
-        )
-        .unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        assert_eq!(
-            Response::read_from_buffered(&mut reader)
-                .unwrap()
-                .body_str(),
-            "bye"
-        );
-        use std::io::Read as _;
-        let mut probe = [0u8; 1];
-        assert_eq!(reader.read(&mut probe).unwrap(), 0, "server must close");
-
-        let mut conn = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        for _ in 0..2 {
-            conn.write_all(
-                &Request::post("/x", "hi")
-                    .with_header("Connection", "keep-alive, TE")
-                    .to_bytes(),
-            )
-            .unwrap();
-            assert_eq!(
-                Response::read_from_buffered(&mut reader)
-                    .unwrap()
-                    .body_str(),
-                "hi"
-            );
-        }
-        server.shutdown();
-    }
-
-    #[test]
-    fn scratch_grows_once_per_connection_then_reuses() {
-        let server = HttpServer::start_reactor(echo_handler(), 1).unwrap();
-        let mut conn = TcpStream::connect(server.addr()).unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        for _ in 0..16 {
-            let req =
-                Request::post("/x", "fixed-size-payload").with_header("Connection", "keep-alive");
-            conn.write_all(&req.to_bytes()).unwrap();
-            let resp = Response::read_from_buffered(&mut reader).unwrap();
-            assert_eq!(resp.body_str(), "fixed-size-payload");
-        }
-        let snap = server.stats().snapshot();
-        assert_eq!(snap.requests, 16);
-        // The serialize scratch moves with the connection: identical
-        // responses grow it on the first exchange only.
-        assert_eq!(snap.scratch_growths, 1, "snapshot: {snap:?}");
-        let resp_len = Response::ok("text/plain", "fixed-size-payload").wire_len() as u64;
-        assert!(snap.scratch_high_water >= resp_len, "snapshot: {snap:?}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn chaotic_reactor_drops_and_truncates_but_always_executes() {
-        use crate::chaos::{SeededServerChaos, ServerChaosConfig};
-        let cfg = ServerChaosConfig {
-            drop: 0.3,
-            delay: 0.1,
-            truncate: 0.3,
-            max_delay_ms: 2,
-        };
-        let chaos = Arc::new(SeededServerChaos::new(0x5EED, cfg));
-        let server = HttpServer::start_reactor_chaotic(echo_handler(), 2, chaos).unwrap();
-        let addr = server.addr();
-        let n = 40;
-        let mut failures = 0u64;
-        for i in 0..n {
-            let mut conn = TcpStream::connect(addr).unwrap();
-            let body = format!("m{i}");
-            conn.write_all(&Request::post("/x", body.clone()).to_bytes())
-                .unwrap();
-            match Response::read_from(&conn) {
-                Ok(resp) => assert_eq!(resp.body_str(), body),
-                Err(_) => failures += 1,
-            }
-        }
-        let snap = server.stats().snapshot();
-        assert_eq!(
-            snap.requests, n,
-            "handler runs even when the reply is dropped: {snap:?}"
-        );
-        assert!(failures > 0, "mix should break some replies: {snap:?}");
-        assert_eq!(
-            snap.chaos_drops + snap.chaos_truncations,
-            failures,
-            "every client-visible failure is an injected one: {snap:?}"
-        );
-        server.shutdown();
-    }
-
-    #[test]
     fn chaos_delay_parks_without_blocking_other_connections() {
         use crate::chaos::ServerFault;
         // Deterministic hook: delay responses to /slow, deliver the rest.
@@ -1046,8 +781,7 @@ mod tests {
                 }
             }
         }
-        let server =
-            HttpServer::start_reactor_chaotic(echo_handler(), 1, Arc::new(SlowPath)).unwrap();
+        let server = start(ServerConfig::with_workers(1), Some(Arc::new(SlowPath)));
         let addr = server.addr();
         let mut slow = TcpStream::connect(addr).unwrap();
         slow.write_all(&Request::post("/slow", "delayed").to_bytes())
@@ -1074,13 +808,12 @@ mod tests {
         // every connection grew the slab. With a cap, the extra connection
         // must park unaccepted in the kernel backlog (no reply) until an
         // admitted connection closes, then be served.
-        use crate::server::ServerConfig;
         let config = ServerConfig {
             workers: 1,
             max_connections: 2,
             ..ServerConfig::default()
         };
-        let server = HttpServer::start_reactor_tuned(echo_handler(), config).unwrap();
+        let server = start(config, None);
         let addr = server.addr();
         // Fill the cap with two parked keep-alive connections.
         let mut held = Vec::new();
@@ -1134,14 +867,13 @@ mod tests {
         // requests are served correctly, the excess get well-formed BUSY
         // faults with retry hints on the same keep-alive connection.
         use crate::http::{RETRY_AFTER_HEADER, RETRY_AFTER_MS_HEADER};
-        use crate::server::ServerConfig;
         let config = ServerConfig {
             workers: 1,
             queue_cap: Some(2),
             shed_retry_after_ms: 40,
             ..ServerConfig::default()
         };
-        let server = HttpServer::start_reactor_tuned(echo_handler(), config).unwrap();
+        let server = start(config, None);
         let conn = TcpStream::connect(server.addr()).unwrap();
         let n = 6;
         let mut burst = Vec::new();
@@ -1180,58 +912,15 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_is_shed_before_handler_on_reactor() {
-        // The reactor half of the deadline bugfix pin: an already-spent
-        // `X-Deadline-Ms` budget never reaches the handler.
-        use crate::pool::DEADLINE_HEADER;
-        use std::sync::atomic::AtomicUsize;
-        let calls = Arc::new(AtomicUsize::new(0));
-        let handler: Arc<dyn Handler> = {
-            let calls = Arc::clone(&calls);
-            Arc::new(move |req: &Request| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                let budget = req.header(DEADLINE_HEADER).unwrap_or("none").to_string();
-                Response::ok("text/plain", budget)
-            })
-        };
-        let server = HttpServer::start_reactor(handler, 1).unwrap();
-        let mut conn = TcpStream::connect(server.addr()).unwrap();
-        conn.write_all(
-            &Request::post("/x", "late")
-                .with_header(DEADLINE_HEADER, "0")
-                .to_bytes(),
-        )
-        .unwrap();
-        let resp = Response::read_from(&conn).unwrap();
-        assert_eq!(resp.status, Status::ServiceUnavailable);
-        assert!(resp.body_str().contains("DEADLINE_EXCEEDED"), "{resp:?}");
-        assert_eq!(calls.load(Ordering::SeqCst), 0, "handler must not run");
-        drop(conn);
-
-        let mut conn = TcpStream::connect(server.addr()).unwrap();
-        conn.write_all(
-            &Request::post("/x", "on-time")
-                .with_header(DEADLINE_HEADER, "10000")
-                .to_bytes(),
-        )
-        .unwrap();
-        let resp = Response::read_from(&conn).unwrap();
-        assert_eq!(resp.status, Status::Ok);
-        let remaining: u64 = resp.body_str().parse().unwrap();
-        assert!(remaining > 0 && remaining <= 10_000, "{remaining}");
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        let snap = server.stats().snapshot();
-        assert_eq!(snap.shed_deadline, 1, "{snap:?}");
-        assert_eq!(snap.requests, 1, "sheds are not dispatches: {snap:?}");
-        server.shutdown();
-    }
-
-    #[test]
     fn reactor_restarts_on_a_known_port() {
-        let server = HttpServer::start_reactor(echo_handler(), 1).unwrap();
+        let server = start(ServerConfig::with_workers(1), None);
         let addr = server.addr();
         server.shutdown();
-        let server = HttpServer::start_reactor_on(addr, echo_handler(), 1).unwrap();
+        let config = ServerConfig {
+            arm: ServerArm::Reactor,
+            ..ServerConfig::with_workers(1)
+        };
+        let server = HttpServer::start(addr, echo_handler(), config, None).unwrap();
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.write_all(&Request::post("/x", "back").to_bytes())
             .unwrap();

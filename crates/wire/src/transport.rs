@@ -177,7 +177,7 @@ impl Transport for InMemoryTransport {
 mod tests {
     use super::*;
     use crate::http::Status;
-    use crate::server::HttpServer;
+    use crate::server::{HttpServer, ServerConfig};
 
     fn upper_handler() -> Arc<dyn Handler> {
         Arc::new(|req: &Request| Response::ok("text/plain", req.body_str().to_uppercase()))
@@ -204,7 +204,13 @@ mod tests {
 
     #[test]
     fn http_transport_end_to_end() {
-        let server = HttpServer::start(upper_handler(), 2).unwrap();
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            upper_handler(),
+            ServerConfig::with_workers(2),
+            None,
+        )
+        .unwrap();
         let t = HttpTransport::new(server.addr());
         let resp = t.round_trip(Request::post("/x", "grid")).unwrap();
         assert_eq!(resp.body_str(), "GRID");
@@ -216,7 +222,13 @@ mod tests {
 
     #[test]
     fn each_call_opens_new_connection() {
-        let server = HttpServer::start(upper_handler(), 2).unwrap();
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            upper_handler(),
+            ServerConfig::with_workers(2),
+            None,
+        )
+        .unwrap();
         let t = HttpTransport::new(server.addr());
         for _ in 0..5 {
             t.round_trip(Request::post("/x", "a")).unwrap();
@@ -227,7 +239,13 @@ mod tests {
 
     #[test]
     fn keep_alive_reuses_one_connection() {
-        let server = HttpServer::start(upper_handler(), 2).unwrap();
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            upper_handler(),
+            ServerConfig::with_workers(2),
+            None,
+        )
+        .unwrap();
         let t = HttpTransport::keep_alive(server.addr());
         let mut received = 0;
         for _ in 0..8 {
@@ -244,7 +262,13 @@ mod tests {
 
     #[test]
     fn keep_alive_reconnects_after_server_restart() {
-        let server = HttpServer::start(upper_handler(), 2).unwrap();
+        let server = HttpServer::start(
+            "127.0.0.1:0",
+            upper_handler(),
+            ServerConfig::with_workers(2),
+            None,
+        )
+        .unwrap();
         let t = HttpTransport::keep_alive(server.addr());
         t.round_trip(Request::post("/x", "a")).unwrap();
         let addr = server.addr();
@@ -254,7 +278,13 @@ mod tests {
         assert!(t.round_trip(Request::post("/x", "b")).is_err());
         // …and a transport against the live server works regardless of
         // the dead pool entry.
-        let server2 = HttpServer::start(upper_handler(), 2).unwrap();
+        let server2 = HttpServer::start(
+            "127.0.0.1:0",
+            upper_handler(),
+            ServerConfig::with_workers(2),
+            None,
+        )
+        .unwrap();
         let _ = addr;
         let t2 = HttpTransport::keep_alive(server2.addr());
         assert!(t2.round_trip(Request::post("/x", "c")).is_ok());

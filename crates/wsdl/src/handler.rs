@@ -96,7 +96,8 @@ fn fetch_wsdl_root(
 /// name on the wire to key by).
 pub const WSDL_CACHE_SERVICE: &str = "__wsdl__";
 
-/// Like [`fetch_wsdl`], but served through a [`ReadCache`]: repeated
+/// Like [`fetch_wsdl`], but served through a
+/// [`ReadCache`](portalws_soap::ReadCache): repeated
 /// binds of the same service skip the GET entirely within the cache TTL,
 /// and concurrent binds coalesce onto one fetch. WSDL documents carry no
 /// mutation generation (interface definitions change on redeploy, not at

@@ -12,7 +12,7 @@ use portalws::appws::descriptor::descriptor_schema;
 use portalws::portal::{PortalDeployment, SecurityMode, UiServer};
 use portalws::portlets::{HtmlPortlet, PortalPage, PortletRegistry, WebFormPortlet};
 use portalws::soap::{SoapClient, SoapValue};
-use portalws::wire::{Handler, HttpServer, HttpTransport, Request};
+use portalws::wire::{Handler, HttpServer, HttpTransport, Request, ServerConfig};
 use portalws::wizard::WizardApp;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -91,7 +91,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The schema wizard runs as a separate web application; the portal
     // aggregates it through WebFormPortlet (session state + URL remap).
     let wizard_app: Arc<dyn Handler> = Arc::new(WizardApp::new(descriptor_schema(), "/wizard"));
-    let wizard_server = HttpServer::start(wizard_app, 2)?;
+    let wizard_server = HttpServer::start(
+        "127.0.0.1:0",
+        wizard_app,
+        ServerConfig::with_workers(2),
+        None,
+    )?;
 
     let registry = Arc::new(PortletRegistry::new());
     registry.register(Arc::new(HtmlPortlet::new(
@@ -109,7 +114,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     registry.add_to_layout("alice@GCE.ORG", "appwizard", 1)?;
 
     let portal = PortalPage::new(registry, "/portal");
-    let portal_server = HttpServer::start(Arc::new(portal), 2)?;
+    let portal_server = HttpServer::start(
+        "127.0.0.1:0",
+        Arc::new(portal),
+        ServerConfig::with_workers(2),
+        None,
+    )?;
     let browser = HttpTransport::new(portal_server.addr());
     let resp = portalws::wire::Transport::round_trip(
         &browser,

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no registry access, so this workspace ships a
 //! small, deterministic property-testing engine with the API subset the
-//! repo's tests use: the [`Strategy`](strategy::Strategy) trait with
+//! repo's tests use: the [`Strategy`] trait with
 //! `prop_map`/`prop_recursive`, `any::<T>()`, ranges and `&str` regexes as
 //! strategies, [`collection`] and [`string`] modules, and the `proptest!`,
 //! `prop_oneof!`, `prop_assert*!`, `prop_assume!` macros.

@@ -12,7 +12,9 @@ use portalws::registry::{ContainerRegistry, ServiceEntry, UddiRegistry};
 use portalws::services::context::ContextStore;
 use portalws::services::scriptgen::{ContextCoupling, HotPageClient, IuScriptGen, ScriptRequest};
 use portalws::soap::{SoapClient, SoapServer, SoapValue};
-use portalws::wire::{Handler, HttpServer, HttpTransport, InMemoryTransport, Transport};
+use portalws::wire::{
+    Handler, HttpServer, HttpTransport, InMemoryTransport, ServerConfig, Transport,
+};
 use portalws::xml::Element;
 
 // -------------------------------------------------------------------------
@@ -167,7 +169,8 @@ fn e6_keep_alive_ablation_also_reaches_one_connection() {
         srb,
     )));
     let handler: Arc<dyn Handler> = Arc::new(server);
-    let tcp_server = HttpServer::start(handler, 2).unwrap();
+    let tcp_server =
+        HttpServer::start("127.0.0.1:0", handler, ServerConfig::with_workers(2), None).unwrap();
     let transport: Arc<dyn Transport> = Arc::new(HttpTransport::keep_alive(tcp_server.addr()));
     let data = SoapClient::new(Arc::clone(&transport), "DataManagement");
     for i in 0..16 {
@@ -400,7 +403,8 @@ fn soap_tax_is_visible_in_bytes() {
     assert_eq!(direct, 0);
     assert!(framed > 500, "framed={framed}");
 
-    let tcp_server = HttpServer::start(handler, 2).unwrap();
+    let tcp_server =
+        HttpServer::start("127.0.0.1:0", handler, ServerConfig::with_workers(2), None).unwrap();
     let tcp = call(Arc::new(HttpTransport::new(tcp_server.addr())));
     assert_eq!(tcp, framed, "framing is transport-independent");
     tcp_server.shutdown();
