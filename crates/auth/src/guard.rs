@@ -6,14 +6,18 @@
 //! negatively to the SPP, which may then fulfill the client's request."
 //!
 //! [`remote_guard`] is exactly that: every guarded call costs one extra
-//! SOAP round trip to the Authentication Service. [`local_guard`] is the
+//! SOAP round trip to the Authentication Service, which carries the
+//! client's assertion entry as the verify request's own header entry,
+//! byte for byte and never parsed on the way. [`local_guard`] is the
 //! decentralized ablation (the SSP verifies in-process against shared
 //! context state), and [`no_auth_guard`] the unauthenticated baseline —
 //! the three arms of experiment E2.
 
 use std::sync::Arc;
 
-use portalws_soap::{CallContext, Fault, Guard, PortalErrorKind, SoapClient, SoapValue};
+use portalws_soap::{
+    CallContext, Envelope, Fault, Guard, HeaderEntry, PortalErrorKind, SoapClient, SoapValue,
+};
 
 use crate::assertion::Assertion;
 use crate::service::AuthService;
@@ -21,51 +25,61 @@ use crate::service::AuthService;
 use crate::service::AuthSoapFacade;
 use crate::session::UserSession;
 
-pub(crate) fn extract_assertion(ctx: &CallContext) -> Result<Assertion, Fault> {
-    let el = UserSession::find_assertion(&ctx.headers).ok_or_else(|| {
+/// The request's assertion entry, or an AUTH_FAILED fault if it has none.
+fn assertion_entry(ctx: &CallContext) -> Result<&HeaderEntry, Fault> {
+    UserSession::find_assertion(&ctx.headers).ok_or_else(|| {
         Fault::portal(
             PortalErrorKind::AuthFailed,
             "request carries no SAML assertion",
         )
-    })?;
-    Assertion::from_element(el)
+    })
+}
+
+/// The request's assertion, read from its entry.
+pub(crate) fn extract_assertion(ctx: &CallContext) -> Result<Assertion, Fault> {
+    Assertion::read(assertion_entry(ctx)?.as_str())
         .map_err(|e| Fault::portal(PortalErrorKind::AuthFailed, e.to_string()))
+}
+
+/// The verify hop: `entry` goes to the Authentication Service unchanged,
+/// as the verify request's own header entry. The service's verdict when
+/// it accepts (`valid` and `principal`), its reason when it refuses.
+pub(crate) fn verify_remotely(
+    auth_client: &SoapClient,
+    entry: &HeaderEntry,
+) -> Result<SoapValue, String> {
+    let request = Envelope::request(auth_client.service(), "verify", []).with_header(entry.clone());
+    let verdict = auth_client
+        .call_envelope(request)
+        .map_err(|e| format!("authentication service unreachable: {e}"))?;
+    match verdict.field("valid").and_then(SoapValue::as_bool) {
+        Some(true) => Ok(verdict),
+        _ => Err(verdict
+            .field("reason")
+            .and_then(SoapValue::as_str)
+            .unwrap_or("assertion rejected")
+            .to_owned()),
+    }
 }
 
 /// Central verification: forward the assertion to the Authentication
 /// Service over SOAP.
 pub fn remote_guard(auth_client: Arc<SoapClient>) -> Guard {
     Arc::new(move |ctx: &CallContext| {
-        let assertion = extract_assertion(ctx)?;
-        let reply = auth_client
-            .call("verify", &[SoapValue::Xml(assertion.to_element())])
-            .map_err(|e| {
-                Fault::portal(
-                    PortalErrorKind::AuthFailed,
-                    format!("authentication service unreachable: {e}"),
-                )
-            })?;
-        match reply.field("valid").and_then(|v| v.as_bool()) {
-            Some(true) => Ok(()),
-            _ => {
-                let reason = reply
-                    .field("reason")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("assertion rejected");
-                Err(Fault::portal(PortalErrorKind::AuthFailed, reason))
-            }
-        }
+        verify_remotely(&auth_client, assertion_entry(ctx)?)
+            .map(drop)
+            .map_err(|reason| Fault::portal(PortalErrorKind::AuthFailed, reason))
     })
 }
 
 /// Decentralized ablation: verify in-process against the shared service
 /// state (no extra round trip, but every SSP must hold verification
 /// state — the containment property the paper argues against losing).
+/// The same verify path as the service's: [`AuthService::verify_entry`].
 pub fn local_guard(auth: Arc<AuthService>) -> Guard {
     Arc::new(move |ctx: &CallContext| {
-        let assertion = extract_assertion(ctx)?;
-        auth.verify_assertion(&assertion)
-            .map(|_| ())
+        auth.verify_entry(assertion_entry(ctx)?)
+            .map(drop)
             .map_err(|e| Fault::portal(PortalErrorKind::AuthFailed, e.to_string()))
     })
 }
@@ -267,7 +281,7 @@ mod tests {
     fn garbage_assertion_header_rejected() {
         let (_, _, ping) = figure2();
         ping.set_header_supplier(Arc::new(|| {
-            vec![portalws_xml::Element::new("saml:Assertion").with_attr("AssertionID", "x")]
+            vec![HeaderEntry::parse(r#"<saml:Assertion AssertionID="x"/>"#).unwrap()]
         }));
         assert!(ping.call("ping", &[]).is_err());
     }

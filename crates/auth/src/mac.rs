@@ -22,28 +22,40 @@ fn fnv128(data: impl IntoIterator<Item = u8>) -> u128 {
     h
 }
 
-/// Compute the MAC of `data` under `key`, as lowercase hex.
-///
 /// HMAC shape: `H(key ‖ opad ‖ H(key ‖ ipad ‖ data))`.
-pub fn sign(key: &str, data: &str) -> String {
+fn mac(key: &str, data: &str) -> u128 {
     let inner = fnv128(
         key.bytes()
             .chain(std::iter::repeat_n(0x36u8, 16))
             .chain(data.bytes()),
     );
-    let outer = fnv128(
+    fnv128(
         key.bytes()
             .chain(std::iter::repeat_n(0x5cu8, 16))
             .chain(inner.to_be_bytes()),
-    );
-    format!("{outer:032x}")
+    )
 }
 
-/// Verify a MAC produced by [`sign`]. Comparison is over fixed-length hex
-/// strings, so timing variation is not data-dependent in any way that
-/// matters for a simulation.
+/// Compute the MAC of `data` under `key`, as lowercase hex.
+pub fn sign(key: &str, data: &str) -> String {
+    format!("{:032x}", mac(key, data))
+}
+
+/// Verify a MAC produced by [`sign`]: the same 32 lowercase hex digits,
+/// rendered on the stack rather than into a string. Comparison is over
+/// fixed-length hex, so timing variation is not data-dependent in any way
+/// that matters for a simulation.
 pub fn verify(key: &str, data: &str, mac_hex: &str) -> bool {
-    sign(key, data) == mac_hex
+    let mac = mac(key, data);
+    let mut want = [0u8; 32];
+    for (i, hex) in want.iter_mut().enumerate() {
+        let nibble = (mac >> (124 - 4 * i)) as u8 & 0xf;
+        *hex = match nibble {
+            0..=9 => b'0' + nibble,
+            _ => b'a' + nibble - 10,
+        };
+    }
+    want == mac_hex.as_bytes()
 }
 
 #[cfg(test)]
@@ -73,6 +85,17 @@ mod tests {
         assert!(!verify("key", "payload2", &mac));
         assert!(!verify("key2", "payload", &mac));
         assert!(!verify("key", "payload", "00"));
+    }
+
+    #[test]
+    fn verify_wants_exactly_the_signed_digits() {
+        for (key, data) in [("k", ""), ("key", "payload"), ("ab", "c\u{e9}")] {
+            let mac = sign(key, data);
+            assert!(verify(key, data, &mac));
+            assert!(!verify(key, data, &mac.to_uppercase()));
+            assert!(!verify(key, data, &mac[1..]));
+            assert!(!verify(key, data, &format!("{mac}0")));
+        }
     }
 
     #[test]

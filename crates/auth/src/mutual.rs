@@ -15,22 +15,21 @@ use std::sync::Arc;
 
 use portalws_soap::client::ReplyVerifier;
 use portalws_soap::server::ResponseHeaderSupplier;
-use portalws_soap::{SoapClient, SoapValue};
+use portalws_soap::{Envelope, HeaderEntry, SoapClient, SoapValue};
 
-use crate::assertion::Assertion;
+use crate::guard::verify_remotely;
 use crate::service::AuthService;
 use crate::session::UserSession;
 
 /// The server half: stamp every reply with a fresh signed assertion from
 /// the server's own session.
 pub fn server_identity(session: Arc<UserSession>) -> ResponseHeaderSupplier {
-    Arc::new(move || vec![session.make_assertion().to_element()])
+    Arc::new(move || vec![session.make_assertion().to_header()])
 }
 
-fn extract(reply: &portalws_soap::Envelope) -> Result<Assertion, String> {
-    let el = UserSession::find_assertion(&reply.headers)
-        .ok_or_else(|| "reply carries no server assertion".to_string())?;
-    Assertion::from_element(el).map_err(|e| e.to_string())
+fn entry(reply: &Envelope) -> Result<&HeaderEntry, String> {
+    UserSession::find_assertion(&reply.headers)
+        .ok_or_else(|| "reply carries no server assertion".to_string())
 }
 
 /// The client half, verifying in-process against the Authentication
@@ -38,9 +37,8 @@ fn extract(reply: &portalws_soap::Envelope) -> Result<Assertion, String> {
 pub fn expect_server(auth: Arc<AuthService>, expected_principal: &str) -> ReplyVerifier {
     let expected = expected_principal.to_owned();
     Arc::new(move |reply| {
-        let assertion = extract(reply)?;
         let principal = auth
-            .verify_assertion(&assertion)
+            .verify_entry(entry(reply)?)
             .map_err(|e| format!("server assertion invalid: {e}"))?;
         if principal != expected {
             return Err(format!(
@@ -51,34 +49,34 @@ pub fn expect_server(auth: Arc<AuthService>, expected_principal: &str) -> ReplyV
     })
 }
 
-/// The client half over SOAP: forward the server's assertion to the
-/// Authentication Service, exactly as SSPs do for client assertions.
+/// The client half over SOAP: forward the server's assertion entry,
+/// unparsed, to the Authentication Service, exactly as SSPs do for client
+/// assertions, and check the principal it vouches for.
 pub fn expect_server_remote(
     auth_client: Arc<SoapClient>,
     expected_principal: &str,
 ) -> ReplyVerifier {
     let expected = expected_principal.to_owned();
     Arc::new(move |reply| {
-        let assertion = extract(reply)?;
-        if assertion.subject != expected {
+        let verdict = verify_remotely(&auth_client, entry(reply)?)
+            .map_err(|reason| format!("server assertion rejected: {reason}"))?;
+        let principal = verdict
+            .field("principal")
+            .and_then(SoapValue::as_str)
+            .unwrap_or_default();
+        if principal != expected {
             return Err(format!(
-                "server identified as {:?}, expected {expected:?}",
-                assertion.subject
+                "server identified as {principal:?}, expected {expected:?}"
             ));
         }
-        let out = auth_client
-            .call("verify", &[SoapValue::Xml(assertion.to_element())])
-            .map_err(|e| format!("verification service unreachable: {e}"))?;
-        match out.field("valid").and_then(SoapValue::as_bool) {
-            Some(true) => Ok(()),
-            _ => Err("server assertion rejected by the authentication service".into()),
-        }
+        Ok(())
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assertion::Assertion;
     use portalws_gridsim::clock::SimClock;
     use portalws_gridsim::cred::Mechanism;
     use portalws_soap::{CallContext, MethodDesc, SoapResult, SoapServer, SoapService, SoapType};
@@ -167,7 +165,7 @@ mod tests {
                 u64::MAX,
             );
             fake.sign("made-up-key");
-            vec![fake.to_element()]
+            vec![fake.to_header()]
         }));
         let handler: Arc<dyn Handler> = Arc::new(ssp);
         let client = SoapClient::new(Arc::new(InMemoryTransport::new(handler)), "Ping");

@@ -19,11 +19,13 @@ use parking_lot::RwLock;
 use portalws_gridsim::clock::SimClock;
 use portalws_gridsim::cred::{CredentialAuthority, Mechanism};
 use portalws_soap::{
-    CallContext, Fault, MethodDesc, PortalErrorKind, SoapResult, SoapService, SoapType, SoapValue,
+    CallContext, Fault, HeaderEntry, MethodDesc, PortalErrorKind, SoapResult, SoapService,
+    SoapType, SoapValue,
 };
 use portalws_wire::{ArcCell, WireStats};
 
 use crate::assertion::Assertion;
+use crate::session::UserSession;
 use crate::{AuthError, Result};
 
 /// What a successful login hands back to the UI server's session object.
@@ -82,19 +84,28 @@ impl ReplayCache {
     }
 }
 
-/// Opt-in positive verification cache: `(assertion id, signature)` of
-/// assertions whose MAC has already been recomputed and matched, mapped
-/// to `(canonical form, expiry)`. A hit additionally requires the stored
-/// canonical bytes to equal the presented assertion's — byte-for-byte
+/// Most entries the verification cache holds. Past it, a fill first drops
+/// expired entries and then, if the cache is still full, evicts an eighth
+/// of it: safe at any moment, because a miss only recomputes the MAC.
+/// (The replay cache has no such cap: evicting a live id there would let
+/// a replay through.)
+pub const VERIFY_CACHE_CAP: usize = 4096;
+
+/// Opt-in positive verification cache: the signatures of assertions
+/// whose MAC has already been recomputed and matched, mapped to
+/// `(canonical form, expiry)`, at most [`VERIFY_CACHE_CAP`] of them. A
+/// hit additionally requires the stored canonical bytes (which include
+/// the assertion id) to equal the presented assertion's — byte-for-byte
 /// equality, not a hash, so there is no collision to engineer: any
 /// tampered copy riding the original signature string misses and falls
-/// through to the (failing) MAC recomputation. The cached path still
-/// skips the expensive part (the MAC's two 128-bit keyed passes); only
-/// one canonicalization and a string compare remain. Context lookup and
+/// through to the (failing) MAC recomputation. The cached path skips the
+/// expensive part (the MAC's two 128-bit keyed passes) and allocates
+/// nothing: the lookup borrows the signature, and the canonical form is
+/// written into a reused buffer for the compare. Context lookup and
 /// expiry, assertion expiry, subject match, and the replay check run on
 /// every verification. Negative results are never cached (see DESIGN.md).
 struct VerifyCache {
-    proven: HashMap<(String, String), (String, u64)>,
+    proven: HashMap<String, (String, u64)>,
     prune_at: usize,
 }
 
@@ -106,10 +117,20 @@ impl VerifyCache {
         }
     }
 
-    fn maybe_prune(&mut self, now: u64) {
+    /// Make room for one more entry: the amortized sweep of expired
+    /// entries, then, at the cap, eviction of an eighth of the cache, so
+    /// a cache full of live entries pays one scan per eighth refilled.
+    fn make_room(&mut self, now: u64) {
         if self.proven.len() >= self.prune_at {
             self.proven.retain(|_, (_, expires)| *expires > now);
-            self.prune_at = (self.proven.len() * 2).max(REPLAY_PRUNE_FLOOR);
+            self.prune_at = (self.proven.len() * 2).clamp(REPLAY_PRUNE_FLOOR, VERIFY_CACHE_CAP);
+        }
+        if self.proven.len() >= VERIFY_CACHE_CAP {
+            let evict = self.proven.len() - VERIFY_CACHE_CAP * 7 / 8;
+            let victims: Vec<_> = self.proven.keys().take(evict).cloned().collect();
+            for victim in &victims {
+                self.proven.remove(victim);
+            }
         }
     }
 }
@@ -191,7 +212,8 @@ impl AuthService {
         }
     }
 
-    /// Number of entries in the verification cache (0 when disabled).
+    /// Number of entries in the verification cache (0 when disabled); at
+    /// most [`VERIFY_CACHE_CAP`].
     pub fn verify_cache_len(&self) -> usize {
         self.verify_cache
             .read()
@@ -283,40 +305,27 @@ impl AuthService {
             return Err(AuthError::BadSignature);
         }
         // MAC check, with the opt-in verification cache in front: an
-        // assertion whose (id, signature, canonical form) was already
-        // proven skips the MAC recomputation. The canonical comparison is
-        // exact byte equality — a tampered body riding a previously
-        // proven signature string cannot collide its way into a hit; it
-        // misses and fails the recomputed MAC below.
-        let mut mac_proven = false;
-        let mut fill: Option<((String, String), String)> = None;
-        if self.verify_cache.read().is_some() {
-            if let Some(sig) = assertion.signature.as_ref() {
-                let key = (assertion.id.clone(), sig.clone());
-                let canonical = assertion.canonical();
-                let guard = self.verify_cache.read();
-                let hit = guard
-                    .as_ref()
-                    .and_then(|c| c.proven.get(&key))
-                    .is_some_and(|(proven, _)| *proven == canonical);
-                drop(guard);
-                if hit {
-                    mac_proven = true;
-                } else {
-                    fill = Some((key, canonical));
-                }
-            }
-        }
-        if mac_proven {
+        // assertion whose (signature, canonical form) was already proven
+        // skips the MAC recomputation. The canonical comparison is exact
+        // byte equality — a tampered body riding a previously proven
+        // signature string cannot collide its way into a hit; it misses
+        // and fails the recomputed MAC below.
+        let sig = assertion.signature.as_deref();
+        let cached = match (self.verify_cache.read().as_ref(), sig) {
+            (Some(cache), Some(sig)) => Some(cache.proven.get(sig).is_some_and(|(proven, _)| {
+                assertion.with_canonical(|canonical| canonical == proven)
+            })),
+            _ => None,
+        };
+        if cached == Some(true) {
             self.stats.load().record_auth_verify_cached();
         } else {
             assertion.verify_signature(&ctx.key)?;
-            if let Some((key, canonical)) = fill {
+            if let (Some(false), Some(sig)) = (cached, sig) {
                 if let Some(cache) = self.verify_cache.write().as_mut() {
-                    cache.maybe_prune(now);
-                    cache
-                        .proven
-                        .insert(key, (canonical, assertion.expires_at_ms));
+                    cache.make_room(now);
+                    let proven = (assertion.canonical(), assertion.expires_at_ms);
+                    cache.proven.insert(sig.to_owned(), proven);
                 }
             }
         }
@@ -334,6 +343,25 @@ impl AuthService {
                 .insert(assertion.id.clone(), assertion.expires_at_ms);
         }
         Ok(assertion.subject.clone())
+    }
+
+    /// Verify the assertion a header entry carries, as its sender wrote
+    /// it: the one verify path, whether the entry arrived on a verify hop
+    /// or an SSP checks it in process. The assertion is read from the
+    /// entry's text by the tokenizer, and the text must be byte for byte
+    /// what [`Assertion::write_xml`] writes for it, so any spelling a
+    /// signer never writes (an entity-escaped field, a repeated element)
+    /// is refused, and every later reader of the entry, here or
+    /// downstream, sees exactly what was verified. Then
+    /// [`AuthService::verify_assertion`] decides.
+    pub fn verify_entry(&self, entry: &HeaderEntry) -> Result<String> {
+        let assertion = Assertion::read(entry.as_str())?;
+        if !assertion.is_written_as(entry.as_str()) {
+            return Err(AuthError::Malformed(
+                "not in the form its signer writes".into(),
+            ));
+        }
+        self.verify_assertion(&assertion)
     }
 
     /// Look up the key for a context — only used by the *local
@@ -362,7 +390,7 @@ impl SoapService for AuthSoapFacade {
         &self,
         method: &str,
         args: &[(String, SoapValue)],
-        _ctx: &CallContext,
+        ctx: &CallContext,
     ) -> SoapResult<SoapValue> {
         let arg_str = |i: usize, name: &str| -> SoapResult<&str> {
             args.get(i).and_then(|(_, v)| v.as_str()).ok_or_else(|| {
@@ -391,12 +419,12 @@ impl SoapService for AuthSoapFacade {
                 ]))
             }
             "verify" => {
-                let el = args.first().and_then(|(_, v)| v.as_xml()).ok_or_else(|| {
-                    Fault::portal(PortalErrorKind::BadArguments, "missing assertion")
-                })?;
-                let assertion = Assertion::from_element(el)
-                    .map_err(|e| Fault::portal(PortalErrorKind::BadArguments, e.to_string()))?;
-                match self.0.verify_assertion(&assertion) {
+                // The assertion rides as the request's own header entry,
+                // as the client wrote it; it is read from that text.
+                let verdict = UserSession::find_assertion(&ctx.headers)
+                    .ok_or_else(|| AuthError::Malformed("no Assertion header entry".into()))
+                    .and_then(|entry| self.0.verify_entry(entry));
+                match verdict {
                     Ok(principal) => Ok(SoapValue::Struct(vec![
                         ("valid".into(), SoapValue::Bool(true)),
                         ("principal".into(), SoapValue::str(principal)),
@@ -434,9 +462,9 @@ impl SoapService for AuthSoapFacade {
             ),
             MethodDesc::new(
                 "verify",
-                vec![("assertion", SoapType::Xml)],
+                vec![],
                 SoapType::Struct,
-                "Verify a signed SAML assertion; returns valid/principal",
+                "Verify the signed SAML assertion in the request header; returns valid/principal",
             ),
             MethodDesc::new(
                 "logout",
@@ -783,6 +811,48 @@ mod tests {
     }
 
     #[test]
+    fn verify_cache_stays_within_its_cap_under_a_frozen_clock() {
+        // The clock never moves, so no entry ever expires and only the cap
+        // bounds the cache. Ten caps' worth of distinct assertions, with
+        // re-presentations of recent and long-evicted ones and a forgery
+        // now and then: the cache never passes its cap, and every verdict
+        // is the one a service without the cache gives.
+        let cached = service();
+        cached.enable_verify_cache();
+        let plain = service();
+        let on = cached
+            .login("alice@GCE.ORG", "pw", Mechanism::Kerberos)
+            .unwrap();
+        let off = plain
+            .login("alice@GCE.ORG", "pw", Mechanism::Kerberos)
+            .unwrap();
+        let assertion = |svc: &AuthService, session: &GssSession, i: usize| {
+            let mut a = signed_assertion_with_id(svc, session, &format!("cap-{i}"));
+            if i % 7 == 3 {
+                a.sign("forged-key");
+            }
+            a
+        };
+        let n = 10 * VERIFY_CACHE_CAP;
+        for i in 0..n {
+            let want = plain.verify_assertion(&assertion(&plain, &off, i));
+            let fresh = assertion(&cached, &on, i);
+            assert_eq!(cached.verify_assertion(&fresh), want, "assertion {i}");
+            assert_eq!(cached.verify_assertion(&fresh), want, "{i} again");
+            let old = i / 2;
+            let got = cached.verify_assertion(&assertion(&cached, &on, old));
+            let want = plain.verify_assertion(&assertion(&plain, &off, old));
+            assert_eq!(got, want, "assertion {old}, presented at step {i}");
+            assert!(cached.verify_cache_len() <= VERIFY_CACHE_CAP, "step {i}");
+        }
+        assert!(cached.verify_cache_len() >= VERIFY_CACHE_CAP * 7 / 8);
+        // Every genuine assertion presented twice in a row hit the second
+        // time: eviction makes room before a fill, never after it.
+        let genuine = (0..n).filter(|i| i % 7 != 3).count() as u64;
+        assert!(cached.stats().snapshot().auth_verify_cached >= genuine);
+    }
+
+    #[test]
     fn unauthenticated_assertions_cannot_occupy_replay_cache() {
         let svc = service();
         svc.enable_replay_protection();
@@ -865,13 +935,12 @@ mod tests {
         let mut a = Assertion::new("a-9", context_id, "alice@GCE.ORG", "kerberos", "t", 60_000);
         a.sign(&key);
         let facade = AuthSoapFacade(Arc::clone(&svc));
-        let out = SoapService::invoke(
-            &facade,
-            "verify",
-            &[("assertion".into(), SoapValue::Xml(a.to_element()))],
-            &ctx,
-        )
-        .unwrap();
+        let verify = CallContext {
+            headers: vec![a.to_header()],
+            method: "verify".into(),
+            ..ctx
+        };
+        let out = SoapService::invoke(&facade, "verify", &[], &verify).unwrap();
         assert_eq!(out.field("valid").unwrap().as_bool(), Some(true));
         assert_eq!(
             out.field("principal").unwrap().as_str(),
@@ -890,13 +959,19 @@ mod tests {
         let mut a = Assertion::new("a-9", "ctx-none", "x", "kerberos", "t", 60_000);
         a.sign("k");
         let facade = AuthSoapFacade(Arc::clone(&svc));
-        let out = SoapService::invoke(
-            &facade,
-            "verify",
-            &[("assertion".into(), SoapValue::Xml(a.to_element()))],
-            &ctx,
-        )
-        .unwrap();
-        assert_eq!(out.field("valid").unwrap().as_bool(), Some(false));
+        let malformed = HeaderEntry::parse(r#"<saml:Assertion AssertionID="x"/>"#).unwrap();
+        for headers in [vec![a.to_header()], vec![], vec![malformed]] {
+            let ctx = CallContext {
+                headers,
+                ..ctx.clone()
+            };
+            let out = SoapService::invoke(&facade, "verify", &[], &ctx).unwrap();
+            assert_eq!(out.field("valid").unwrap().as_bool(), Some(false));
+        }
+        assert_eq!(
+            svc.verification_count(),
+            1,
+            "only a readable assertion is verified"
+        );
     }
 }

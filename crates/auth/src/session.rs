@@ -13,7 +13,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use portalws_gridsim::clock::SimClock;
 use portalws_soap::client::HeaderSupplier;
-use portalws_xml::Element;
+use portalws_soap::{header, HeaderEntry};
 
 use crate::assertion::Assertion;
 use crate::service::GssSession;
@@ -112,15 +112,18 @@ impl UserSession {
     }
 
     /// A SOAP header supplier that attaches a fresh signed assertion to
-    /// every outgoing call (install on any `SoapClient`).
+    /// every outgoing call (install on any `SoapClient`), written
+    /// straight into its header entry.
     pub fn header_supplier(self: &Arc<Self>) -> HeaderSupplier {
         let me = Arc::clone(self);
-        Arc::new(move || vec![me.make_assertion().to_element()])
+        Arc::new(move || vec![me.make_assertion().to_header()])
     }
 
-    /// Extract the assertion element from a set of SOAP headers.
-    pub fn find_assertion(headers: &[Element]) -> Option<&Element> {
-        headers.iter().find(|h| h.local_name() == "Assertion")
+    /// The assertion entry among a set of SOAP headers: the first one
+    /// named `Assertion`, the one every guard and the Authentication
+    /// Service agree on.
+    pub fn find_assertion(headers: &[HeaderEntry]) -> Option<&HeaderEntry> {
+        header::find(headers, "Assertion")
     }
 }
 
@@ -184,8 +187,9 @@ mod tests {
         let (svc, session) = session();
         let headers = (session.header_supplier())();
         assert_eq!(headers.len(), 1);
-        let el = UserSession::find_assertion(&headers).expect("assertion header");
-        let a = Assertion::from_element(el).unwrap();
+        let entry = UserSession::find_assertion(&headers).expect("assertion header");
+        let a = Assertion::read(entry.as_str()).unwrap();
+        assert_eq!(entry.as_str(), a.to_element().to_xml());
         assert_eq!(svc.verify_assertion(&a).unwrap(), "alice@GCE.ORG");
     }
 

@@ -42,7 +42,7 @@ use portalws_auth::{QuotaConfig, TenantQuotas, UserSession};
 use portalws_bench::arm_name;
 use portalws_core::{PortalDeployment, SecurityMode, ServerArm, Topology, TransportMode};
 use portalws_gridsim::cred::Mechanism;
-use portalws_soap::{PortalErrorKind, SoapClient, SoapError, SoapValue};
+use portalws_soap::{Envelope, PortalErrorKind, SoapClient, SoapError, SoapValue};
 use portalws_wire::ServerConfig;
 
 const PBS_SCRIPT: &str =
@@ -202,8 +202,9 @@ fn session_flow(t: &Tenant, tenant_ix: usize, out: &mut Vec<(f64, Class, usize)>
     };
     let assertion = t.session.make_assertion();
     push(timed(|| {
+        let verify = Envelope::request("Authentication", "verify", []);
         t.auth
-            .call("verify", &[SoapValue::Xml(assertion.to_element())])
+            .call_envelope(verify.with_header(assertion.to_header()))
     }));
     push(timed(|| {
         t.uddi.call("findService", &[SoapValue::str("Job")])

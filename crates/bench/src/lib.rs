@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use portalws_registry::{ContainerRegistry, ServiceEntry, UddiRegistry};
-use portalws_soap::{Envelope, SoapValue};
+use portalws_soap::{Envelope, HeaderEntry, SoapValue};
 use portalws_wire::ServerArm;
 use portalws_xml::{ComplexType, Element, ElementDecl, Schema, TypeDef};
 
@@ -37,13 +37,13 @@ pub fn representative_envelope() -> Envelope {
             ("priority", &priority),
         ],
     )
-    .with_header(
-        Element::new("saml:Assertion")
+    .with_header(HeaderEntry::from_element(
+        &Element::new("saml:Assertion")
             .with_attr("xmlns:saml", "urn:oasis:saml")
             .with_text_child("subject", "kerberos:alice@GCE.ORG")
             .with_text_child("issuer", "auth.gce.org")
             .with_text_child("signature", "9f8e7d6c5b4a39281706f5e4d3c2b1a0"),
-    )
+    ))
 }
 
 /// Deterministic synthetic schema for E3: `leaves` simple elements spread

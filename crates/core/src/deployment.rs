@@ -1032,10 +1032,10 @@ mod tests {
             let server = d.server_wire_stats("grid.sdsc.edu").unwrap().snapshot();
             assert_eq!(server.requests, 4, "{arm:?}");
             assert_eq!(server.shed_queue_full, 0, "nominal load never sheds");
-            if arm == ServerArm::Reactor {
-                // Only the reactor keeps an open-connection gauge.
-                assert!(server.connections_high_water >= 1, "{server:?}");
-            }
+            // Both arms keep the open-connection gauge: the pooled
+            // connection is open while it is served.
+            assert!(server.connections_high_water >= 1, "{arm:?}: {server:?}");
+            assert_eq!(server.open_connections, 1, "{arm:?}: {server:?}");
         }
     }
 

@@ -534,7 +534,7 @@ mod tests {
         // guard here, the service just reads the subject).
         let mut a = Assertion::new("a1", "ctx", "alice@GCE.ORG", "kerberos", "t", u64::MAX);
         a.sign("k");
-        c.set_header_supplier(Arc::new(move || vec![a.to_element()]));
+        c.set_header_supplier(Arc::new(move || vec![a.to_header()]));
         c.call(
             "createInstance",
             &[
@@ -551,7 +551,7 @@ mod tests {
         // Bob sees nothing.
         let mut b = Assertion::new("b1", "ctx", "bob@GCE.ORG", "kerberos", "t", u64::MAX);
         b.sign("k");
-        c.set_header_supplier(Arc::new(move || vec![b.to_element()]));
+        c.set_header_supplier(Arc::new(move || vec![b.to_header()]));
         let theirs = c.call("listInstances", &[]).unwrap();
         assert_eq!(theirs.as_array().unwrap().len(), 0);
     }

@@ -43,17 +43,18 @@ pub use scriptgen::{IuScriptGen, SdscScriptGen};
 pub use shard::{ShardMap, ShardedDataService};
 pub use transfer::{TransferError, TransferTable};
 
-use portalws_auth::Assertion;
+use portalws_auth::{Assertion, UserSession};
 use portalws_soap::CallContext;
 
 /// The principal a call is executing as: the subject of the (already
 /// guard-verified) SAML assertion in the SOAP header, or `"anonymous"`.
 ///
 /// Services trust the header because the SOAP server's guard performed
-/// the Figure 2 atomic step before dispatch reached them.
+/// the Figure 2 atomic step before dispatch reached them, on the same
+/// entry: the first one named `Assertion`.
 pub fn caller_principal(ctx: &CallContext) -> String {
-    ctx.header("Assertion")
-        .and_then(|el| Assertion::from_element(el).ok())
+    UserSession::find_assertion(&ctx.headers)
+        .and_then(|entry| Assertion::read(entry.as_str()).ok())
         .map(|a| a.subject)
         .unwrap_or_else(|| "anonymous".to_owned())
 }
@@ -61,14 +62,14 @@ pub fn caller_principal(ctx: &CallContext) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use portalws_xml::Element;
+    use portalws_soap::HeaderEntry;
 
     #[test]
     fn principal_from_assertion_header() {
         let mut a = Assertion::new("a1", "ctx-1", "alice@GCE.ORG", "kerberos", "t", 1000);
         a.sign("k");
         let ctx = CallContext {
-            headers: vec![a.to_element()],
+            headers: vec![a.to_header()],
             service: "X".into(),
             method: "m".into(),
         };
@@ -84,7 +85,7 @@ mod tests {
         };
         assert_eq!(caller_principal(&ctx), "anonymous");
         let ctx = CallContext {
-            headers: vec![Element::new("Other")],
+            headers: vec![HeaderEntry::text_element("Other", "")],
             service: "X".into(),
             method: "m".into(),
         };

@@ -15,11 +15,12 @@ use parking_lot::RwLock;
 use portalws_wire::{
     Request, Transport, WireError, CACHE_FILL_HEADER, DEADLINE_HEADER, IDEMPOTENT_HEADER,
 };
-use portalws_xml::{Element, XmlError};
+use portalws_xml::XmlError;
 
 use crate::cache::{fnv1a, ReadCache};
 use crate::envelope::{body_text, Envelope};
 use crate::fault::Fault;
+use crate::header::HeaderEntry;
 use crate::server::{endpoint_path, GENERATION_HEADER};
 use crate::value::SoapValue;
 
@@ -74,7 +75,7 @@ impl SoapError {
 
 /// Supplies SOAP header entries for every outgoing call (e.g. a signed
 /// SAML assertion from the auth layer).
-pub type HeaderSupplier = Arc<dyn Fn() -> Vec<Element> + Send + Sync>;
+pub type HeaderSupplier = Arc<dyn Fn() -> Vec<HeaderEntry> + Send + Sync>;
 
 /// Verifies the *reply* envelope before its value is returned (the
 /// client half of mutual authentication). Return an error string to
@@ -404,7 +405,7 @@ mod tests {
         // Without supplier: rejected.
         assert!(client.call("echo", &[SoapValue::str("x")]).is_err());
 
-        client.set_header_supplier(Arc::new(|| vec![Element::new("Token").with_text("t")]));
+        client.set_header_supplier(Arc::new(|| vec![HeaderEntry::text_element("Token", "t")]));
         assert_eq!(
             client.call("echo", &[SoapValue::str("x")]).unwrap(),
             SoapValue::str("x")

@@ -9,23 +9,25 @@
 //! RPC bodies never exist as a DOM: [`Envelope::parse`] decodes parameters
 //! straight from the tokenizer into [`SoapValue`]s, and
 //! [`Envelope::write_xml_into`] encodes them straight into the output
-//! buffer. Header entries and faults stay [`Element`] trees.
+//! buffer. Header entries are [`HeaderEntry`] text spans, checked by the
+//! parse and written back verbatim. Only faults stay [`Element`] trees.
 
 use std::borrow::Cow;
 
-use portalws_xml::dom::read_document;
+use portalws_xml::dom::{read_content, read_document, Piece};
 use portalws_xml::escape::escape_attr;
 use portalws_xml::{Element, Tokenizer, XmlError};
 
 use crate::fault::Fault;
-use crate::value::{element_len_hint, local_name, read_content, tags_len_hint, Piece, SoapValue};
+use crate::header::{self, HeaderEntry};
+use crate::value::{element_len_hint, local_name, tags_len_hint, SoapValue};
 use crate::{SOAP_ENV_NS, XSD_NS, XSI_NS};
 
 /// A SOAP message: headers plus one body entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// Header entries, in order (SAML assertions, session tokens, …).
-    pub headers: Vec<Element>,
+    pub headers: Vec<HeaderEntry>,
     body: Body,
 }
 
@@ -132,14 +134,14 @@ impl Envelope {
     }
 
     /// Builder: add a header entry.
-    pub fn with_header(mut self, header: Element) -> Envelope {
+    pub fn with_header(mut self, header: HeaderEntry) -> Envelope {
         self.headers.push(header);
         self
     }
 
-    /// Find a header entry by local name.
-    pub fn header(&self, local_name: &str) -> Option<&Element> {
-        self.headers.iter().find(|h| h.local_name() == local_name)
+    /// The first header entry with this local name.
+    pub fn header(&self, local_name: &str) -> Option<&HeaderEntry> {
+        header::find(&self.headers, local_name)
     }
 
     /// Is the body a fault?
@@ -225,8 +227,9 @@ impl Envelope {
     }
 
     /// Serialize into an existing buffer (appends): the envelope wrapper
-    /// around the header trees and the body entry, whose values encode
-    /// straight into `out` with no intermediate tree or allocation.
+    /// around the header entries, copied as they are, and the body entry,
+    /// whose values encode straight into `out` with no intermediate tree
+    /// or allocation.
     // portalint: hot-path-entry
     pub fn write_xml_into(&self, out: &mut String) {
         out.push_str("<SOAP-ENV:Envelope xmlns:SOAP-ENV=\"");
@@ -239,7 +242,7 @@ impl Envelope {
         if !self.headers.is_empty() {
             out.push_str("<SOAP-ENV:Header>");
             for h in &self.headers {
-                h.write_xml_into(out);
+                out.push_str(h.as_str());
             }
             out.push_str("</SOAP-ENV:Header>");
         }
@@ -300,7 +303,7 @@ impl Envelope {
         /// The envelope, header and body tags with their namespace
         /// declarations.
         const WRAPPER: usize = 263;
-        let headers: usize = self.headers.iter().map(element_len_hint).sum();
+        let headers: usize = self.headers.iter().map(|h| h.as_str().len()).sum();
         let body = match &self.body {
             Body::Rpc(rpc) => {
                 let params = rpc.params.iter().filter_map(|(name, value)| {
@@ -315,26 +318,30 @@ impl Envelope {
 
     /// Parse an envelope from XML text.
     ///
-    /// One pass over the tokenizer: header entries and a fault are built
-    /// as DOM, RPC parameters are decoded as they stream past, and nothing
-    /// else is kept. A document [`Element::parse`] rejects fails here
+    /// One pass over the tokenizer: header entries are checked and kept
+    /// as the text they arrived in, a fault is built as DOM, RPC
+    /// parameters are decoded as they stream past, and nothing else is
+    /// kept. A document [`Element::parse`] rejects fails here
     /// with the same error, and well-formedness errors win over envelope
     /// shape errors, as if the whole document had been parsed first. A
     /// parameter that does not decode fails only `args()` or
     /// `return_value()`.
     pub fn parse(xml: &str) -> Result<Envelope, XmlError> {
-        read_document(xml, read_envelope)?
+        read_document(xml, |tok, name, attrs, self_closing| {
+            read_envelope(xml, tok, name, attrs, self_closing)
+        })?
     }
 }
 
 type Attrs<'a> = Vec<(Cow<'a, str>, Cow<'a, str>)>;
 
-/// The document root: an `Envelope` whose first `Header` gives the header
-/// entries and whose first `Body` gives the body entry (its first child
-/// element). Other children are read and dropped. The outer error is a
-/// well-formedness error; the inner one (wrong root, no body) is reported
-/// only once the whole document is known to be well formed.
+/// The document root of `src`: an `Envelope` whose first `Header` gives
+/// the header entries and whose first `Body` gives the body entry (its
+/// first child element). Other children are read and dropped. The outer
+/// error is a well-formedness error; the inner one (wrong root, no body)
+/// is reported only once the whole document is known to be well formed.
 fn read_envelope<'a>(
+    src: &'a str,
     tok: &mut Tokenizer<'a>,
     name: Cow<'a, str>,
     attrs: Attrs<'a>,
@@ -345,15 +352,15 @@ fn read_envelope<'a>(
         Element::read_subtree(tok, name, attrs, self_closing)?;
         return Ok(Err(XmlError::Invalid(found)));
     }
-    let mut headers: Option<Vec<Element>> = None;
+    let mut headers: Option<Vec<HeaderEntry>> = None;
     let mut body: Option<Option<Body>> = None;
     read_content(tok, &name, self_closing, |tok, piece| {
-        let Piece::Child(child, attrs, self_closing) = piece else {
+        let Piece::Child(child, attrs, self_closing, _) = piece else {
             return Ok(());
         };
         match local_name(&child) {
             "Header" if headers.is_none() => {
-                headers = Some(read_entries(tok, &child, self_closing)?);
+                headers = Some(read_entries(src, tok, &child, self_closing)?);
             }
             "Body" if body.is_none() => body = Some(read_body(tok, &child, self_closing)?),
             _ => {
@@ -372,16 +379,20 @@ fn read_envelope<'a>(
     })
 }
 
-/// The child elements of `Header`, as DOM.
-fn read_entries(
-    tok: &mut Tokenizer<'_>,
+/// The child elements of `Header`, as text spans of `src`.
+fn read_entries<'a>(
+    src: &'a str,
+    tok: &mut Tokenizer<'a>,
     name: &str,
     self_closing: bool,
-) -> portalws_xml::Result<Vec<Element>> {
+) -> portalws_xml::Result<Vec<HeaderEntry>> {
     let mut entries = Vec::new();
+    // Names of an entry's open descendants, shared by every entry.
+    let mut open = Vec::new();
     read_content(tok, name, self_closing, |tok, piece| {
-        if let Piece::Child(child, attrs, self_closing) = piece {
-            entries.push(Element::read_subtree(tok, child, attrs, self_closing)?);
+        if let Piece::Child(child, _, self_closing, start) = piece {
+            let entry = HeaderEntry::read(tok, src, start, &child, self_closing, &mut open)?;
+            entries.push(entry);
         }
         Ok(())
     })?;
@@ -398,7 +409,7 @@ fn read_body(
 ) -> portalws_xml::Result<Option<Body>> {
     let mut entry = None;
     read_content(tok, name, self_closing, |tok, piece| {
-        let Piece::Child(child, attrs, self_closing) = piece else {
+        let Piece::Child(child, attrs, self_closing, _) = piece else {
             return Ok(());
         };
         if entry.is_some() {
@@ -431,7 +442,7 @@ fn read_params(
 ) -> portalws_xml::Result<Vec<Param>> {
     let mut params = Vec::new();
     read_content(tok, name, self_closing, |tok, piece| {
-        if let Piece::Child(child, attrs, self_closing) = piece {
+        if let Piece::Child(child, attrs, self_closing, _) = piece {
             let value = SoapValue::read(tok, &child, &attrs, self_closing)?;
             params.push((child.into_owned(), value));
         }
@@ -524,16 +535,46 @@ mod tests {
         let assertion = Element::new("saml:Assertion")
             .with_attr("xmlns:saml", "urn:oasis:saml")
             .with_text_child("subject", "kerberos:alice");
-        let env = Envelope::request("Ctx", "get", []).with_header(assertion.clone());
+        let entry = HeaderEntry::from_element(&assertion);
+        let env = Envelope::request("Ctx", "get", []).with_header(entry.clone());
         let parsed = Envelope::parse(&env.to_xml()).unwrap();
         assert_eq!(parsed.headers.len(), 1);
-        assert_eq!(parsed.header("Assertion"), Some(&assertion));
+        assert_eq!(parsed.header("Assertion"), Some(&entry));
+        assert_eq!(
+            parsed.header("Assertion").unwrap().to_element(),
+            Ok(assertion)
+        );
+    }
+
+    #[test]
+    fn header_entries_keep_their_bytes_and_are_still_checked() {
+        // An entry arrives as written: entity spellings, attribute quotes
+        // and whitespace inside it are not normalized.
+        let entry = "<a:Token  k='v &amp; w'>x &#60; y<!-- c --></a:Token>";
+        let xml = Envelope::request("Ctx", "get", [])
+            .with_header(HeaderEntry::parse(entry).unwrap())
+            .to_xml();
+        let parsed = Envelope::parse(&xml).unwrap();
+        assert_eq!(parsed.header("Token").map(HeaderEntry::as_str), Some(entry));
+        assert_eq!(parsed.header("Token").unwrap().text(), "x < y");
+        // A malformed entry fails the whole envelope with the DOM parser's
+        // error.
+        for bad in ["<a:Token><b></a:Token>", "<a:Token>&nope;</a:Token>"] {
+            let xml = xml.replace(entry, bad);
+            assert_eq!(
+                Envelope::parse(&xml).map(drop),
+                Element::parse(&xml).map(drop)
+            );
+            assert!(Envelope::parse(&xml).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn writes_the_wire_form() {
         let env = Envelope::request("Svc", "m", [SoapValue::str("a & b"), SoapValue::Int(7)])
-            .with_header(Element::new("saml:Assertion").with_text_child("subject", "<alice>"));
+            .with_header(HeaderEntry::from_element(
+                &Element::new("saml:Assertion").with_text_child("subject", "<alice>"),
+            ));
         let want = concat!(
             r#"<SOAP-ENV:Envelope xmlns:SOAP-ENV="http://schemas.xmlsoap.org/soap/envelope/""#,
             r#" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance""#,
@@ -555,9 +596,11 @@ mod tests {
     fn bodies_are_sized_once_from_the_envelope() {
         // The size hint covers every byte, so a body is never regrown, and
         // is over by little more than each parameter's scalar allowance.
-        let header = Element::new("saml:Assertion")
-            .with_attr("xmlns:saml", "urn:oasis:names:tc:SAML:1.0:assertion")
-            .with_text_child("saml:Subject", "kerberos:alice");
+        let header = HeaderEntry::from_element(
+            &Element::new("saml:Assertion")
+                .with_attr("xmlns:saml", "urn:oasis:names:tc:SAML:1.0:assertion")
+                .with_text_child("saml:Subject", "kerberos:alice"),
+        );
         let jobs = Element::new("jobs").with_child(
             Element::new("job")
                 .with_attr("id", "1")

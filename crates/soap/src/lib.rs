@@ -11,7 +11,8 @@
 //!
 //! * **Header entries carry security assertions.** §4: "SAML assertions are
 //!   added to SOAP messages." [`envelope::Envelope`] keeps an ordered list
-//!   of header elements that the auth layer reads and writes.
+//!   of [`header::HeaderEntry`] text spans that the auth layer writes,
+//!   forwards and reads.
 //! * **A common set of implementation error messages.** §3: "the standard
 //!   set of portal services that we are building must define and relay a
 //!   common set of error messages" distinct from SOAP-level errors.
@@ -24,6 +25,7 @@ pub mod client;
 pub mod deadline;
 pub mod envelope;
 pub mod fault;
+pub mod header;
 pub mod server;
 pub mod value;
 
@@ -31,6 +33,7 @@ pub use cache::{fnv1a, ReadCache, ReadCacheConfig};
 pub use client::{ReplyVerifier, SoapClient, SoapError};
 pub use envelope::Envelope;
 pub use fault::{Fault, FaultCode, PortalError, PortalErrorKind};
+pub use header::HeaderEntry;
 pub use server::{
     CallContext, Guard, MethodDesc, ResponseHeaderSupplier, SoapServer, SoapService,
     GENERATION_HEADER,

@@ -14,22 +14,21 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::envelope::{body_text, Envelope};
+use crate::fault::Fault;
+use crate::header::{self, HeaderEntry};
+use crate::value::{SoapType, SoapValue};
+use crate::SoapResult;
 use parking_lot::RwLock;
 use portalws_wire::{
     Handler, Request, Response, Status, DEADLINE_HEADER, RETRY_AFTER_HEADER, RETRY_AFTER_MS_HEADER,
 };
-use portalws_xml::Element;
-
-use crate::envelope::{body_text, Envelope};
-use crate::fault::Fault;
-use crate::value::{SoapType, SoapValue};
-use crate::SoapResult;
 
 /// Per-call context handed to service implementations.
 #[derive(Debug, Clone)]
 pub struct CallContext {
-    /// SOAP header entries from the request envelope.
-    pub headers: Vec<Element>,
+    /// SOAP header entries from the request envelope, as received.
+    pub headers: Vec<HeaderEntry>,
     /// Service name the call was addressed to.
     pub service: String,
     /// Method name invoked.
@@ -37,9 +36,9 @@ pub struct CallContext {
 }
 
 impl CallContext {
-    /// Find a header entry by local name.
-    pub fn header(&self, local_name: &str) -> Option<&Element> {
-        self.headers.iter().find(|h| h.local_name() == local_name)
+    /// The first header entry with this local name.
+    pub fn header(&self, local_name: &str) -> Option<&HeaderEntry> {
+        header::find(&self.headers, local_name)
     }
 }
 
@@ -113,7 +112,7 @@ pub type Guard = Arc<dyn Fn(&CallContext) -> SoapResult<()> + Send + Sync>;
 
 /// Supplies SOAP header entries attached to every *reply* (mutual
 /// authentication: the server proves its identity to the client).
-pub type ResponseHeaderSupplier = Arc<dyn Fn() -> Vec<Element> + Send + Sync>;
+pub type ResponseHeaderSupplier = Arc<dyn Fn() -> Vec<HeaderEntry> + Send + Sync>;
 
 /// The SOAP Service Provider: routes envelopes to mounted services.
 #[derive(Default)]
@@ -197,9 +196,10 @@ impl SoapServer {
         let finish = |reply: Envelope| {
             let mut reply = self.stamp(reply);
             if let Some(generation) = generation {
-                reply
-                    .headers
-                    .push(Element::new(GENERATION_HEADER).with_text(generation.to_string()));
+                reply.headers.push(HeaderEntry::text_element(
+                    GENERATION_HEADER,
+                    &generation.to_string(),
+                ));
             }
             reply
         };
@@ -440,7 +440,7 @@ mod tests {
             Some(PortalErrorKind::AuthFailed)
         );
 
-        let ok_env = env.with_header(Element::new("Assertion"));
+        let ok_env = env.with_header(HeaderEntry::parse("<Assertion/>").unwrap());
         let reply = srv.dispatch("Calc", ok_env);
         assert!(!reply.is_fault());
     }

@@ -11,8 +11,9 @@
 use std::borrow::Cow;
 use std::fmt::Write;
 
+use portalws_xml::dom::{read_content, Piece};
 use portalws_xml::escape::escape_text;
-use portalws_xml::{Element, Event, Node, Tokenizer, XmlError};
+use portalws_xml::{Element, Node, Tokenizer};
 
 use crate::base64::{Base64Decoder, Base64Encoder};
 
@@ -315,56 +316,6 @@ impl SoapValue {
     }
 }
 
-/// One piece of an element's content as the value decoder sees it.
-pub(crate) enum Piece<'a> {
-    /// A text run (entities resolved).
-    Text(Cow<'a, str>),
-    /// A CDATA section.
-    CData(Cow<'a, str>),
-    /// A child's start tag: name, attributes, self-closing.
-    Child(Cow<'a, str>, Vec<(Cow<'a, str>, Cow<'a, str>)>, bool),
-}
-
-/// Read the content of the element `parent`, whose start tag was just
-/// read, through its end tag (none when `self_closing`): each text run,
-/// CDATA section and child start tag goes to `f`, which must consume a
-/// child through the child's end tag. Comments and processing
-/// instructions are skipped. Errors match [`Element::parse`]'s.
-pub(crate) fn read_content<'a>(
-    tok: &mut Tokenizer<'a>,
-    parent: &str,
-    self_closing: bool,
-    mut f: impl FnMut(&mut Tokenizer<'a>, Piece<'a>) -> portalws_xml::Result<()>,
-) -> portalws_xml::Result<()> {
-    if self_closing {
-        return Ok(());
-    }
-    loop {
-        let at = tok.offset();
-        let Some(ev) = tok.next_event()? else {
-            return Err(XmlError::UnexpectedEof { pos: tok.pos() });
-        };
-        match ev {
-            Event::Text(t) => f(tok, Piece::Text(t))?,
-            Event::CData(t) => f(tok, Piece::CData(t))?,
-            Event::StartTag {
-                name,
-                attrs,
-                self_closing,
-            } => f(tok, Piece::Child(name, attrs, self_closing))?,
-            Event::EndTag { name } if name == parent => return Ok(()),
-            Event::EndTag { name } => {
-                return Err(XmlError::MismatchedTag {
-                    pos: tok.pos_at(at),
-                    open: parent.to_owned(),
-                    close: name.into_owned(),
-                })
-            }
-            Event::Comment(_) | Event::Decl(_) | Event::Doctype(_) | Event::Pi { .. } => {}
-        }
-    }
-}
-
 /// A size estimate for an element's compact serialization, exact but for
 /// escaping.
 pub(crate) fn element_len_hint(el: &Element) -> usize {
@@ -450,7 +401,7 @@ impl Decode {
         let (run, cdata) = match piece {
             Piece::Text(t) => (t, false),
             Piece::CData(t) => (t, true),
-            Piece::Child(name, attrs, self_closing) => {
+            Piece::Child(name, attrs, self_closing, _) => {
                 return self.child(tok, name, attrs, self_closing)
             }
         };
@@ -747,7 +698,10 @@ mod tests {
             |tok, name, attrs, self_closing| SoapValue::read(tok, &name, &attrs, self_closing),
         )
         .unwrap_err();
-        assert!(matches!(err, XmlError::MismatchedTag { .. }), "{err:?}");
+        assert!(
+            matches!(err, portalws_xml::XmlError::MismatchedTag { .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

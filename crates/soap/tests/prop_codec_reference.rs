@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use portalws_soap::{
-    CallContext, Envelope, Fault, FaultCode, MethodDesc, PortalError, PortalErrorKind, SoapResult,
-    SoapServer, SoapService, SoapType, SoapValue,
+    CallContext, Envelope, Fault, FaultCode, HeaderEntry, MethodDesc, PortalError, PortalErrorKind,
+    SoapResult, SoapServer, SoapService, SoapType, SoapValue,
 };
 use portalws_wire::{Handler, Request};
 use portalws_xml::Element;
@@ -406,7 +406,12 @@ fn agree(xml: &str) -> Result<(), TestCaseError> {
     match (Envelope::parse(xml), RefEnvelope::parse(xml)) {
         (Err(new), Err(old)) => prop_assert_eq!(new, old),
         (Ok(new), Ok(old)) => {
-            prop_assert_eq!(&new.headers, &old.headers);
+            // Entries stay text; as trees they are the reference's.
+            let entries: Vec<_> = new.headers.iter().map(HeaderEntry::to_element).collect();
+            prop_assert_eq!(
+                entries,
+                old.headers.iter().cloned().map(Ok).collect::<Vec<_>>()
+            );
             prop_assert_eq!(new.method(), old.method());
             prop_assert_eq!(new.service(), old.service());
             prop_assert_eq!(new.is_fault(), old.is_fault());
@@ -442,7 +447,7 @@ proptest! {
     ) {
         let mut new = Envelope::request("Svc", &method, args.clone());
         let mut old = RefEnvelope::request("Svc", &method, &args);
-        new.headers.clone_from(&headers);
+        new.headers = headers.iter().map(HeaderEntry::from_element).collect();
         old.headers.clone_from(&headers);
         let mut out = String::new();
         new.write_xml_into(&mut out);
@@ -455,7 +460,8 @@ proptest! {
             &method,
             names.iter().map(String::as_str).zip(&args),
         );
-        prop_assert_eq!(named.with_header(Element::new("h")).to_xml(), {
+        let h = HeaderEntry::from_element(&Element::new("h"));
+        prop_assert_eq!(named.with_header(h).to_xml(), {
             old.headers = vec![Element::new("h")];
             old.to_xml()
         });
@@ -473,7 +479,7 @@ proptest! {
         f in fault(),
     ) {
         let mut request = Envelope::request("Svc", "op", args);
-        request.headers = headers;
+        request.headers = headers.iter().map(HeaderEntry::from_element).collect();
         agree(&request.to_xml())?;
         agree(&Envelope::response("op", reply).to_xml())?;
         agree(&Envelope::fault(&f).to_xml())?;
@@ -630,7 +636,7 @@ fn malformed_argument_reaches_the_guard_once_then_faults() {
         Ok(())
     }));
     let xml = Envelope::request("Calc", "add", [SoapValue::Int(1), SoapValue::Int(2)])
-        .with_header(Element::new("Token"))
+        .with_header(HeaderEntry::parse("<Token/>").unwrap())
         .to_xml()
         .replace(">2<", ">two<");
     let resp = server.handle(&Request::post("/soap/Calc", xml));

@@ -129,9 +129,10 @@ proptest! {
     fn headers_always_preserved(n in 0usize..4) {
         let mut env = Envelope::request("S", "m", []);
         for i in 0..n {
-            env = env.with_header(
-                portalws_xml::Element::new(format!("H{i}")).with_text(i.to_string()),
-            );
+            env = env.with_header(portalws_soap::HeaderEntry::text_element(
+                &format!("H{i}"),
+                &i.to_string(),
+            ));
         }
         let parsed = Envelope::parse(&env.to_xml()).unwrap();
         prop_assert_eq!(parsed.headers.len(), n);

@@ -221,10 +221,26 @@ pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 /// moves with the connection state (not the worker thread) and keeps its
 /// capacity across keep-alive requests, so a warm connection parses without
 /// reallocating. Pipelined bytes beyond the first request simply remain
-/// buffered for the next `try_next` call.
+/// buffered for the next `try_next` call. A head is parsed once: while its
+/// body is still arriving, the parsed head waits in the parser, so the
+/// calls between "head complete" and "body complete" allocate nothing.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
+    /// The head at the front of `buf`, once complete, until its body is.
+    head: Option<Head>,
+}
+
+/// A parsed request head and where its body lies in the buffer.
+#[derive(Debug)]
+struct Head {
+    method: String,
+    path: String,
+    headers: Vec<(String, String)>,
+    /// Offset of the first body byte.
+    body_at: usize,
+    /// Declared body length.
+    body_len: usize,
 }
 
 impl RequestParser {
@@ -264,60 +280,79 @@ impl RequestParser {
     ///   head past [`MAX_HEAD_BYTES`], terminated or not). The caller
     ///   should answer 400 and close.
     pub fn try_next(&mut self) -> Result<Option<Request>> {
-        let head_end = find_head_end(&self.buf);
-        if head_end.unwrap_or(self.buf.len()) > MAX_HEAD_BYTES {
-            return Err(head_over_cap());
-        }
-        let Some(head_end) = head_end else {
-            return Ok(None);
-        };
-        let head = self
-            .buf
-            .get(..head_end)
-            .ok_or_else(|| WireError::BadFrame("header span out of range".into()))?;
-        let head = std::str::from_utf8(head)
-            .map_err(|_| WireError::BadFrame("request head is not UTF-8".into()))?;
-        let mut lines = head.split('\n').map(|l| l.trim_end_matches('\r'));
-        let request_line = lines
-            .next()
-            .ok_or_else(|| WireError::BadFrame("empty request line".into()))?;
-        let mut parts = request_line.split_whitespace();
-        let method = parts
-            .next()
-            .ok_or_else(|| WireError::BadFrame("empty request line".into()))?
-            .to_owned();
-        let path = parts
-            .next()
-            .ok_or_else(|| WireError::BadFrame("request line missing path".into()))?
-            .to_owned();
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue; // the blank terminator line
+        let head = match self.head.take() {
+            Some(head) => head,
+            None => {
+                let head_end = find_head_end(&self.buf);
+                if head_end.unwrap_or(self.buf.len()) > MAX_HEAD_BYTES {
+                    return Err(head_over_cap());
+                }
+                let Some(head_end) = head_end else {
+                    return Ok(None);
+                };
+                parse_head(&self.buf, head_end)?
             }
-            let (k, v) = line
-                .split_once(':')
-                .ok_or_else(|| WireError::BadFrame(format!("malformed header line {line:?}")))?;
-            headers.push((k.trim().to_owned(), v.trim().to_owned()));
-        }
-        let len = declared_content_length(&headers)?;
-        let total = head_end + len;
+        };
+        let total = head.body_at + head.body_len;
         if self.buf.len() < total {
-            return Ok(None); // head complete, body still arriving
+            // Head complete, body still arriving.
+            self.head = Some(head);
+            return Ok(None);
         }
         let body = self
             .buf
-            .get(head_end..total)
+            .get(head.body_at..total)
             .map(<[u8]>::to_vec)
             .ok_or_else(|| WireError::BadFrame("body span out of range".into()))?;
         self.buf.drain(..total);
         Ok(Some(Request {
-            method,
-            path,
-            headers,
+            method: head.method,
+            path: head.path,
+            headers: head.headers,
             body,
         }))
     }
+}
+
+/// Parse the complete head in `buf[..head_end]`: the request line, every
+/// header, and the declared body length.
+fn parse_head(buf: &[u8], head_end: usize) -> Result<Head> {
+    let head = buf
+        .get(..head_end)
+        .ok_or_else(|| WireError::BadFrame("header span out of range".into()))?;
+    let head = std::str::from_utf8(head)
+        .map_err(|_| WireError::BadFrame("request head is not UTF-8".into()))?;
+    let mut lines = head.split('\n').map(|l| l.trim_end_matches('\r'));
+    let request_line = lines
+        .next()
+        .ok_or_else(|| WireError::BadFrame("empty request line".into()))?;
+    let mut parts = request_line.split_whitespace();
+    let method = parts
+        .next()
+        .ok_or_else(|| WireError::BadFrame("empty request line".into()))?
+        .to_owned();
+    let path = parts
+        .next()
+        .ok_or_else(|| WireError::BadFrame("request line missing path".into()))?
+        .to_owned();
+    let mut headers = Vec::new();
+    for line in lines {
+        if line.is_empty() {
+            continue; // the blank terminator line
+        }
+        let (k, v) = line
+            .split_once(':')
+            .ok_or_else(|| WireError::BadFrame(format!("malformed header line {line:?}")))?;
+        headers.push((k.trim().to_owned(), v.trim().to_owned()));
+    }
+    let body_len = declared_content_length(&headers)?;
+    Ok(Head {
+        method,
+        path,
+        headers,
+        body_at: head_end,
+        body_len,
+    })
 }
 
 /// Offset one past the header-block terminator (`\n\n` or `\n\r\n`), if
@@ -1000,6 +1035,34 @@ mod tests {
         assert!(!wants_keep_alive(Some("TE")));
         assert!(!wants_keep_alive(Some("")));
         assert!(!wants_keep_alive(None));
+    }
+
+    #[test]
+    fn every_split_of_a_pipelined_pair_yields_the_same_two_requests() {
+        let first = Request::post("/soap/DataManagement", "<put>chunk one</put>")
+            .with_header("Connection", "keep-alive");
+        let second = Request::post("/soap/Authentication", "<verify/>").with_header("X-A", "b");
+        let stream = [first.to_bytes(), second.to_bytes()].concat();
+        let drain = |parser: &mut RequestParser, out: &mut Vec<Request>| {
+            while let Some(req) = parser.try_next().unwrap() {
+                out.push(req);
+            }
+        };
+        let mut whole = RequestParser::new();
+        let mut want = Vec::new();
+        whole.feed(&stream);
+        drain(&mut whole, &mut want);
+        assert_eq!(want.len(), 2);
+        for split in 0..=stream.len() {
+            let mut parser = RequestParser::new();
+            let mut got = Vec::new();
+            parser.feed(&stream[..split]);
+            drain(&mut parser, &mut got);
+            parser.feed(&stream[split..]);
+            drain(&mut parser, &mut got);
+            assert_eq!(got, want, "split at {split}");
+            assert!(parser.is_empty(), "split at {split}");
+        }
     }
 
     #[test]

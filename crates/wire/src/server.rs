@@ -410,11 +410,30 @@ pub(crate) const READ_CHUNK: usize = 64 * 1024;
 /// How long a blocking read waits before it checks the shutdown flag.
 const POLL: Duration = Duration::from_millis(100);
 
+/// An accepted connection's place in the open-connection gauge: counted
+/// open when it is accepted, closed when this is dropped, which is when
+/// the connection is shed, served to its end, or left queued at shutdown.
+struct OpenConn(Arc<WireStats>);
+
+impl OpenConn {
+    fn open(stats: &Arc<WireStats>) -> OpenConn {
+        stats.record_conn_open();
+        OpenConn(Arc::clone(stats))
+    }
+}
+
+impl Drop for OpenConn {
+    fn drop(&mut self) {
+        self.0.record_conn_close();
+    }
+}
+
 /// Blocking arm: an acceptor thread feeds a bounded queue that a fixed
 /// pool of workers drains. With the legacy `queue_cap: None` the queue
 /// applies back-pressure to the acceptor; with an explicit cap the
 /// acceptor sheds instead of blocking. Each item carries the accept
-/// instant so the deadline budget charges queue wait.
+/// instant so the deadline budget charges queue wait, and its place in
+/// the open-connection gauge.
 fn start_blocking(
     server: &mut ServerHandle,
     listener: TcpListener,
@@ -423,7 +442,7 @@ fn start_blocking(
 ) {
     let workers = config.workers.max(1);
     let cap = config.queue_cap.unwrap_or(workers * 4);
-    let (tx, rx) = bounded::<(TcpStream, Instant)>(cap);
+    let (tx, rx) = bounded::<(TcpStream, Instant, OpenConn)>(cap);
 
     let shutdown = Arc::clone(&server.shutdown);
     let stats = Arc::clone(&path.stats);
@@ -434,7 +453,7 @@ fn start_blocking(
             }
             let Ok(stream) = stream else { continue };
             stats.record_connection();
-            let item = (stream, Instant::now());
+            let item = (stream, Instant::now(), OpenConn::open(&stats));
             if config.queue_cap.is_none() {
                 // Legacy arm: block until a worker frees a slot.
                 if tx.send(item).is_err() {
@@ -443,7 +462,7 @@ fn start_blocking(
             } else {
                 match tx.try_send(item) {
                     Ok(()) => {}
-                    Err(TrySendError::Full((stream, _))) => {
+                    Err(TrySendError::Full((stream, _, _open))) => {
                         // Admission control: answer a well-formed shed
                         // fault with a retry hint instead of letting the
                         // queue (and client latency) grow without bound.
@@ -469,7 +488,7 @@ fn start_blocking(
         let shutdown = Arc::clone(&server.shutdown);
         server.workers.push(std::thread::spawn(move || {
             let mut scratch = WorkerScratch::default();
-            while let Ok((stream, accepted)) = rx.recv() {
+            while let Ok((stream, accepted, _open)) = rx.recv() {
                 serve_connection(&path, stream, accepted, &shutdown, &mut scratch);
                 if shutdown.load(Ordering::SeqCst) {
                     break;

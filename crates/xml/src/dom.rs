@@ -2,10 +2,12 @@
 //!
 //! Documents are built and inspected as [`Element`] trees: WSDL
 //! definitions, UDDI entries, application descriptors, generated forms,
-//! and the SOAP header entries, faults and embedded XML values. (SOAP RPC
-//! bodies are decoded straight from the tokenizer and never become a
-//! tree.) [`Element::read_subtree`] is the one builder; [`Element::parse`]
-//! and stream decoders both go through it.
+//! and the SOAP faults and embedded XML values. (SOAP RPC bodies are
+//! decoded straight from the tokenizer and never become a tree; SOAP
+//! header entries stay text.) [`Element::read_subtree`] is the one
+//! builder; [`Element::parse`] and stream decoders both go through it.
+//! Stream decoders walk content with [`read_content`] and pass over what
+//! they do not keep with [`skip_subtree`].
 
 use std::borrow::Cow;
 
@@ -424,9 +426,132 @@ pub fn read_document<'a, T>(
     out.ok_or(XmlError::Invalid("document has no root element".into()))
 }
 
+/// One piece of an element's content, as [`read_content`] hands it to
+/// a stream decoder.
+pub enum Piece<'a> {
+    /// A text run (entities resolved).
+    Text(Cow<'a, str>),
+    /// A CDATA section.
+    CData(Cow<'a, str>),
+    /// A child's start tag: name, attributes, self-closing, and the offset
+    /// of its `<` in the source.
+    Child(Cow<'a, str>, Vec<(Cow<'a, str>, Cow<'a, str>)>, bool, usize),
+}
+
+/// Read the content of the element `parent`, whose start tag was just
+/// read, through its end tag (none when `self_closing`): each text run,
+/// CDATA section and child start tag goes to `f`, which must consume a
+/// child through the child's end tag. Comments and processing
+/// instructions are skipped. Errors match [`Element::parse`]'s.
+pub fn read_content<'a>(
+    tok: &mut Tokenizer<'a>,
+    parent: &str,
+    self_closing: bool,
+    mut f: impl FnMut(&mut Tokenizer<'a>, Piece<'a>) -> Result<()>,
+) -> Result<()> {
+    if self_closing {
+        return Ok(());
+    }
+    loop {
+        let at = tok.offset();
+        let Some(ev) = tok.next_event()? else {
+            return Err(XmlError::UnexpectedEof { pos: tok.pos() });
+        };
+        match ev {
+            Event::Text(t) => f(tok, Piece::Text(t))?,
+            Event::CData(t) => f(tok, Piece::CData(t))?,
+            Event::StartTag {
+                name,
+                attrs,
+                self_closing,
+            } => f(tok, Piece::Child(name, attrs, self_closing, at))?,
+            Event::EndTag { name } if name == parent => return Ok(()),
+            Event::EndTag { name } => {
+                return Err(XmlError::MismatchedTag {
+                    pos: tok.pos_at(at),
+                    open: parent.to_owned(),
+                    close: name.into_owned(),
+                })
+            }
+            Event::Comment(_) | Event::Decl(_) | Event::Doctype(_) | Event::Pi { .. } => {}
+        }
+    }
+}
+
+/// Consume the element whose start tag `tok` has just produced (`name`
+/// and `self_closing` are that event's fields) through its matching end
+/// tag, holding it to [`Element::read_subtree`]'s rules, with the same
+/// errors, but building nothing.
+///
+/// `open` is scratch for the names of open descendants: it is cleared
+/// first and only ever grows, so a caller that skips many subtrees hands
+/// in one buffer and the skips after the first allocate nothing. Like
+/// `read_subtree`, it keeps its depth on the heap, not the stack.
+pub fn skip_subtree<'a>(
+    tok: &mut Tokenizer<'a>,
+    name: &str,
+    self_closing: bool,
+    open: &mut Vec<Cow<'a, str>>,
+) -> Result<()> {
+    if self_closing {
+        return Ok(());
+    }
+    open.clear();
+    loop {
+        let at = tok.offset();
+        let ev = tok
+            .next_event()?
+            .ok_or_else(|| XmlError::UnexpectedEof { pos: tok.pos() })?;
+        match ev {
+            Event::StartTag {
+                name,
+                self_closing: false,
+                ..
+            } => open.push(name),
+            Event::EndTag { name: close } => {
+                let inner = open.pop();
+                let opened = inner.as_deref().unwrap_or(name);
+                (opened == close)
+                    .then_some(())
+                    .ok_or_else(|| XmlError::MismatchedTag {
+                        pos: tok.pos_at(at),
+                        open: opened.to_owned(),
+                        close: close.to_string(),
+                    })?;
+                if inner.is_none() {
+                    return Ok(());
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn skip_subtree_accepts_and_rejects_what_read_subtree_does() {
+        let docs = [
+            "<a/>",
+            "<a>t<b x='1'><c/>u</b><!-- c --><![CDATA[<]]></a>",
+            "<a><b><c></c></b><b/></a>",
+            "<a><b></a>",
+            "<a><b></b></c>",
+            "<a><b>",
+            "<a>&bogus;</a>",
+            "<a x='1' x='2'/>",
+        ];
+        let mut open = Vec::new();
+        for doc in docs {
+            let skipped = read_document(doc, |tok, name, _, self_closing| {
+                skip_subtree(tok, &name, self_closing, &mut open)
+            });
+            let built = Element::parse(doc).map(drop);
+            assert_eq!(skipped, built, "{doc}");
+        }
+    }
 
     #[test]
     fn build_and_navigate() {

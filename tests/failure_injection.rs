@@ -28,7 +28,7 @@ fn central_guard_fails_closed_when_auth_server_is_down() {
     // Even a syntactically fine assertion cannot be verified.
     let mut a = portalws::auth::Assertion::new("a", "ctx-1", "alice", "kerberos", "t", u64::MAX);
     a.sign("k");
-    client.set_header_supplier(Arc::new(move || vec![a.to_element()]));
+    client.set_header_supplier(Arc::new(move || vec![a.to_header()]));
     let err = client.call("supportedSchedulers", &[]).unwrap_err();
     assert_eq!(
         err.as_fault().and_then(|f| f.kind()),
