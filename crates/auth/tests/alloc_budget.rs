@@ -8,10 +8,11 @@
 //! reads and verifies it. A counting global allocator, scoped to this test
 //! binary, counts the allocations of one warm call on this thread.
 //!
-//! The budget is about 1.2× the figure measured when it was set; the
-//! figure for the same call on the code before it, which built the
-//! assertion as a tree four times per call, is recorded beside it. If a
-//! tree comes back onto this path, the budget fails.
+//! The budget is about 1.2× the figure measured (in a debug build, as
+//! `cargo test` runs) when it was set; the figure for the same call on
+//! the code before it, which built the assertion as a tree four times per
+//! call, is recorded beside it. If a tree comes back onto this path, the
+//! budget fails.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -89,9 +90,10 @@ impl SoapService for Ping {
 
 #[test]
 fn one_guarded_call_through_the_verify_hop() {
-    // Measured 220 with the assertion as text end to end; the code that
-    // built it as a tree took 338.
-    const BUDGET: u64 = 264;
+    // Measured 194 with each in-memory hop reparsing its frames in place
+    // (220 with a reader and a copy per frame); the code that built the
+    // assertion as a tree took 338.
+    const BUDGET: u64 = 233;
     let auth = AuthService::new(SimClock::new());
     auth.register_user("alice@GCE.ORG", "pw");
     let auth_server = SoapServer::new();

@@ -9,11 +9,12 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use portalws_bench::per_call_transport;
 use portalws_gridsim::srb::Srb;
 use portalws_services::DataManagementService;
 use portalws_soap::{SoapClient, SoapServer, SoapValue};
 use portalws_wire::{
-    Handler, HttpServer, HttpTransport, InMemoryTransport, PooledTransport, ServerConfig, Transport,
+    Handler, HttpServer, InMemoryTransport, PooledTransport, ServerConfig, Transport,
 };
 use portalws_xml::Element;
 
@@ -79,8 +80,7 @@ fn over_tcp(c: &mut Criterion) {
         None,
     )
     .unwrap();
-    let transport: Arc<dyn Transport> = Arc::new(HttpTransport::new(server.addr()));
-    run_group(c, "e6_xml_call_tcp", transport);
+    run_group(c, "e6_xml_call_tcp", per_call_transport(server.addr()));
     server.shutdown();
 }
 

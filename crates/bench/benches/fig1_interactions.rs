@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use portalws_bench::per_call_transport;
 use portalws_core::{PortalDeployment, SecurityMode, UiServer};
 use portalws_gridsim::sched::{render_script, JobRequirements, SchedulerKind};
 use portalws_soap::{SoapClient, SoapServer, SoapValue};
@@ -98,23 +99,13 @@ fn overhead(c: &mut Criterion) {
         None,
     )
     .unwrap();
-    let tcp = SoapClient::new(
-        Arc::new(portalws_wire::HttpTransport::new(tcp_server.addr())),
-        "JobSubmission",
-    );
+    let tcp = SoapClient::new(per_call_transport(tcp_server.addr()), "JobSubmission");
     g.bench_function("soap_over_tcp", |b| {
         b.iter(|| tcp.call("listHosts", &[]).unwrap())
     });
-    // Ablation: connection reuse (the post-2002 HTTP regime).
-    let ka = SoapClient::new(
-        Arc::new(portalws_wire::HttpTransport::keep_alive(tcp_server.addr())),
-        "JobSubmission",
-    );
-    g.bench_function("soap_over_tcp_keepalive", |b| {
-        b.iter(|| ka.call("listHosts", &[]).unwrap())
-    });
-    // Ablation: the pooled keep-alive transport (shared per-endpoint pool
-    // with liveness checks), versus the single-slot keep-alive above.
+    // Ablation: connection reuse (the post-2002 HTTP regime), through the
+    // pooled keep-alive transport (shared per-endpoint pool with liveness
+    // checks).
     let pooled = SoapClient::new(
         Arc::new(portalws_wire::PooledTransport::new(tcp_server.addr())),
         "JobSubmission",
@@ -123,7 +114,6 @@ fn overhead(c: &mut Criterion) {
         b.iter(|| pooled.call("listHosts", &[]).unwrap())
     });
     g.finish();
-    drop(ka);
     drop(pooled);
     tcp_server.shutdown();
 }

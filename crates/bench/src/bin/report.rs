@@ -15,7 +15,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use portalws_bench::{
-    discovery_population, jobs_request, payload, synthetic_form, synthetic_schema,
+    discovery_population, jobs_request, payload, per_call_transport, synthetic_form,
+    synthetic_schema,
 };
 use portalws_core::{PortalDeployment, PortalShell, SecurityMode, UiServer};
 use portalws_gridsim::sched::{parse_script, SchedulerKind};
@@ -131,16 +132,13 @@ fn e1() {
         None,
     )
     .unwrap();
-    let tcp: Arc<dyn Transport> = Arc::new(portalws_wire::HttpTransport::new(tcp_server.addr()));
-    let tcp_ka: Arc<dyn Transport> =
-        Arc::new(portalws_wire::HttpTransport::keep_alive(tcp_server.addr()));
+    let tcp = per_call_transport(tcp_server.addr());
     let tcp_pooled: Arc<dyn Transport> =
         Arc::new(portalws_wire::PooledTransport::new(tcp_server.addr()));
     for (label, transport) in [
         ("direct (three-tier)", direct),
         ("SOAP, in-memory", framed),
         ("SOAP, TCP per-call conn", tcp),
-        ("SOAP, TCP keep-alive", tcp_ka),
         ("SOAP, TCP pooled", tcp_pooled),
     ] {
         let client = SoapClient::new(Arc::clone(&transport), "JobSubmission");
@@ -443,8 +441,7 @@ fn e6() {
         None,
     )
     .unwrap();
-    let per_call: Arc<dyn Transport> =
-        Arc::new(portalws_wire::HttpTransport::new(tcp_server.addr()));
+    let per_call = per_call_transport(tcp_server.addr());
     let pooled: Arc<dyn Transport> =
         Arc::new(portalws_wire::PooledTransport::new(tcp_server.addr()));
 

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use portalws_registry::{ContainerRegistry, ServiceEntry, UddiRegistry};
 use portalws_soap::{Envelope, HeaderEntry, SoapValue};
-use portalws_wire::ServerArm;
+use portalws_wire::{Pool, PoolConfig, PooledTransport, RetryPolicy, ServerArm, Transport};
 use portalws_xml::{ComplexType, Element, ElementDecl, Schema, TypeDef};
 
 /// The name a report and its JSON artifact give a server arm.
@@ -19,6 +19,16 @@ pub fn arm_name(arm: ServerArm) -> &'static str {
         ServerArm::Blocking => "blocking",
         ServerArm::Reactor => "reactor",
     }
+}
+
+/// The 2002 transport regime to `addr`: one TCP connection per call, from
+/// a pool that parks none, and no retries.
+pub fn per_call_transport(addr: impl ToString) -> Arc<dyn Transport> {
+    let pool = Pool::new(PoolConfig {
+        max_idle: 0,
+        ..PoolConfig::default()
+    });
+    Arc::new(PooledTransport::with_pool(addr, Arc::new(pool)).with_retry(RetryPolicy::none()))
 }
 
 /// A representative SOAP request envelope for the E11 substrate

@@ -36,10 +36,9 @@ use portalws_services::{
 };
 use portalws_soap::{SoapClient, SoapServer, SoapService};
 use portalws_wire::{
-    derive_seed, ChaosConfig, ChaosTransport, Handler, HttpServer, HttpTransport,
-    InMemoryTransport, Pool, PoolConfig, PooledTransport, Request, Response, Router,
-    SeededServerChaos, ServerArm, ServerChaosConfig, ServerConfig, ServerHandle, Transport,
-    WireError, WireStats,
+    derive_seed, ChaosConfig, ChaosTransport, Handler, HttpServer, InMemoryTransport, Pool,
+    PoolConfig, PooledTransport, Request, Response, RetryPolicy, Router, SeededServerChaos,
+    ServerArm, ServerChaosConfig, ServerConfig, ServerHandle, Transport, WireError, WireStats,
 };
 use portalws_wsdl::handler::WsdlHandler;
 use portalws_wsdl::WsdlDefinition;
@@ -69,7 +68,8 @@ pub enum TransportMode {
     #[default]
     InMemory,
     /// One TCP connection per call — the 2002 regime, kept as the
-    /// benchmark ablation baseline.
+    /// benchmark ablation baseline: the pooled transport over a pool that
+    /// parks nothing, with no retries.
     TcpPerCall,
     /// Keep-alive connections drawn from a deployment-wide pool, with
     /// per-request deadlines and bounded idempotent retry.
@@ -455,8 +455,16 @@ impl PortalDeployment {
             }
             TransportMode::TcpPerCall | TransportMode::TcpPooled => {
                 // One idle-connection pool for the whole deployment, keyed
-                // internally by endpoint (unused in per-call mode).
-                let pool = Arc::new(Pool::new(PoolConfig::default()));
+                // internally by endpoint. Per call, it parks nothing and
+                // nothing is retried: each call dials once, as in 2002.
+                let (max_idle, retry) = match topology.transport {
+                    TransportMode::TcpPerCall => (0, RetryPolicy::none()),
+                    _ => (PoolConfig::default().max_idle, RetryPolicy::default()),
+                };
+                let pool = Arc::new(Pool::new(PoolConfig {
+                    max_idle,
+                    ..PoolConfig::default()
+                }));
                 for (host, server) in &servers {
                     let handler = Arc::clone(&server.router) as Arc<dyn Handler>;
                     let server_chaos = chaos.as_ref().map(|policy| {
@@ -468,12 +476,10 @@ impl PortalDeployment {
                     let handle =
                         HttpServer::start("127.0.0.1:0", handler, topology.server, server_chaos)
                             .expect("bind localhost");
-                    let inner: Arc<dyn Transport> = match topology.transport {
-                        TransportMode::TcpPooled => {
-                            Arc::new(PooledTransport::with_pool(handle.addr(), Arc::clone(&pool)))
-                        }
-                        _ => Arc::new(HttpTransport::new(handle.addr())),
-                    };
+                    let inner: Arc<dyn Transport> = Arc::new(
+                        PooledTransport::with_pool(handle.addr(), Arc::clone(&pool))
+                            .with_retry(retry),
+                    );
                     transports.insert((*host).to_owned(), chaos_wrap(host, inner));
                     server_stats.insert((*host).to_owned(), Arc::clone(handle.stats()));
                     tcp_servers.push(handle);

@@ -259,7 +259,7 @@ pub fn file_fns(file: &str, source: &str) -> Vec<FnDef> {
             }
             Some(Tok::Punct('}')) => {
                 depth = depth.saturating_sub(1);
-                while impl_stack.last().is_some_and(|(d, _)| *d > depth) {
+                while impl_stack.last().is_some_and(|(d, _)| *d >= depth) {
                     impl_stack.pop();
                 }
                 k += 1;
@@ -554,7 +554,7 @@ mod tests {
 
     #[test]
     fn fn_inventory_with_impl_owner() {
-        let src = "fn free() {}\nimpl Widget {\n    fn method(&self) {}\n}\nimpl Draw for Widget {\n    fn draw(&self) {}\n}";
+        let src = "fn free() {}\nimpl Widget {\n    fn method(&self) {}\n}\nimpl Draw for Widget {\n    fn draw(&self) {}\n}\nfn after() {}";
         let defs = file_fns("crates/wire/src/w.rs", src);
         let summary: Vec<(String, Option<String>)> = defs
             .iter()
@@ -566,6 +566,7 @@ mod tests {
                 ("free".into(), None),
                 ("method".into(), Some("Widget".into())),
                 ("draw".into(), Some("Widget".into())),
+                ("after".into(), None),
             ]
         );
         assert_eq!(defs[0].crate_name, "wire");

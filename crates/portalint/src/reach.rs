@@ -33,7 +33,8 @@
 //! `// portalint: allow(reactor-blocking) — <reason>` on or directly
 //! above the sink line.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 use crate::graph::{CallGraph, CallSite};
 use crate::lexer::lex;
@@ -142,17 +143,20 @@ pub fn check_reachability(files: &[(String, String)]) -> Vec<Violation> {
             .cloned()
     };
 
-    let mut out: Vec<Violation> = Vec::new();
-    let mut seen: HashSet<(String, u32, &'static str, String)> = HashSet::new();
+    // Each sink is reported once, attributed to the root with the shortest
+    // chain to it (ties to the root whose name sorts first), so adding a
+    // root elsewhere in the workspace cannot reword an existing finding.
+    type Attribution = (usize, String, Violation);
+    let mut best: HashMap<(String, u32, &'static str, String), Attribution> = HashMap::new();
 
     for (reactor, rule) in [(true, RULE_REACTOR), (false, RULE_HOTPATH)] {
         for entry in graph.entries(reactor) {
             let entry_disp = graph.fns[entry].display();
             let mut parent: HashMap<usize, usize> = HashMap::new();
-            let mut visited: HashSet<usize> = HashSet::new();
-            visited.insert(entry);
+            let mut depth: HashMap<usize, usize> = HashMap::from([(entry, 1)]);
             let mut queue: VecDeque<usize> = VecDeque::from([entry]);
             while let Some(f) = queue.pop_front() {
+                let len = depth[&f];
                 for call in &graph.fns[f].calls {
                     let targets = graph.resolve(f, call);
                     if targets.is_empty() {
@@ -165,7 +169,11 @@ pub fn check_reachability(files: &[(String, String)]) -> Vec<Violation> {
                             continue;
                         };
                         let file = graph.fns[f].file.clone();
-                        if !seen.insert((file.clone(), call.line, rule, kind.clone())) {
+                        let key = (file.clone(), call.line, rule, kind.clone());
+                        if best
+                            .get(&key)
+                            .is_some_and(|(l, e, _)| (*l, e) <= (len, &entry_disp))
+                        {
                             continue;
                         }
                         let via = chain(&graph, &parent, f);
@@ -179,7 +187,7 @@ pub fn check_reachability(files: &[(String, String)]) -> Vec<Violation> {
                             )
                         };
                         let allow = allow_for(&file, rule, call.line);
-                        out.push(Violation {
+                        let violation = Violation {
                             file,
                             line: call.line,
                             rule,
@@ -187,11 +195,13 @@ pub fn check_reachability(files: &[(String, String)]) -> Vec<Violation> {
                             message,
                             suppressed: allow.is_some(),
                             reason: allow.map(|a| a.reason),
-                        });
+                        };
+                        best.insert(key, (len, entry_disp.clone(), violation));
                         continue;
                     }
                     for t in targets {
-                        if visited.insert(t) {
+                        if let Entry::Vacant(slot) = depth.entry(t) {
+                            slot.insert(len + 1);
                             parent.insert(t, f);
                             queue.push_back(t);
                         }
@@ -201,6 +211,7 @@ pub fn check_reachability(files: &[(String, String)]) -> Vec<Violation> {
         }
     }
 
+    let mut out: Vec<Violation> = best.into_values().map(|(_, _, v)| v).collect();
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     out
 }

@@ -84,6 +84,35 @@ fn hotpath_fixture_resolves_cross_crate_and_skips_lazy_and_test_code() {
 }
 
 #[test]
+fn a_root_added_first_with_a_longer_chain_leaves_findings_unchanged() {
+    // A sink is attributed to the root with the shortest chain, not to
+    // the first root in file order, so this root, listed first, does not
+    // reword the finding `write_envelope` already owns.
+    let base = [
+        (
+            "crates/soap/src/hotpath_soap.rs",
+            include_str!("fixtures/hotpath_soap.rs"),
+        ),
+        (
+            "crates/xml/src/hotpath_xml.rs",
+            include_str!("fixtures/hotpath_xml.rs"),
+        ),
+    ];
+    let longer = (
+        "crates/core/src/hotpath_longer_root.rs",
+        include_str!("fixtures/hotpath_longer_root.rs"),
+    );
+    let before = check_reachability(&files(&base));
+    let after = check_reachability(&files(&[longer, base[0], base[1]]));
+    assert_eq!(after, before);
+    let sink = before
+        .iter()
+        .find(|v| v.kind == "format!")
+        .expect("the sink fires");
+    assert!(sink.message.contains("entry `write_envelope`"), "{sink:?}");
+}
+
+#[test]
 fn method_ambiguity_over_approximates_to_every_candidate() {
     // `x.finish()` cannot be typed by a lexer: the resolver walks every
     // same-name definition, so a blocking sink behind either candidate
@@ -166,11 +195,10 @@ fn real_substrate_carries_the_hot_path_markers() {
         entries,
         vec![
             "Envelope::write_xml_into",
-            "Request::write_into",
-            "Response::write_into",
             "SoapValue::write_xml",
             "Tokenizer::next_event",
             "write_compact_into",
+            "write_head",
         ],
         "hot-path entry markers drifted"
     );

@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn unreachable_server_renders_notice_not_panic() {
-        let transport = Arc::new(portalws_wire::HttpTransport::new("127.0.0.1:1"));
+        let transport = Arc::new(portalws_wire::PooledTransport::new("127.0.0.1:1"));
         let p = WebPagePortlet::new("x", "X", "/", transport);
         let html = p.render(&PortletContext::new("u", "/portal"));
         assert!(html.contains("remote content unavailable"));

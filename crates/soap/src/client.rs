@@ -343,7 +343,7 @@ mod tests {
     use crate::server::test_support::Calculator;
     use crate::server::SoapServer;
     use portalws_wire::{
-        Handler, HttpServer, HttpTransport, InMemoryTransport, ServerArm, ServerConfig,
+        Handler, HttpServer, InMemoryTransport, PooledTransport, ServerArm, ServerConfig,
     };
 
     fn in_memory_client() -> SoapClient {
@@ -419,7 +419,7 @@ mod tests {
         let handler: Arc<dyn Handler> = Arc::new(soap);
         let server =
             HttpServer::start("127.0.0.1:0", handler, ServerConfig::with_workers(2), None).unwrap();
-        let client = SoapClient::new(Arc::new(HttpTransport::new(server.addr())), "Calc");
+        let client = SoapClient::new(Arc::new(PooledTransport::new(server.addr())), "Calc");
         assert_eq!(
             client
                 .call("add", &[SoapValue::Int(4), SoapValue::Int(5)])
@@ -431,7 +431,6 @@ mod tests {
 
     #[test]
     fn pooled_transport_reuses_connections_across_soap_calls() {
-        use portalws_wire::PooledTransport;
         let soap = SoapServer::new();
         soap.mount(Arc::new(Calculator));
         let handler: Arc<dyn Handler> = Arc::new(soap);
@@ -457,7 +456,6 @@ mod tests {
         // The SOAP glue is arm-agnostic: the same SoapServer handler
         // round-trips over the epoll reactor, and pooled keep-alive
         // connections stay reusable across calls.
-        use portalws_wire::PooledTransport;
         let soap = SoapServer::new();
         soap.mount(Arc::new(Calculator));
         let handler: Arc<dyn Handler> = Arc::new(soap);
@@ -584,7 +582,7 @@ mod tests {
 
     #[test]
     fn transport_error_propagates() {
-        let client = SoapClient::new(Arc::new(HttpTransport::new("127.0.0.1:1")), "Calc");
+        let client = SoapClient::new(Arc::new(PooledTransport::new("127.0.0.1:1")), "Calc");
         assert!(matches!(
             client.call("add", &[]),
             Err(SoapError::Transport(_))

@@ -11,7 +11,7 @@
 use std::borrow::Cow;
 use std::fmt::Write;
 
-use portalws_xml::dom::{read_content, Piece};
+use portalws_xml::dom::{read_content, skip_subtree, Piece, MAX_DEPTH};
 use portalws_xml::escape::escape_text;
 use portalws_xml::{Element, Node, Tokenizer};
 
@@ -292,12 +292,30 @@ impl SoapValue {
     /// * `xsd:base64Binary` text is fed to one decoder run by run, where it
     ///   lies.
     /// * `tns:xml` keeps its first child element as DOM.
+    /// * A value nested deeper than [`MAX_DEPTH`] elements fails; the rest
+    ///   of its element is still checked, iteratively.
     pub fn read<'a>(
         tok: &mut Tokenizer<'a>,
         name: &str,
         attrs: &[(Cow<'a, str>, Cow<'a, str>)],
         self_closing: bool,
     ) -> portalws_xml::Result<Result<SoapValue, String>> {
+        SoapValue::read_at(tok, name, attrs, self_closing, 1)
+    }
+
+    /// [`SoapValue::read`] for a value element `depth` levels deep, the
+    /// outermost value being level 1.
+    fn read_at<'a>(
+        tok: &mut Tokenizer<'a>,
+        name: &str,
+        attrs: &[(Cow<'a, str>, Cow<'a, str>)],
+        self_closing: bool,
+        depth: usize,
+    ) -> portalws_xml::Result<Result<SoapValue, String>> {
+        if depth > MAX_DEPTH {
+            skip_subtree(tok, name, self_closing, &mut Vec::new())?;
+            return Ok(Err(format!("value nests deeper than {MAX_DEPTH} levels")));
+        }
         let attr = |key: &str| {
             attrs
                 .iter()
@@ -310,7 +328,7 @@ impl SoapValue {
             Decode::new(attr("xsi:type").and_then(SoapType::from_wire_name))
         };
         read_content(tok, name, self_closing, |tok, piece| {
-            decode.feed(tok, piece)
+            decode.feed(tok, piece, depth)
         })?;
         Ok(decode.into_value())
     }
@@ -397,12 +415,18 @@ impl Decode {
         }
     }
 
-    fn feed<'a>(&mut self, tok: &mut Tokenizer<'a>, piece: Piece<'a>) -> portalws_xml::Result<()> {
+    /// Take one piece of the content of a value `depth` levels deep.
+    fn feed<'a>(
+        &mut self,
+        tok: &mut Tokenizer<'a>,
+        piece: Piece<'a>,
+        depth: usize,
+    ) -> portalws_xml::Result<()> {
         let (run, cdata) = match piece {
             Piece::Text(t) => (t, false),
             Piece::CData(t) => (t, true),
             Piece::Child(name, attrs, self_closing, _) => {
-                return self.child(tok, name, attrs, self_closing)
+                return self.child(tok, name, attrs, self_closing, depth + 1)
             }
         };
         let kept = cdata || !blank(&run);
@@ -417,12 +441,14 @@ impl Decode {
         Ok(())
     }
 
+    /// Take a child element, `depth` levels deep.
     fn child<'a>(
         &mut self,
         tok: &mut Tokenizer<'a>,
         name: Cow<'a, str>,
         attrs: Vec<(Cow<'a, str>, Cow<'a, str>)>,
         self_closing: bool,
+        depth: usize,
     ) -> portalws_xml::Result<()> {
         if let Decode::Untyped(_) = self {
             *self = if local_name(&name) == "item" {
@@ -433,7 +459,7 @@ impl Decode {
         }
         match self {
             Decode::Array(_) | Decode::Struct(_) => {
-                let value = SoapValue::read(tok, &name, &attrs, self_closing)?;
+                let value = SoapValue::read_at(tok, &name, &attrs, self_closing, depth)?;
                 match (self, value) {
                     (Decode::Array(items), Ok(value)) => items.push(value),
                     (Decode::Struct(fields), Ok(value)) => {
@@ -718,5 +744,55 @@ mod tests {
         assert_eq!(SoapValue::Int(3).as_f64(), Some(3.0));
         assert_eq!(SoapValue::Bool(true).as_bool(), Some(true));
         assert!(SoapValue::Null.as_str().is_none());
+    }
+
+    /// Run `f` on a thread with a 2 MiB stack, the size the server arms'
+    /// worker threads get by default.
+    fn on_small_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| {
+            let thread = std::thread::Builder::new().stack_size(2 << 20);
+            thread.spawn_scoped(s, f).unwrap().join().unwrap()
+        })
+    }
+
+    /// A request envelope whose one argument holds `levels` nested `<a>`
+    /// elements: untyped, or declared `tns:xml`.
+    fn nested_arg(levels: usize, ty: &str) -> String {
+        let nest = ["<a>".repeat(levels), "x".into(), "</a>".repeat(levels)].concat();
+        crate::Envelope::request("Calc", "go", [SoapValue::str("@")])
+            .to_xml()
+            .replace(r#" xsi:type="xsd:string">@<"#, &format!("{ty}>{nest}<"))
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_an_error_not_an_abort() {
+        on_small_stack(|| {
+            // An untyped value fails alone, so the envelope still parses
+            // and the call is answered "argument decode failed".
+            let env = crate::Envelope::parse(&nested_arg(3_000, "")).unwrap();
+            let err = env.args().unwrap_err();
+            assert!(err.contains("deeper than"), "{err}");
+            // An embedded tree past the cap fails the parse.
+            let xml = nested_arg(100_000, r#" xsi:type="tns:xml""#);
+            assert!(crate::Envelope::parse(&xml).is_err());
+        });
+    }
+
+    #[test]
+    fn values_at_the_depth_cap_round_trip() {
+        on_small_stack(|| {
+            let parse = |value: &SoapValue| {
+                let env = crate::Envelope::request("Calc", "go", [value.clone()]);
+                crate::Envelope::parse(&env.to_xml()).unwrap().args()
+            };
+            // The argument element is level 1, its leaf level MAX_DEPTH.
+            let mut value = SoapValue::str("leaf");
+            for _ in 1..MAX_DEPTH {
+                value = SoapValue::Struct(vec![("a".into(), value)]);
+            }
+            assert_eq!(parse(&value).unwrap()[0].1, value);
+            let deeper = SoapValue::Struct(vec![("a".into(), value)]);
+            assert!(parse(&deeper).is_err());
+        });
     }
 }

@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::http::{Request, Response};
+use crate::http::{parse_frame, Request, Response};
 use crate::stats::{ChaosClass, WireStats};
 use crate::transport::Transport;
 use crate::{Result, WireError};
@@ -202,8 +202,8 @@ struct Plan {
 }
 
 /// A fault-injecting wrapper over any client transport. Composable over
-/// [`crate::pool::PooledTransport`], [`crate::transport::HttpTransport`],
-/// and [`crate::transport::InMemoryTransport`]; shares the inner
+/// [`crate::pool::PooledTransport`] and
+/// [`crate::transport::InMemoryTransport`]; shares the inner
 /// transport's [`WireStats`] so injected-fault counts land next to the
 /// wire counters they perturb.
 pub struct ChaosTransport {
@@ -291,14 +291,6 @@ pub(crate) fn cut_inside(len: usize, unit: f64) -> usize {
     cut.min(len - 1)
 }
 
-/// Locate `needle` inside `haystack`.
-fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return None;
-    }
-    haystack.windows(needle.len()).position(|w| w == needle)
-}
-
 impl Transport for ChaosTransport {
     fn round_trip(&self, req: Request) -> Result<Response> {
         let plan = self.plan();
@@ -335,36 +327,25 @@ impl Transport for ChaosTransport {
             ClientFault::Truncate => {
                 let resp = self.inner.round_trip(req)?;
                 self.stats.record_chaos(ChaosClass::Truncation);
-                let bytes = resp.to_bytes();
-                let cut = cut_inside(bytes.len(), plan.cut_unit);
+                let mut bytes = resp.to_bytes();
+                drop(resp);
+                bytes.truncate(cut_inside(bytes.len(), plan.cut_unit));
                 // Reparse the truncated prefix through the real frame
-                // reader so the surfaced error is whatever the parser
+                // grammar so the surfaced error is whatever the parser
                 // genuinely produces for a short frame.
-                match Response::read_from(bytes.get(..cut).unwrap_or(&[])) {
-                    Ok(short) => Ok(short),
-                    Err(e) => {
-                        self.stats.record_error();
-                        Err(e)
-                    }
-                }
+                parse_frame::<Response>(bytes).inspect_err(|_| self.stats.record_error())
             }
             ClientFault::CorruptHeader => {
                 let resp = self.inner.round_trip(req)?;
                 self.stats.record_chaos(ChaosClass::Corruption);
                 let mut bytes = resp.to_bytes();
+                drop(resp);
                 let marker = b"Content-Length: ";
-                if let Some(pos) = find_subslice(&bytes, marker) {
-                    if let Some(b) = bytes.get_mut(pos + marker.len()) {
-                        *b = b'X';
-                    }
+                let digit = bytes.windows(marker.len()).position(|w| w == marker);
+                if let Some(b) = digit.and_then(|pos| bytes.get_mut(pos + marker.len())) {
+                    *b = b'X';
                 }
-                match Response::read_from(bytes.as_slice()) {
-                    Ok(parsed) => Ok(parsed),
-                    Err(e) => {
-                        self.stats.record_error();
-                        Err(e)
-                    }
-                }
+                parse_frame::<Response>(bytes).inspect_err(|_| self.stats.record_error())
             }
             ClientFault::CorruptBody => {
                 let mut resp = self.inner.round_trip(req)?;

@@ -7,8 +7,9 @@
 //! Service using a single connection", §3.2). This crate reproduces that
 //! transport regime:
 //!
-//! * [`http`] — minimal HTTP/1.0-style request/response framing, with an
-//!   incremental [`http::RequestParser`] for nonblocking reads.
+//! * [`http`] — minimal HTTP/1.0-style request/response framing: one
+//!   grammar and one writer for every frame head, with an incremental
+//!   [`http::RequestParser`] for nonblocking reads.
 //! * [`server`] — the TCP server with a path [`server::Router`]: one
 //!   constructor, one request path, and two loops to drive it, picked by
 //!   [`ServerArm`]. The blocking arm is a thread-per-connection worker
@@ -16,15 +17,14 @@
 //! * [`reactor`] — the epoll arm: each worker thread drives many
 //!   nonblocking connections through readiness-driven state machines, so
 //!   idle keep-alive connections park instead of pinning a worker.
-//! * [`transport`] — the client-side [`Transport`] abstraction with two
-//!   implementations: a real [`transport::HttpTransport`] (one connection
-//!   per call, as in 2002) and an [`transport::InMemoryTransport`] that
-//!   still frames messages to bytes so that byte counts stay honest while
-//!   removing kernel networking from micro-benchmarks.
-//! * [`pool`] — the modern counterpoint: a [`pool::PooledTransport`]
-//!   drawing keep-alive connections from a shared per-endpoint
-//!   [`pool::Pool`], with per-request deadlines and bounded
-//!   idempotent-only retry. The experiments run both regimes side by side.
+//! * [`transport`] — the client-side [`Transport`] abstraction and the
+//!   two client transports' in-memory one, which still frames messages to
+//!   bytes so that byte counts stay honest without kernel networking.
+//! * [`pool`] — the other, over TCP: a [`pool::PooledTransport`] drawing
+//!   connections from a shared per-endpoint [`pool::Pool`], with
+//!   per-request deadlines and bounded idempotent-only retry. A pool that
+//!   parks none (`max_idle: 0`) dials once per call, as in 2002; the
+//!   experiments run both regimes side by side.
 //! * [`stats`] — atomic counters for requests, connections, bytes, and
 //!   pool behavior (reuse, evictions, retries, timeouts), read by the
 //!   experiment harness.
@@ -57,7 +57,7 @@ pub use pool::{
 };
 pub use server::{Handler, HttpServer, Router, ServerArm, ServerConfig, ServerHandle};
 pub use stats::{ChaosClass, StatsSnapshot, WireStats};
-pub use transport::{HttpTransport, InMemoryTransport, Transport};
+pub use transport::{InMemoryTransport, Transport};
 
 use std::fmt;
 

@@ -1,10 +1,9 @@
 //! Connection-pooled keep-alive client transport.
 //!
-//! The 2002 deployment opened a TCP connection per SOAP call
-//! ([`crate::transport::HttpTransport`]); every portal action paid
-//! connection setup once per hop. [`PooledTransport`] amortizes that tax:
-//! a shared [`Pool`] keeps idle keep-alive connections per endpoint and
-//! hands them back out on the next call, with
+//! The 2002 deployment opened a TCP connection per SOAP call; every
+//! portal action paid connection setup once per hop. [`PooledTransport`]
+//! amortizes that tax: a shared [`Pool`] keeps idle keep-alive connections
+//! per endpoint and hands them back out on the next call, with
 //!
 //! * **max-idle / max-age eviction** — at most [`PoolConfig::max_idle`]
 //!   idle connections per endpoint, none older than
@@ -19,6 +18,10 @@
 //! * **bounded retry with exponential backoff + jitter**
 //!   ([`RetryPolicy`]), applied only to idempotent requests (`GET`, or
 //!   requests the caller marked with the [`IDEMPOTENT_HEADER`]).
+//!
+//! Over a pool that parks nothing (`max_idle: 0`), with
+//! [`RetryPolicy::none`], it is the 2002 regime: each call dials and sends
+//! a frame with no `Connection` header, so the server closes after it.
 //!
 //! Every outcome is visible in [`WireStats`]: reuse hits/misses,
 //! evictions, retries, and timeouts all surface through
@@ -253,11 +256,10 @@ fn is_live(conn: &TcpStream) -> bool {
     conn.set_nonblocking(false).is_ok() && live
 }
 
-/// Keep-alive HTTP transport drawing connections from a [`Pool`].
-///
-/// Drop-in replacement for [`crate::transport::HttpTransport`] behind the
-/// same [`Transport`] trait; construct via [`PooledTransport::new`] or
-/// share a pool across endpoints with [`PooledTransport::with_pool`].
+/// HTTP transport over TCP drawing connections from a [`Pool`]; construct
+/// via [`PooledTransport::new`] or share a pool across endpoints with
+/// [`PooledTransport::with_pool`]. Over a pool with `max_idle: 0` it dials
+/// once per call.
 pub struct PooledTransport {
     addr: String,
     pool: Arc<Pool>,
@@ -472,7 +474,7 @@ fn is_timeout_io(err: &WireError) -> bool {
 }
 
 impl Transport for PooledTransport {
-    fn round_trip(&self, req: Request) -> Result<Response> {
+    fn round_trip(&self, mut req: Request) -> Result<Response> {
         // A malformed deadline header is a caller bug; silently dropping
         // it would run an intended-to-be-bounded call with no budget.
         let budget = match req.header(DEADLINE_HEADER) {
@@ -486,7 +488,11 @@ impl Transport for PooledTransport {
         let cache_fill = req
             .header(CACHE_FILL_HEADER)
             .is_some_and(|v| v.eq_ignore_ascii_case("true"));
-        let req = req.with_header("Connection", "keep-alive");
+        // Ask for keep-alive only when the pool can park the connection,
+        // so a per-call frame is the plain HTTP/1.0 one.
+        if self.pool.cfg.max_idle > 0 {
+            req = req.with_header("Connection", "keep-alive");
+        }
         let bytes = req.to_bytes();
 
         let mut retry = 0u32;
@@ -562,6 +568,62 @@ mod tests {
 
     fn upper_handler() -> Arc<dyn Handler> {
         Arc::new(|req: &Request| Response::ok("text/plain", req.body_str().to_uppercase()))
+    }
+
+    /// The 2002 regime: a pool that parks nothing, and no retries.
+    fn per_call(addr: impl ToString) -> PooledTransport {
+        let pool = Pool::new(PoolConfig {
+            max_idle: 0,
+            ..PoolConfig::default()
+        });
+        PooledTransport::with_pool(addr, Arc::new(pool)).with_retry(RetryPolicy::none())
+    }
+
+    #[test]
+    fn per_call_pool_dials_every_call_and_never_retries() {
+        let cfg = ServerConfig::with_workers(2);
+        let server = HttpServer::start("127.0.0.1:0", upper_handler(), cfg, None).unwrap();
+        let t = per_call(server.addr());
+        for _ in 0..5 {
+            let resp = t.round_trip(Request::post("/x", "grid")).unwrap();
+            assert_eq!(resp.body_str(), "GRID");
+        }
+        let snap = t.stats().snapshot();
+        assert_eq!(
+            (snap.connections, snap.requests, snap.pool_reuse_hits),
+            (5, 5, 0)
+        );
+        assert_eq!(t.pool().idle_count(t.addr()), 0);
+        server.shutdown();
+        // Port 1 is essentially never listening: one error, no retry.
+        let t = per_call("127.0.0.1:1");
+        assert!(t.round_trip(Request::get("/")).is_err());
+        let snap = t.stats().snapshot();
+        assert_eq!((snap.errors, snap.retries), (1, 0));
+    }
+
+    #[test]
+    fn per_call_frames_carry_no_connection_header() {
+        // The per-call frame is the request as built, byte for byte; only
+        // a pool that can park the connection asks for keep-alive.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let srv = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            for _ in 0..2 {
+                let (conn, _) = listener.accept().unwrap();
+                seen.push(Request::read_from(&conn).unwrap());
+                Response::ok("text/plain", "ok").write_to(&conn).unwrap();
+            }
+            seen
+        });
+        let req = Request::post("/x", "a").with_header("X-K", "v");
+        per_call(&addr).round_trip(req.clone()).unwrap();
+        PooledTransport::new(&addr).round_trip(req.clone()).unwrap();
+        let seen = srv.join().unwrap();
+        assert_eq!(seen[0].header("Connection"), None);
+        assert_eq!(seen[0].to_bytes(), req.to_bytes());
+        assert_eq!(seen[1].header("Connection"), Some("keep-alive"));
     }
 
     #[test]
@@ -877,21 +939,22 @@ mod tests {
     fn malformed_deadline_header_is_rejected_not_ignored() {
         // Regression: `parse().ok()` used to drop a malformed deadline
         // header silently, running the call with no budget at all.
-        let t = PooledTransport::new("127.0.0.1:1");
-        for bad in ["soon", "-5", "1.5", "", "10s"] {
-            let req = Request::post("/x", "a").with_header(DEADLINE_HEADER, bad);
-            match t.round_trip(req) {
-                Err(WireError::BadFrame(msg)) => {
-                    assert!(msg.contains(DEADLINE_HEADER), "{msg}")
+        for t in [PooledTransport::new("127.0.0.1:1"), per_call("127.0.0.1:1")] {
+            for bad in ["soon", "-5", "1.5", "", "10s"] {
+                let req = Request::post("/x", "a").with_header(DEADLINE_HEADER, bad);
+                match t.round_trip(req) {
+                    Err(WireError::BadFrame(msg)) => {
+                        assert!(msg.contains(DEADLINE_HEADER), "{msg}")
+                    }
+                    other => panic!("{bad:?}: expected BadFrame, got {other:?}"),
                 }
-                other => panic!("{bad:?}: expected BadFrame, got {other:?}"),
             }
+            assert_eq!(
+                t.stats().snapshot().connections,
+                0,
+                "rejected before any dial"
+            );
         }
-        assert_eq!(
-            t.stats().snapshot().connections,
-            0,
-            "rejected before any dial"
-        );
     }
 
     #[test]

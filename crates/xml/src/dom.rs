@@ -15,6 +15,12 @@ use crate::event::{Event, Tokenizer};
 use crate::writer;
 use crate::{Result, XmlError};
 
+/// Deepest element nesting a parsed tree or SOAP value may have, counting
+/// its root as one level. The portal's documents nest about ten deep;
+/// the cap only bounds the stack that recursive code over a tree (drop,
+/// write, value decoding) can use.
+pub const MAX_DEPTH: usize = 256;
+
 /// One node in the tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
@@ -297,8 +303,10 @@ impl Element {
     /// The one DOM builder: [`Element::parse`] reads its root through it,
     /// and stream decoders (SOAP envelopes) hand it the subtrees they keep
     /// as DOM — header entries, faults, embedded XML values. It applies
-    /// the same whitespace policy as `parse` and builds iteratively, so a
-    /// deep document costs heap, not stack.
+    /// the same whitespace policy as `parse` and builds iteratively, and
+    /// it refuses a subtree deeper than [`MAX_DEPTH`]: a tree is dropped
+    /// (and written) recursively, so an unbounded one could exhaust the
+    /// stack after all.
     pub fn read_subtree<'a>(
         tok: &mut Tokenizer<'a>,
         name: Cow<'a, str>,
@@ -319,6 +327,8 @@ impl Element {
             let Some(ev) = tok.next_event()? else {
                 return Err(XmlError::UnexpectedEof { pos: tok.pos() });
             };
+            // Levels open: `root` and its open descendants.
+            let depth = open.len() + 1;
             let top = open.last_mut().unwrap_or(&mut root);
             match ev {
                 Event::Decl(_) | Event::Doctype(_) | Event::Pi { .. } => {}
@@ -329,6 +339,12 @@ impl Element {
                     }
                 }
                 Event::CData(t) => top.children.push(Node::CData(t.into_owned())),
+                Event::StartTag { .. } if depth >= MAX_DEPTH => {
+                    return Err(XmlError::Syntax {
+                        pos: tok.pos_at(at),
+                        msg: format!("elements nest deeper than {MAX_DEPTH} levels"),
+                    });
+                }
                 Event::StartTag {
                     name,
                     attrs,
@@ -530,6 +546,34 @@ pub fn skip_subtree<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `levels` nested `<a>` elements, the innermost holding `x`.
+    fn nested(levels: usize) -> String {
+        ["<a>".repeat(levels), "x".into(), "</a>".repeat(levels)].concat()
+    }
+
+    /// Run `f` on a thread with a 2 MiB stack, the size the server arms'
+    /// worker threads get by default.
+    fn on_small_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| {
+            let thread = std::thread::Builder::new().stack_size(2 << 20);
+            thread.spawn_scoped(s, f).unwrap().join().unwrap()
+        })
+    }
+
+    #[test]
+    fn trees_at_the_depth_cap_parse_and_deeper_ones_are_errors() {
+        on_small_stack(|| {
+            let at_cap = Element::parse(&nested(MAX_DEPTH)).unwrap();
+            assert_eq!(Element::parse(&at_cap.to_xml()).unwrap(), at_cap);
+            for levels in [MAX_DEPTH + 1, 100_000] {
+                match Element::parse(&nested(levels)) {
+                    Err(XmlError::Syntax { msg, .. }) => assert!(msg.contains("nest"), "{msg}"),
+                    other => panic!("{levels} levels: {other:?}"),
+                }
+            }
+        });
+    }
 
     #[test]
     fn skip_subtree_accepts_and_rejects_what_read_subtree_does() {

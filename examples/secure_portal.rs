@@ -12,7 +12,7 @@ use portalws::appws::descriptor::descriptor_schema;
 use portalws::portal::{PortalDeployment, SecurityMode, UiServer};
 use portalws::portlets::{HtmlPortlet, PortalPage, PortletRegistry, WebFormPortlet};
 use portalws::soap::{SoapClient, SoapValue};
-use portalws::wire::{Handler, HttpServer, HttpTransport, Request, ServerConfig};
+use portalws::wire::{Handler, HttpServer, PooledTransport, Request, ServerConfig};
 use portalws::wizard::WizardApp;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -108,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "appwizard",
         "Application Wizard",
         "/wizard/application",
-        Arc::new(HttpTransport::new(wizard_server.addr())),
+        Arc::new(PooledTransport::new(wizard_server.addr())),
     )));
     registry.add_to_layout("alice@GCE.ORG", "motd", 0)?;
     registry.add_to_layout("alice@GCE.ORG", "appwizard", 1)?;
@@ -120,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ServerConfig::with_workers(2),
         None,
     )?;
-    let browser = HttpTransport::new(portal_server.addr());
+    let browser = PooledTransport::new(portal_server.addr());
     let resp = portalws::wire::Transport::round_trip(
         &browser,
         Request::get("/portal?user=alice@GCE.ORG"),

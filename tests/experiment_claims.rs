@@ -13,7 +13,8 @@ use portalws::services::context::ContextStore;
 use portalws::services::scriptgen::{ContextCoupling, HotPageClient, IuScriptGen, ScriptRequest};
 use portalws::soap::{SoapClient, SoapServer, SoapValue};
 use portalws::wire::{
-    Handler, HttpServer, HttpTransport, InMemoryTransport, ServerConfig, Transport,
+    Handler, HttpServer, InMemoryTransport, Pool, PoolConfig, PooledTransport, RetryPolicy,
+    ServerConfig, Transport,
 };
 use portalws::xml::Element;
 
@@ -171,7 +172,7 @@ fn e6_keep_alive_ablation_also_reaches_one_connection() {
     let handler: Arc<dyn Handler> = Arc::new(server);
     let tcp_server =
         HttpServer::start("127.0.0.1:0", handler, ServerConfig::with_workers(2), None).unwrap();
-    let transport: Arc<dyn Transport> = Arc::new(HttpTransport::keep_alive(tcp_server.addr()));
+    let transport: Arc<dyn Transport> = Arc::new(PooledTransport::new(tcp_server.addr()));
     let data = SoapClient::new(Arc::clone(&transport), "DataManagement");
     for i in 0..16 {
         data.call(
@@ -405,7 +406,15 @@ fn soap_tax_is_visible_in_bytes() {
 
     let tcp_server =
         HttpServer::start("127.0.0.1:0", handler, ServerConfig::with_workers(2), None).unwrap();
-    let tcp = call(Arc::new(HttpTransport::new(tcp_server.addr())));
+    // The 2002 regime: a connection per call, from a pool that parks none.
+    let per_call = Pool::new(PoolConfig {
+        max_idle: 0,
+        ..PoolConfig::default()
+    });
+    let tcp = call(Arc::new(
+        PooledTransport::with_pool(tcp_server.addr(), Arc::new(per_call))
+            .with_retry(RetryPolicy::none()),
+    ));
     assert_eq!(tcp, framed, "framing is transport-independent");
     tcp_server.shutdown();
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use portalws::auth::guard;
 use portalws::portal::{PortalDeployment, PortalShell, SecurityMode, UiServer};
 use portalws::soap::{PortalErrorKind, SoapClient, SoapServer, SoapValue};
-use portalws::wire::{Handler, HttpTransport, InMemoryTransport, Request, Status};
+use portalws::wire::{Handler, InMemoryTransport, PooledTransport, Request, Status};
 
 #[test]
 fn central_guard_fails_closed_when_auth_server_is_down() {
@@ -18,7 +18,7 @@ fn central_guard_fails_closed_when_auth_server_is_down() {
     let ssp = SoapServer::new();
     ssp.mount(Arc::new(portalws::services::scriptgen::SdscScriptGen));
     let dead_auth = Arc::new(SoapClient::new(
-        Arc::new(HttpTransport::new("127.0.0.1:1")),
+        Arc::new(PooledTransport::new("127.0.0.1:1")),
         "Authentication",
     ));
     ssp.set_guard(guard::remote_guard(dead_auth));
@@ -135,7 +135,7 @@ fn portlet_page_survives_a_dead_remote_app() {
         "dead",
         "Dead App",
         "/app",
-        Arc::new(HttpTransport::new("127.0.0.1:1")),
+        Arc::new(PooledTransport::new("127.0.0.1:1")),
     )));
     registry.add_to_layout("u", "ok", 0).unwrap();
     registry.add_to_layout("u", "dead", 1).unwrap();
