@@ -7,8 +7,17 @@
 //! resident transfer memory stays O(window × chunk) — never O(file), the
 //! failure mode of the paper's single-envelope string streaming.
 //!
+//! The calling thread is one of the window's workers: it spawns `window − 1`
+//! scoped helpers, and it and the helpers all run one claim → call →
+//! deposit step. Between steps the caller hands the frontier chunk of a
+//! download to the sink whenever it is ready, so the caller is the only
+//! thread that calls the sink, in file order. A window-1 transfer thus
+//! spawns no thread: every chunk call runs on the calling thread, with no
+//! hand-off between threads per chunk. Helpers install the caller's
+//! [`portalws_soap::deadline`] budget, so every chunk call carries it.
+//!
 //! The memory bound is enforced by construction, not measured after the
-//! fact: a worker may only claim the next chunk while the claimed-but-
+//! fact: a thread may only claim the next chunk while the claimed-but-
 //! undelivered span is under `window × chunk_bytes`, and the high-water of
 //! that span is reported per transfer (and into the transport's
 //! [`portalws_wire::WireStats`]) so E13 can assert it.
@@ -23,10 +32,10 @@
 //! [`Fault::from_wire`] taxonomy.
 
 use std::collections::BTreeMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use portalws_soap::{Envelope, Fault, PortalErrorKind, SoapClient, SoapError, SoapValue};
+use portalws_soap::{deadline, Envelope, Fault, PortalErrorKind, SoapClient, SoapError, SoapValue};
 
 /// Default chunk payload size.
 pub const DEFAULT_CHUNK_BYTES: usize = 256 * 1024;
@@ -88,29 +97,150 @@ pub struct TransferClient<'a> {
     cfg: TransferConfig,
 }
 
-struct GetState {
-    /// Next byte offset a worker may claim.
+/// The claim bookkeeping one transfer's threads share.
+#[derive(Default)]
+struct Window {
+    /// Next byte offset a thread may claim.
     next_claim: usize,
-    /// Bytes delivered to the sink, in order.
+    /// A get's bytes delivered to the sink, in order; a put's highest
+    /// append frontier the server has acknowledged. Claims stay below it
+    /// plus `window × chunk_bytes`.
     frontier: usize,
-    /// Completed chunks waiting for the frontier to reach them.
+    /// A get's fetched chunks, waiting for the frontier to reach them.
     done: BTreeMap<usize, Vec<u8>>,
-    /// Claimed-but-undelivered bytes (in flight + parked in `done`).
+    /// Claimed bytes not yet delivered (a get: in flight or parked in
+    /// `done`) or acknowledged (a put: chunk copies in flight).
     resident: usize,
     high_water: usize,
     chunks: usize,
     failed: Option<SoapError>,
 }
 
-struct PutState {
-    next_claim: usize,
-    /// Highest append frontier the server has acknowledged.
-    acked: usize,
-    /// Claimed-but-unacknowledged bytes (chunk copies in flight).
-    resident: usize,
-    high_water: usize,
-    chunks: usize,
-    failed: Option<SoapError>,
+/// What a finished chunk call leaves in the window.
+enum Landed {
+    /// A get's chunk, parked until the frontier reaches it.
+    Fetched(Vec<u8>),
+    /// A put's acknowledged append frontier.
+    Acked(usize),
+}
+
+impl Window {
+    fn deposit(&mut self, off: usize, len: usize, landed: Result<Landed, SoapError>) {
+        match landed {
+            Ok(Landed::Fetched(data)) => {
+                self.done.insert(off, data);
+            }
+            Ok(Landed::Acked(acked)) => {
+                self.frontier = self.frontier.max(acked);
+                self.resident -= len;
+            }
+            Err(e) => {
+                self.failed.get_or_insert(e);
+                return;
+            }
+        }
+        self.chunks += 1;
+    }
+}
+
+/// The chunk calls of one transfer, shared by the calling thread and its
+/// helpers. `call(off, len)` makes one chunk's call.
+struct Pipeline<C> {
+    state: Mutex<Window>,
+    cv: Condvar,
+    size: usize,
+    chunk: usize,
+    /// `window × chunk`: how far claims may run ahead of the frontier.
+    budget: usize,
+    call: C,
+}
+
+impl<C> Pipeline<C>
+where
+    C: Fn(usize, usize) -> Result<Landed, SoapError> + Sync,
+{
+    fn lock(&self) -> MutexGuard<'_, Window> {
+        self.state.lock().expect("transfer lock")
+    }
+
+    /// The step every thread of the transfer runs: claim the next chunk
+    /// if the window has room, make its call with the lock released, and
+    /// deposit the reply. Returns the state relocked, and whether a chunk
+    /// was claimed. Claims are contiguous, so the lowest claimed chunk is
+    /// always the frontier chunk, and its completion re-opens the window.
+    fn step<'s>(&'s self, mut st: MutexGuard<'s, Window>) -> (MutexGuard<'s, Window>, bool) {
+        if st.failed.is_some()
+            || st.next_claim >= self.size
+            || st.next_claim >= st.frontier.saturating_add(self.budget)
+        {
+            return (st, false);
+        }
+        let off = st.next_claim;
+        let len = self.chunk.min(self.size - off);
+        st.next_claim += len;
+        st.resident += len;
+        st.high_water = st.high_water.max(st.resident);
+        drop(st);
+        let landed = (self.call)(off, len);
+        let mut st = self.lock();
+        st.deposit(off, len, landed);
+        self.cv.notify_all();
+        (st, true)
+    }
+
+    /// A helper thread: steps until nothing is left to claim, waiting
+    /// while the window is full.
+    fn help(&self) {
+        let mut st = self.lock();
+        while st.failed.is_none() && st.next_claim < self.size {
+            let (next, stepped) = self.step(st);
+            st = if stepped {
+                next
+            } else {
+                self.cv.wait(next).expect("transfer lock")
+            };
+        }
+    }
+
+    /// The calling thread: hands the frontier chunk to `sink` whenever it
+    /// is ready, steps like a helper otherwise, and waits only while
+    /// helpers hold every claimable chunk. Returns once every claimed
+    /// byte is delivered or acknowledged, or the transfer has failed.
+    fn drive(&self, mut sink: impl FnMut(&[u8])) {
+        let mut st = self.lock();
+        loop {
+            if st.failed.is_some() || (st.next_claim >= self.size && st.resident == 0) {
+                return;
+            }
+            let frontier = st.frontier;
+            if let Some(data) = st.done.remove(&frontier) {
+                drop(st);
+                sink(&data);
+                st = self.lock();
+                st.frontier += data.len();
+                st.resident -= data.len();
+                self.cv.notify_all();
+                continue;
+            }
+            let (next, stepped) = self.step(st);
+            st = next;
+            if stepped {
+                continue;
+            }
+            if st.resident == 0 {
+                // Nothing in flight, yet the window is full: the server
+                // acknowledged less than it was sent, and no reply will
+                // move the frontier.
+                st.failed = Some(SoapError::Protocol(format!(
+                    "put_chunk acknowledged {} of {} bytes sent",
+                    st.frontier, st.next_claim
+                )));
+                self.cv.notify_all();
+                return;
+            }
+            st = self.cv.wait(st).expect("transfer lock");
+        }
+    }
 }
 
 impl<'a> TransferClient<'a> {
@@ -187,11 +317,12 @@ impl<'a> TransferClient<'a> {
     }
 
     /// Stream `path` to `sink` in order, with up to `window` chunk reads
-    /// in flight. The sink sees each byte exactly once, in file order.
+    /// in flight. The sink sees each byte exactly once, in file order, and
+    /// is only ever called on the calling thread.
     pub fn get_with(
         &self,
         path: &str,
-        mut sink: impl FnMut(&[u8]),
+        sink: impl FnMut(&[u8]),
     ) -> Result<TransferReport, SoapError> {
         let opened = self.call_retry("open_get", || [SoapValue::str(path)])?;
         let handle = opened
@@ -204,108 +335,32 @@ impl<'a> TransferClient<'a> {
             .and_then(|v| v.as_i64())
             .and_then(|n| usize::try_from(n).ok())
             .ok_or_else(|| SoapError::Protocol("open_get reply missing size".into()))?;
-        let chunk = self.cfg.chunk_bytes.max(1);
-        let window = self.cfg.window.max(1);
-        let budget = window.saturating_mul(chunk);
 
-        let state = Mutex::new(GetState {
-            next_claim: 0,
-            frontier: 0,
-            done: BTreeMap::new(),
-            resident: 0,
-            high_water: 0,
-            chunks: 0,
-            failed: None,
-        });
-        let cv = Condvar::new();
-        let workers = window.min(size.div_ceil(chunk)).max(1);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // Claim the next chunk, or wait until the window has
-                    // room. Claims are contiguous, so the lowest claimed
-                    // chunk is always the frontier chunk — its completion
-                    // re-opens the window and progress is guaranteed.
-                    let (off, len) = {
-                        let mut st = state.lock().expect("transfer lock");
-                        loop {
-                            if st.failed.is_some() || st.next_claim >= size {
-                                return;
-                            }
-                            if st.next_claim < st.frontier.saturating_add(budget) {
-                                break;
-                            }
-                            st = cv.wait(st).expect("transfer lock");
-                        }
-                        let off = st.next_claim;
-                        let len = chunk.min(size - off);
-                        st.next_claim += len;
-                        st.resident += len;
-                        st.high_water = st.high_water.max(st.resident);
-                        (off, len)
-                    };
-                    let fetched = self.call_retry("get_chunk", || {
-                        [
-                            SoapValue::str(handle.as_str()),
-                            SoapValue::Int(off as i64),
-                            SoapValue::Int(len as i64),
-                        ]
-                    });
-                    let mut st = state.lock().expect("transfer lock");
-                    match fetched {
-                        Ok(SoapValue::Base64(data)) if data.len() == len => {
-                            st.done.insert(off, data);
-                            st.chunks += 1;
-                        }
-                        Ok(SoapValue::Base64(data)) => {
-                            st.failed.get_or_insert(SoapError::Protocol(format!(
-                                "get_chunk at {off} returned {} bytes, wanted {len}",
-                                data.len()
-                            )));
-                        }
-                        Ok(_) => {
-                            st.failed.get_or_insert(SoapError::Protocol(
-                                "get_chunk reply was not base64 data".into(),
-                            ));
-                        }
-                        Err(e) => {
-                            st.failed.get_or_insert(e);
-                        }
-                    }
-                    cv.notify_all();
-                });
+        let fetch = |off: usize, len: usize| {
+            let fetched = self.call_retry("get_chunk", || {
+                [
+                    SoapValue::str(handle.as_str()),
+                    SoapValue::Int(off as i64),
+                    SoapValue::Int(len as i64),
+                ]
+            })?;
+            match fetched {
+                SoapValue::Base64(data) if data.len() == len => Ok(Landed::Fetched(data)),
+                SoapValue::Base64(data) => Err(SoapError::Protocol(format!(
+                    "get_chunk at {off} returned {} bytes, wanted {len}",
+                    data.len()
+                ))),
+                _ => Err(SoapError::Protocol(
+                    "get_chunk reply was not base64 data".into(),
+                )),
             }
-
-            // This thread is the deliverer: it hands chunks to the sink in
-            // file order as they become contiguous with the frontier.
-            loop {
-                let (off, data) = {
-                    let mut st = state.lock().expect("transfer lock");
-                    loop {
-                        if st.failed.is_some() || st.frontier >= size {
-                            return;
-                        }
-                        let frontier = st.frontier;
-                        if let Some(data) = st.done.remove(&frontier) {
-                            break (frontier, data);
-                        }
-                        st = cv.wait(st).expect("transfer lock");
-                    }
-                };
-                sink(&data);
-                let mut st = state.lock().expect("transfer lock");
-                st.frontier = off + data.len();
-                st.resident -= data.len();
-                cv.notify_all();
-            }
-        });
+        };
+        let st = self.run_chunks(size, fetch, sink);
 
         // Free the handle server-side; best effort (it would idle out).
         let _ = self.client.call("abort", &[SoapValue::str(handle)]);
 
-        let mut st = state.into_inner().expect("transfer lock");
-        if let Some(e) = st.failed.take() {
+        if let Some(e) = st.failed {
             return Err(e);
         }
         let report = TransferReport {
@@ -328,77 +383,25 @@ impl<'a> TransferClient<'a> {
             .ok_or_else(|| SoapError::Protocol("open_put reply was not a handle".into()))?
             .to_owned();
         let size = data.len();
-        let chunk = self.cfg.chunk_bytes.max(1);
-        let window = self.cfg.window.max(1);
-        let budget = window.saturating_mul(chunk);
 
-        let state = Mutex::new(PutState {
-            next_claim: 0,
-            acked: 0,
-            resident: 0,
-            high_water: 0,
-            chunks: 0,
-            failed: None,
-        });
-        let cv = Condvar::new();
-        let workers = window.min(size.div_ceil(chunk)).max(1);
+        let send = |off: usize, len: usize| {
+            // The owned chunk copy below is the resident memory the
+            // window bounds.
+            let acked = self.call_retry("put_chunk", || {
+                [
+                    SoapValue::str(handle.as_str()),
+                    SoapValue::Int(off as i64),
+                    SoapValue::Base64(data[off..off + len].to_vec()),
+                ]
+            })?;
+            let acked = acked
+                .as_i64()
+                .ok_or_else(|| SoapError::Protocol("put_chunk reply was not a frontier".into()))?;
+            Ok(Landed::Acked(usize::try_from(acked).unwrap_or(0)))
+        };
+        let st = self.run_chunks(size, send, |_| {});
 
-        if size > 0 {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let (off, len) = {
-                            let mut st = state.lock().expect("transfer lock");
-                            loop {
-                                if st.failed.is_some() || st.next_claim >= size {
-                                    return;
-                                }
-                                if st.next_claim < st.acked.saturating_add(budget) {
-                                    break;
-                                }
-                                st = cv.wait(st).expect("transfer lock");
-                            }
-                            let off = st.next_claim;
-                            let len = chunk.min(size - off);
-                            st.next_claim += len;
-                            st.resident += len;
-                            st.high_water = st.high_water.max(st.resident);
-                            (off, len)
-                        };
-                        // The owned chunk copy below is the resident
-                        // memory the window bounds.
-                        let sent = self.call_retry("put_chunk", || {
-                            [
-                                SoapValue::str(handle.as_str()),
-                                SoapValue::Int(off as i64),
-                                SoapValue::Base64(data[off..off + len].to_vec()),
-                            ]
-                        });
-                        let mut st = state.lock().expect("transfer lock");
-                        match sent.map(|v| v.as_i64()) {
-                            Ok(Some(acked)) => {
-                                let acked = usize::try_from(acked).unwrap_or(0);
-                                st.acked = st.acked.max(acked);
-                                st.resident -= len;
-                                st.chunks += 1;
-                            }
-                            Ok(None) => {
-                                st.failed.get_or_insert(SoapError::Protocol(
-                                    "put_chunk reply was not a frontier".into(),
-                                ));
-                            }
-                            Err(e) => {
-                                st.failed.get_or_insert(e);
-                            }
-                        }
-                        cv.notify_all();
-                    });
-                }
-            });
-        }
-
-        let mut st = state.into_inner().expect("transfer lock");
-        if let Some(e) = st.failed.take() {
+        if let Some(e) = st.failed {
             // Reclaim the staged partial; best effort (abort of a settled
             // or expired handle also succeeds).
             let _ = self.client.call("abort", &[SoapValue::str(handle)]);
@@ -424,6 +427,40 @@ impl<'a> TransferClient<'a> {
         Ok(report)
     }
 
+    /// Make the chunk calls of a `size`-byte transfer, `call` making one:
+    /// on this thread and `window − 1` scoped helpers (fewer when the
+    /// file has fewer chunks), with fetched chunks handed to `sink` here,
+    /// in file order.
+    fn run_chunks<C>(&self, size: usize, call: C, sink: impl FnMut(&[u8])) -> Window
+    where
+        C: Fn(usize, usize) -> Result<Landed, SoapError> + Sync,
+    {
+        let chunk = self.cfg.chunk_bytes.max(1);
+        let window = self.cfg.window.max(1);
+        let pipeline = Pipeline {
+            state: Mutex::new(Window::default()),
+            cv: Condvar::new(),
+            size,
+            chunk,
+            budget: window.saturating_mul(chunk),
+            call,
+        };
+        let helpers = window.min(size.div_ceil(chunk)).saturating_sub(1);
+        // The caller's chunk calls inherit any deadline budget installed
+        // on its thread; the helpers' carry the same one.
+        let budget = deadline::remaining();
+        std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(|| {
+                    let _budget = budget.map(deadline::install);
+                    pipeline.help()
+                });
+            }
+            pipeline.drive(sink);
+        });
+        pipeline.state.into_inner().expect("transfer lock")
+    }
+
     /// Publish a finished transfer's numbers into the transport's wire
     /// stats so E13 reads them the same way it reads every other counter.
     fn record(&self, report: &TransferReport) {
@@ -439,19 +476,16 @@ mod tests {
     use portalws_gridsim::srb::Srb;
     use portalws_services::DataManagementService;
     use portalws_soap::SoapServer;
-    use portalws_wire::{Handler, InMemoryTransport};
+    use portalws_wire::{
+        Handler, InMemoryTransport, Request, Response, Transport, DEADLINE_HEADER,
+    };
+    use std::collections::HashSet;
     use std::sync::Arc;
+    use std::thread::ThreadId;
 
     fn harness() -> (Arc<Srb>, SoapClient) {
-        let srb = Arc::new(Srb::new());
-        srb.mkdir("/data").unwrap();
-        let server = SoapServer::new();
-        server.mount(Arc::new(DataManagementService::new(Arc::clone(&srb))));
-        let handler: Arc<dyn Handler> = Arc::new(server);
-        (
-            srb,
-            SoapClient::new(Arc::new(InMemoryTransport::new(handler)), "DataManagement"),
-        )
+        let (srb, client, _) = recording_harness(|_| None);
+        (srb, client)
     }
 
     fn payload(n: usize) -> Vec<u8> {
@@ -549,6 +583,181 @@ mod tests {
             tc.put(&path, &data).unwrap();
             let (back, _) = tc.get(&path).unwrap();
             assert_eq!(back, data, "size {n}");
+        }
+    }
+
+    /// Names of the staging objects left in `/data`.
+    fn staging_debris(srb: &Srb) -> Vec<String> {
+        srb.ls("anonymous", "/data")
+            .unwrap()
+            .into_iter()
+            .map(|e| e.name)
+            .filter(|n| n.starts_with(".part-"))
+            .collect()
+    }
+
+    /// Answers the `n`-th `put_chunk` (from 1) in the server's stead.
+    type PutAnswer = fn(usize) -> Option<Envelope>;
+
+    /// The in-memory transport, recording which thread makes each chunk
+    /// call, with `answer_put` answering `put_chunk`s it picks.
+    struct Recording {
+        inner: InMemoryTransport,
+        /// Each chunk call's method, thread, and whether it carried a
+        /// deadline budget.
+        calls: Mutex<Vec<(&'static str, ThreadId, bool)>>,
+        answer_put: PutAnswer,
+    }
+
+    impl Transport for Recording {
+        fn round_trip(&self, req: Request) -> portalws_wire::Result<Response> {
+            let head = &req.body[..req.body.len().min(600)];
+            let method = ["get_chunk", "put_chunk"]
+                .into_iter()
+                .find(|m| head.windows(m.len()).any(|w| w == m.as_bytes()));
+            if let Some(method) = method {
+                let mut calls = self.calls.lock().unwrap();
+                let budget = req.header(DEADLINE_HEADER).is_some();
+                calls.push((method, std::thread::current().id(), budget));
+                let puts = calls.iter().filter(|(m, ..)| *m == "put_chunk").count();
+                if method == "put_chunk" {
+                    if let Some(answer) = (self.answer_put)(puts) {
+                        return Ok(Response::xml(answer.to_xml()));
+                    }
+                }
+            }
+            self.inner.round_trip(req)
+        }
+
+        fn stats(&self) -> Arc<portalws_wire::WireStats> {
+            self.inner.stats()
+        }
+    }
+
+    fn recording_harness(answer_put: PutAnswer) -> (Arc<Srb>, SoapClient, Arc<Recording>) {
+        let srb = Arc::new(Srb::new());
+        srb.mkdir("/data").unwrap();
+        let server = SoapServer::new();
+        server.mount(Arc::new(DataManagementService::new(Arc::clone(&srb))));
+        let handler: Arc<dyn Handler> = Arc::new(server);
+        let transport = Arc::new(Recording {
+            inner: InMemoryTransport::new(handler),
+            calls: Mutex::new(Vec::new()),
+            answer_put,
+        });
+        let client = SoapClient::new(transport.clone(), "DataManagement");
+        (srb, client, transport)
+    }
+
+    fn config(window: usize) -> TransferConfig {
+        TransferConfig {
+            chunk_bytes: 1000,
+            window,
+            chunk_attempts: 2,
+        }
+    }
+
+    #[test]
+    fn window_one_makes_every_chunk_call_on_the_calling_thread() {
+        let (_, client, transport) = recording_harness(|_| None);
+        let tc = TransferClient::with_config(&client, config(1));
+        let data = payload(9_500);
+        tc.put("/data/one.bin", &data).unwrap();
+        let (back, _) = tc.get("/data/one.bin").unwrap();
+        assert_eq!(back, data);
+        let calls = transport.calls.lock().unwrap();
+        let me = std::thread::current().id();
+        for method in ["put_chunk", "get_chunk"] {
+            let on_me = calls.iter().filter(|&&(m, t, _)| m == method && t == me);
+            assert_eq!(on_me.count(), 10, "{method}: {calls:?}");
+        }
+        assert_eq!(calls.len(), 20, "{calls:?}");
+    }
+
+    #[test]
+    fn window_three_adds_at_most_two_threads() {
+        let (_, client, transport) = recording_harness(|_| None);
+        let tc = TransferClient::with_config(&client, config(3));
+        let data = payload(30_000);
+        tc.put("/data/three.bin", &data).unwrap();
+        let (back, _) = tc.get("/data/three.bin").unwrap();
+        assert_eq!(back, data);
+        let calls = transport.calls.lock().unwrap();
+        assert_eq!(calls.len(), 60, "{calls:?}");
+        let me = std::thread::current().id();
+        for method in ["put_chunk", "get_chunk"] {
+            let others: HashSet<ThreadId> = (calls.iter())
+                .filter(|&&(m, t, _)| m == method && t != me)
+                .map(|&(_, t, _)| t)
+                .collect();
+            assert!(
+                others.len() <= 2,
+                "{method}: {} other threads",
+                others.len()
+            );
+        }
+    }
+
+    #[test]
+    fn every_chunk_call_carries_the_callers_deadline_budget() {
+        let (_, client, transport) = recording_harness(|_| None);
+        let tc = TransferClient::with_config(&client, config(3));
+        let data = payload(30_000);
+        {
+            let _budget = deadline::install(Duration::from_secs(60));
+            tc.put("/data/budget.bin", &data).unwrap();
+            tc.get("/data/budget.bin").unwrap();
+        }
+        let calls = transport.calls.lock().unwrap();
+        assert_eq!(calls.len(), 60);
+        assert!(calls.iter().all(|&(.., budget)| budget), "{calls:?}");
+    }
+
+    #[test]
+    fn a_typed_fault_on_the_third_put_chunk_leaves_no_staging_object() {
+        for window in [1, 3] {
+            let (srb, client, transport) = recording_harness(|n| {
+                let fault = Fault::portal(PortalErrorKind::DiskFull, "staging device full");
+                (n == 3).then(|| Envelope::fault(&fault))
+            });
+            let tc = TransferClient::with_config(&client, config(window));
+            let err = tc.put("/data/partial.bin", &payload(8_000)).unwrap_err();
+            let fault = err.as_fault().expect("a typed fault");
+            assert_eq!(
+                fault.kind(),
+                Some(PortalErrorKind::DiskFull),
+                "window {window}"
+            );
+            assert!(
+                srb.get("anonymous", "/data/partial.bin").is_err(),
+                "window {window}: the destination appeared"
+            );
+            assert!(
+                staging_debris(&srb).is_empty(),
+                "window {window}: {:?}",
+                staging_debris(&srb)
+            );
+            // The fault stopped the claims: at most the window's other
+            // calls ran past it.
+            let puts = (transport.calls.lock().unwrap().iter())
+                .filter(|(m, ..)| *m == "put_chunk")
+                .count();
+            assert!(puts < 3 + window, "window {window}: {puts} put_chunk calls");
+        }
+    }
+
+    #[test]
+    fn a_server_that_never_acknowledges_fails_the_put_instead_of_stalling_it() {
+        for window in [1, 3] {
+            let (srb, client, _) =
+                recording_harness(|_| Some(Envelope::response("put_chunk", SoapValue::Int(0))));
+            let tc = TransferClient::with_config(&client, config(window));
+            let err = tc.put("/data/stalled.bin", &payload(8_000)).unwrap_err();
+            assert!(
+                matches!(&err, SoapError::Protocol(m) if m.contains("acknowledged 0 of")),
+                "window {window}: {err:?}"
+            );
+            assert!(staging_debris(&srb).is_empty(), "window {window}");
         }
     }
 

@@ -180,6 +180,10 @@ fn real_substrate_carries_the_hot_path_markers() {
             include_str!("../../soap/src/value.rs"),
         ),
         (
+            "crates/soap/src/base64.rs",
+            include_str!("../../soap/src/base64.rs"),
+        ),
+        (
             "crates/wire/src/http.rs",
             include_str!("../../wire/src/http.rs"),
         ),
@@ -194,9 +198,11 @@ fn real_substrate_carries_the_hot_path_markers() {
     assert_eq!(
         entries,
         vec![
+            "Base64Decoder::decode_run",
             "Envelope::write_xml_into",
             "SoapValue::write_xml",
             "Tokenizer::next_event",
+            "Tokenizer::take_text",
             "write_compact_into",
             "write_head",
         ],

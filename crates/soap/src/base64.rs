@@ -111,6 +111,11 @@ static DIGIT_PAIRS: [[u8; 2]; 4096] = {
     table
 };
 
+/// Text [`Base64Decoder::decode_run`] decodes against a reservation of
+/// its own size before it reserves for the rest of the source: a short
+/// run asks for at most 3 KiB, which the allocator serves from its heap.
+const RUN_PROBE: usize = 4096;
+
 /// Encoder groups staged per output write: 32 × 8 chars.
 const ENCODE_BLOCK: usize = 32;
 
@@ -311,7 +316,53 @@ impl Base64Decoder {
     /// Decode `text`, appending bytes to `out`. Returns `None` (leaving
     /// the decoder poisoned for this stream) on malformed input.
     pub fn update(&mut self, text: &str, out: &mut Vec<u8>) -> Option<()> {
-        let mut rest = text.as_bytes();
+        self.decode(text.as_bytes(), None, out).map(drop)
+    }
+
+    /// Decode the text run at the front of `src`, an XML source from the
+    /// cursor on, up to the `<` that closes it (or the end of `src`), with
+    /// no scan for that `<` first: the run is read once, by the decoder.
+    /// Returns the run's length in bytes.
+    ///
+    /// Returns `None`, with the decoder and `out` as they were, if the run
+    /// holds anything but base64 text and whitespace before its `<` (an
+    /// entity reference, a byte outside the alphabet) or does not decode
+    /// (padding out of place, data after a padded quad): such a run is the
+    /// tokenizer's to resolve, and [`Base64Decoder::update`]'s to decode.
+    ///
+    /// The run's first [`RUN_PROBE`] bytes are decoded against room for
+    /// themselves; only a run that goes on past them reserves room for
+    /// what the rest of `src` could decode to, so a chunk-sized run still
+    /// grows its buffer once. Whatever room is left unused beyond an
+    /// eighth of `out`'s length (and 64 bytes) is given back, so a short
+    /// run early in a long document holds about what it decoded.
+    // portalint: hot-path-entry
+    pub(crate) fn decode_run(&mut self, src: &str, out: &mut Vec<u8>) -> Option<usize> {
+        // Every field is `Copy`: this copies the state, allocating nothing.
+        let (before, len) = (Base64Decoder { ..*self }, out.len());
+        let src = src.as_bytes();
+        let head = src.get(..RUN_PROBE).unwrap_or(src);
+        let mut taken = self.decode(head, Some(b'<'), out);
+        if taken == Some(head.len()) && head.len() < src.len() {
+            let tail = skip(src, head.len());
+            taken = self.decode(tail, Some(b'<'), out).map(|n| head.len() + n);
+        }
+        if taken.is_none() {
+            *self = before;
+            out.truncate(len);
+        }
+        if out.capacity() - out.len() > out.len() / 8 + 64 {
+            out.shrink_to_fit();
+        }
+        taken
+    }
+
+    /// The one decode loop: blocks through the vector and table kernels
+    /// while the decoder sits on a quad boundary, the per-char state
+    /// machine at the bytes they stop at. With `until`, decoding stops at
+    /// the first such byte and returns how many bytes came before it.
+    fn decode(&mut self, text: &[u8], until: Option<u8>, out: &mut Vec<u8>) -> Option<usize> {
+        let mut rest = text;
         out.reserve((usize::from(self.digits) + rest.len()) / 4 * 3);
         loop {
             if self.digits == 0 && self.pad == 0 && !self.finished {
@@ -322,8 +373,11 @@ impl Base64Decoder {
                 rest = decode_groups(rest, out);
             }
             let Some((&byte, tail)) = rest.split_first() else {
-                return Some(());
+                return Some(text.len());
             };
+            if until == Some(byte) {
+                return Some(text.len() - rest.len());
+            }
             rest = tail;
             self.step(byte, out)?;
         }
@@ -684,6 +738,99 @@ mod tests {
         }
         for (n, pair) in DIGIT_PAIRS.iter().enumerate() {
             assert_eq!(*pair, [ALPHABET[n >> 6], ALPHABET[n & 63]], "pair {n}");
+        }
+    }
+
+    #[test]
+    fn a_run_decodes_to_its_closing_lt_and_a_declined_run_leaves_no_trace() {
+        let data: Vec<u8> = (0u8..=90).collect();
+        let text = encode(&data);
+        for cut in [0, 1, 5, 31, 32, 33, 64, 100, text.len()] {
+            // `update` on the head, then the rest as a run in a document.
+            let src = format!("{}</data></Body>", &text[cut..]);
+            let (mut dec, mut out) = (Base64Decoder::new(), Vec::new());
+            dec.update(&text[..cut], &mut out).unwrap();
+            assert_eq!(dec.decode_run(&src, &mut out), Some(text.len() - cut));
+            assert_eq!(dec.finish(), Some(()));
+            assert_eq!(out, data, "cut at {cut}");
+            // With a byte outside the alphabet before the `<`, the run is
+            // declined: the decoder and the output are as they were.
+            for bad in ["&#65;", "*", "\u{e9}", "Zg=a"] {
+                let src = format!("{}{bad}</data>", &text[cut..]);
+                let (mut dec, mut out) = (Base64Decoder::new(), Vec::new());
+                dec.update(&text[..cut], &mut out).unwrap();
+                let head = out.clone();
+                assert_eq!(dec.decode_run(&src, &mut out), None, "{bad:?} at {cut}");
+                assert_eq!(out, head);
+                dec.update(&text[cut..], &mut out).unwrap();
+                assert_eq!(dec.finish(), Some(()));
+                assert_eq!(out, data, "{bad:?} at {cut}");
+            }
+        }
+        // A run may end the source, and may follow a padded quad with
+        // whitespace only.
+        let mut out = Vec::new();
+        assert_eq!(
+            Base64Decoder::new().decode_run("Zg== \n", &mut out),
+            Some(6)
+        );
+        assert_eq!(out, b"f");
+        assert_eq!(Base64Decoder::new().decode_run("Zg== x<", &mut out), None);
+    }
+
+    #[test]
+    fn a_run_past_the_probe_decodes_across_it() {
+        // 3,200 bytes are 4,268 chars: the cuts leave runs longer than
+        // `RUN_PROBE`, as long and one shorter, with the probe's end at
+        // each offset in a quad.
+        let data: Vec<u8> = (0..3200u32).map(|i| (i * 7 % 251) as u8).collect();
+        let text = encode(&data);
+        let over = text.len() - RUN_PROBE;
+        for cut in [0, 1, 2, 3, over - 1, over, over + 1] {
+            let run = &text[cut..];
+            let src = format!("{run}</data></Body>");
+            let (mut dec, mut out) = (Base64Decoder::new(), Vec::new());
+            dec.update(&text[..cut], &mut out).unwrap();
+            assert_eq!(dec.decode_run(&src, &mut out), Some(run.len()));
+            assert_eq!(dec.finish(), Some(()));
+            assert_eq!(out, data, "cut at {cut}");
+            // A bad byte at the probe's end, or just past it, declines the
+            // whole run, the part decoded before it included.
+            for at in [RUN_PROBE - 1, RUN_PROBE] {
+                let at = at.min(run.len());
+                let src = format!("{}*{}</data>", &run[..at], &run[at..]);
+                let (mut dec, mut out) = (Base64Decoder::new(), Vec::new());
+                dec.update(&text[..cut], &mut out).unwrap();
+                let head = out.clone();
+                assert_eq!(dec.decode_run(&src, &mut out), None, "* at {at}, cut {cut}");
+                assert_eq!(out, head);
+                dec.update(run, &mut out).unwrap();
+                assert_eq!(dec.finish(), Some(()));
+                assert_eq!(out, data, "* at {at}, cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_gives_back_the_room_it_did_not_use() {
+        // Short and long runs early in a long source keep no more than an
+        // eighth of what they decoded (and 64 bytes) spare; a declined run
+        // keeps nothing.
+        let filler = "x".repeat(1 << 20);
+        let long = encode(&[7; 6000]);
+        for run in ["QUJD", long.as_str()] {
+            let src = format!("{run}</a>{filler}");
+            let mut out = Vec::new();
+            assert_eq!(
+                Base64Decoder::new().decode_run(&src, &mut out),
+                Some(run.len())
+            );
+            let (len, held) = (out.len(), out.capacity());
+            assert!(held <= len + len / 8 + 64, "{held} bytes held for {len}");
+            let src = format!("{run}*</a>{filler}");
+            let mut out = Vec::new();
+            assert_eq!(Base64Decoder::new().decode_run(&src, &mut out), None);
+            assert!(out.capacity() <= 64, "{} bytes held", out.capacity());
         }
     }
 

@@ -11,7 +11,7 @@
 use std::borrow::Cow;
 use std::fmt::Write;
 
-use portalws_xml::dom::{read_content, skip_subtree, Piece, MAX_DEPTH};
+use portalws_xml::dom::{next_piece, skip_subtree, Piece, MAX_DEPTH};
 use portalws_xml::escape::escape_text;
 use portalws_xml::{Element, Node, Tokenizer};
 
@@ -290,7 +290,9 @@ impl SoapValue {
     ///   `xsd:string` keeps every run verbatim, whitespace included; other
     ///   types, like the DOM, skip whitespace-only text runs.
     /// * `xsd:base64Binary` text is fed to one decoder run by run, where it
-    ///   lies.
+    ///   lies: a text run goes from the tokenizer straight into the
+    ///   decoder, unscanned, unless it holds an entity reference or a byte
+    ///   outside the alphabet.
     /// * `tns:xml` keeps its first child element as DOM.
     /// * A value nested deeper than [`MAX_DEPTH`] elements fails; the rest
     ///   of its element is still checked, iteratively.
@@ -327,9 +329,11 @@ impl SoapValue {
         } else {
             Decode::new(attr("xsi:type").and_then(SoapType::from_wire_name))
         };
-        read_content(tok, name, self_closing, |tok, piece| {
-            decode.feed(tok, piece, depth)
-        })?;
+        if !self_closing {
+            while let Some(piece) = next_piece(tok, name, |tok| decode.take_run(tok))? {
+                decode.feed(tok, piece, depth)?;
+            }
+        }
         Ok(decode.into_value())
     }
 }
@@ -412,6 +416,21 @@ impl Decode {
             Some(SoapType::Struct) => Decode::Struct(Vec::new()),
             Some(SoapType::Xml) => Decode::Xml(None),
             Some(SoapType::Void) => Decode::Null,
+        }
+    }
+
+    /// Decode the text run at the cursor where it lies, if this is a
+    /// base64 value still decoding. A run the decoder declines (an entity
+    /// reference, a byte outside the alphabet, text that does not decode)
+    /// stays for [`Decode::feed`], which takes it as before.
+    fn take_run(&mut self, tok: &mut Tokenizer<'_>) {
+        if let Decode::Base64 {
+            dec,
+            bytes,
+            ok: true,
+        } = self
+        {
+            tok.take_text(|run| dec.decode_run(run, bytes));
         }
     }
 
@@ -607,6 +626,51 @@ mod tests {
         );
     }
 
+    /// The `xml::stats` counts `f` makes.
+    fn counted(f: impl Fn()) -> portalws_xml::stats::SubstrateCounters {
+        let before = portalws_xml::stats::thread_snapshot();
+        f();
+        portalws_xml::stats::thread_snapshot().since(&before)
+    }
+
+    /// A base64 value read from `<p xsi:type="xsd:base64Binary">` plus
+    /// `content`, which closes it (or does not).
+    fn read_base64(content: &str) -> portalws_xml::Result<Result<SoapValue, String>> {
+        let xml = format!("<p xsi:type=\"xsd:base64Binary\">{content}");
+        portalws_xml::dom::read_document(&xml, |tok, name, attrs, self_closing| {
+            SoapValue::read(tok, &name, &attrs, self_closing)
+        })
+    }
+
+    /// What a base64 value decoded to when every text run went through
+    /// the tokenizer's text events: the value's text and CDATA runs, read
+    /// by the DOM, joined and decoded at once.
+    fn read_base64_by_events(content: &str) -> portalws_xml::Result<Result<SoapValue, String>> {
+        let xml = format!("<p xsi:type=\"xsd:base64Binary\">{content}");
+        let root = Element::parse(&xml)?;
+        let text: String = (root.nodes().iter())
+            .filter_map(|node| match node {
+                Node::Text(t) | Node::CData(t) => Some(t.as_str()),
+                _ => None,
+            })
+            .collect();
+        Ok(base64::decode(&text)
+            .map(SoapValue::Base64)
+            .ok_or_else(|| "bad base64 payload".to_string()))
+    }
+
+    /// `content` decodes to `want`, as it does through text events alone,
+    /// with the same `xml::stats` counts.
+    fn check_base64(content: &str, want: &portalws_xml::Result<Result<SoapValue, String>>) {
+        assert_eq!(&read_base64(content), want, "{content:?}");
+        assert_eq!(&read_base64_by_events(content), want, "{content:?}");
+        assert_eq!(
+            counted(|| drop(read_base64(content))),
+            counted(|| drop(read_base64_by_events(content))),
+            "stats for {content:?}"
+        );
+    }
+
     #[test]
     fn base64_decodes_across_text_cdata_comment_and_whitespace_runs() {
         let bytes = b"one payload, many text nodes".to_vec();
@@ -621,6 +685,135 @@ mod tests {
         // Padding that closes a quad in an earlier run ends the value.
         let early_pad = r#"<p xsi:type="xsd:base64Binary">Zg==<![CDATA[Zg==]]></p>"#;
         assert_eq!(decode(early_pad), Err("bad base64 payload".into()));
+
+        // Runs the decoder takes where they lie, and runs it leaves to the
+        // tokenizer, decode alike and count alike. 60 bytes, the first
+        // zero, are 80 chars starting "AA": more than two 32-char blocks.
+        let bytes: Vec<u8> = (0..60u8).map(|i| i.wrapping_mul(37)).collect();
+        let text = base64::encode(&bytes);
+        let ok = Ok(Ok(SoapValue::Base64(bytes.clone())));
+        let bad = Ok(Err("bad base64 payload".to_string()));
+        let at = |i: usize, insert: &str| format!("{}{insert}{}</p>", &text[..i], &text[i..]);
+        // Character references: a newline, and a digit spelled as one.
+        for i in [0, 3, 31, 32, 40, 80] {
+            check_base64(&at(i, "&#10;"), &ok);
+        }
+        assert!(text.starts_with('A'));
+        check_base64(&format!("&#x41;{}</p>", &text[1..]), &ok);
+        for i in [1, 33, 79] {
+            let digit = format!("&#x{:X};", text.as_bytes()[i]);
+            check_base64(&format!("{}{digit}{}</p>", &text[..i], &text[i + 1..]), &ok);
+        }
+        // A bad byte inside the first 32-char block, past it, and last.
+        for i in [2, 31, 45, 80] {
+            check_base64(&at(i, "*"), &bad);
+            check_base64(&at(i, "\u{e9}"), &bad);
+        }
+        // A run closed by a `<` at each of the first 40 offsets, the
+        // value going on past a comment, CDATA or a child element.
+        for i in 0..40 {
+            for markup in ["<!-- c -->", "<![CDATA[]]>", "<x/>", "<![CDATA[ \n]]>"] {
+                check_base64(&at(i, markup), &ok);
+            }
+        }
+        // A run that ends the document.
+        for content in [text.as_str(), "QUJD \n", "QUJ", "QU*D"] {
+            let eof = read_base64(content);
+            assert!(
+                matches!(eof, Err(portalws_xml::XmlError::UnexpectedEof { .. })),
+                "{eof:?}"
+            );
+            check_base64(content, &eof);
+        }
+        // Text after a padded final quad: whitespace only, in this run or
+        // the next.
+        let f = Ok(Ok(SoapValue::Base64(b"f".to_vec())));
+        check_base64("Zg== \r\n\t</p>", &f);
+        check_base64("Zg==<!-- c --> \n</p>", &f);
+        check_base64("Zg==\nZg</p>", &bad);
+        check_base64("Zg==<!-- c -->Zg==</p>", &bad);
+        check_base64("Zg==<![CDATA[ ]]>x</p>", &bad);
+        check_base64("Zg=a</p>", &bad);
+        check_base64("Z===</p>", &bad);
+        // A second run after a comment and after CDATA.
+        let abcdef = Ok(Ok(SoapValue::Base64(b"ABCDEF".to_vec())));
+        check_base64("QUJD<!-- c -->REVG</p>", &abcdef);
+        check_base64("QUJD<![CDATA[RE]]>VG</p>", &abcdef);
+        check_base64("QU<![CDATA[JD]]>\n<!-- c -->RE<?pi x?>VG\n</p>", &abcdef);
+        // A bad entity is still an XML error, whatever the run held first.
+        let bad_entity = read_base64("QUJD&bogus;</p>");
+        assert!(
+            matches!(bad_entity, Err(portalws_xml::XmlError::BadEntity { .. })),
+            "{bad_entity:?}"
+        );
+        check_base64("QUJD&bogus;</p>", &bad_entity);
+    }
+
+    #[test]
+    fn every_base64_text_run_is_decoded_where_it_lies() {
+        // A run the decoder takes past its first 4 KiB reserves room for
+        // what the rest of the document could decode to, and keeps up to
+        // an eighth of what it decoded spare; a run left to the text
+        // events reserves exactly its own length. So room past the
+        // decoded bytes, from the 400-byte comment after the value, shows
+        // that a long run was taken, wherever it sits.
+        let long = base64::encode(&[7; 6000]);
+        let tail = format!("<!--{}-->", " ".repeat(400));
+        for before in [
+            "",
+            "\n ",
+            "<!-- c -->",
+            "<?pi x?>",
+            "<x/>",
+            "<![CDATA[QUJD]]>",
+            "QUJD<!-- c -->",
+        ] {
+            let value = read_base64(&format!("{before}{long}</p>{tail}"));
+            let Ok(Ok(SoapValue::Base64(bytes))) = value else {
+                panic!("{before:?}: {value:?}");
+            };
+            assert_eq!(bytes.len(), 6000 + 3 * usize::from(before.contains("QUJD")));
+            assert!(bytes.capacity() > bytes.len(), "{before:?}: none spare");
+        }
+        // The same run with a character reference in it goes to the text
+        // events, and holds no more than it decoded.
+        let value = read_base64(&format!("{long}&#10;</p>{tail}"));
+        let Ok(Ok(SoapValue::Base64(bytes))) = value else {
+            panic!("{value:?}");
+        };
+        assert_eq!((bytes.len(), bytes.capacity()), (6000, 6000));
+    }
+
+    #[test]
+    fn base64_values_hold_about_what_they_decoded() {
+        // Many short values, and a few past the decoder's 4 KiB probe,
+        // each with most of a 1 MiB document still to come: together they
+        // hold about the bytes they decoded, not room for what follows.
+        let long = base64::encode(&[7; 6000]);
+        let items: String = (0..2000)
+            .map(|i| {
+                let text = if i % 200 == 0 { long.as_str() } else { "QUJD" };
+                format!("<item xsi:type=\"xsd:base64Binary\">{text}</item>")
+            })
+            .collect();
+        let filler = "x".repeat(1 << 20);
+        let xml = format!(
+            "<s><a xsi:type=\"SOAP-ENC:Array\">{items}</a><b xsi:type=\"xsd:string\">{filler}</b></s>"
+        );
+        let value = decode(&xml).unwrap();
+        let Some(SoapValue::Array(values)) = value.field("a") else {
+            panic!("{:?}", value.field("a"));
+        };
+        let (mut len, mut held) = (0, 0);
+        for value in values {
+            let SoapValue::Base64(bytes) = value else {
+                panic!("{value:?}");
+            };
+            (len, held) = (len + bytes.len(), held + bytes.capacity());
+        }
+        assert_eq!(len, 1990 * 3 + 10 * 6000);
+        let bound = len + len / 8 + 64 * values.len();
+        assert!(held <= bound, "{held} bytes held for {len}");
     }
 
     #[test]

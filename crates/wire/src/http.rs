@@ -199,12 +199,17 @@ pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 /// first request simply remain buffered for the next `try_next` call. A
 /// head is parsed once: while its body is still arriving, the parsed head
 /// waits in the parser, so the calls between "head complete" and "body
-/// complete" allocate nothing.
+/// complete" allocate nothing. While the head itself is arriving, each
+/// call scans only the bytes fed since the last, so a head sent a few
+/// bytes at a time costs time linear in its length.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
     /// The head at the front of `buf`, once complete, until its body is.
     head: Option<Head<Request>>,
+    /// Where the next scan for the end of the head resumes: no line
+    /// ending before it ends the head.
+    scanned: usize,
 }
 
 impl RequestParser {
@@ -246,9 +251,12 @@ impl RequestParser {
     pub fn try_next(&mut self) -> Result<Option<Request>> {
         let head = match self.head.take() {
             Some(head) => head,
-            None => match head_end(&self.buf)? {
+            None => match head_end(&self.buf, self.scanned)? {
                 Some(end) => parse_head::<Request>(self.buf.get(..end).unwrap_or_default())?,
-                None => return Ok(None),
+                None => {
+                    self.scanned = self.buf.len();
+                    return Ok(None);
+                }
             },
         };
         let total = head.len + head.body_len;
@@ -260,6 +268,7 @@ impl RequestParser {
         let mut req = head.msg;
         req.body = body.to_vec();
         self.buf.drain(..total);
+        self.scanned = 0;
         Ok(Some(req))
     }
 }
@@ -616,9 +625,13 @@ fn ends_head(prefix: &[u8]) -> bool {
 
 /// Where the head at the front of `buf` ends, if `buf` holds all of it:
 /// `Ok(None)` while the bytes could still become a head within
-/// [`MAX_HEAD_BYTES`], an error once they cannot.
-fn head_end(buf: &[u8]) -> Result<Option<usize>> {
-    let line_ends = buf.iter().enumerate().filter(|&(_, &b)| b == b'\n');
+/// [`MAX_HEAD_BYTES`], an error once they cannot. The scan looks at line
+/// endings from `from` on, the bytes before `from` holding none that ends
+/// the head; each is checked against the bytes before it, so a blank line
+/// split across two feeds is found whichever feed brought its `\n`.
+fn head_end(buf: &[u8], from: usize) -> Result<Option<usize>> {
+    let fresh = buf.iter().enumerate().skip(from);
+    let line_ends = fresh.filter(|&(_, &b)| b == b'\n');
     let end = line_ends
         .map(|(i, _)| i + 1)
         .find(|&n| buf.get(..n).is_some_and(ends_head));
@@ -692,7 +705,7 @@ fn read_buffered<M: Message>(reader: &mut impl BufRead) -> Result<M> {
 /// same allocation, which the message keeps, so parsing a serialized
 /// message leaves one copy of it, not two.
 pub(crate) fn parse_frame<M: Message>(mut frame: Vec<u8>) -> Result<M> {
-    let end = head_end(&frame)?.ok_or_else(|| bad_frame("eof before end of headers"))?;
+    let end = head_end(&frame, 0)?.ok_or_else(|| bad_frame("eof before end of headers"))?;
     let mut head = parse_head::<M>(frame.get(..end).unwrap_or_default())?;
     if frame.len() - end < head.body_len {
         return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
@@ -967,6 +980,79 @@ mod tests {
         }
         // The whole-frame parse takes the first frame and drops the rest.
         assert_eq!(parse_frame::<Response>(stream).unwrap().body, b"<ok/>");
+    }
+
+    #[test]
+    fn a_pipelined_pair_fed_a_byte_at_a_time_yields_the_same_two_requests() {
+        // `\r\n` and bare `\n` heads, so every blank line is split across
+        // feeds at each of its bytes.
+        let crlf = [
+            Request::post("/soap/DataManagement", "<put>one</put>").to_bytes(),
+            Request::post("/soap/Authentication", "<verify/>").to_bytes(),
+        ]
+        .concat();
+        let bare = b"POST /a HTTP/1.0\nContent-Length: 3\n\nonePOST /b HTTP/1.0\n\n".to_vec();
+        for stream in [crlf, bare] {
+            let mut whole = RequestParser::new();
+            whole.feed(&stream);
+            let want = [whole.try_next().unwrap(), whole.try_next().unwrap()];
+            assert!(want.iter().all(Option::is_some));
+            let mut parser = RequestParser::new();
+            let mut got = Vec::new();
+            for byte in &stream {
+                parser.feed(std::slice::from_ref(byte));
+                while let Some(req) = parser.try_next().unwrap() {
+                    got.push(Some(req));
+                }
+            }
+            assert_eq!(got, want);
+            assert!(parser.is_empty());
+        }
+    }
+
+    #[test]
+    fn an_unterminated_head_fed_in_pieces_is_scanned_once() {
+        // 60 KB of header lines, 4 bytes per feed: each call resumes where
+        // the last left off, so each byte is examined once, not once per
+        // later feed.
+        let line = b"X-Filler: 0123456789abcdef0123456789abcdef0123456789abcdef\r\n";
+        let head = [
+            &b"POST /soap/x HTTP/1.0\r\n"[..],
+            &line.repeat(60_000 / line.len()),
+        ]
+        .concat();
+        let mut parser = RequestParser::new();
+        let mut examined = 0;
+        for piece in head.chunks(4) {
+            let from = parser.scanned;
+            parser.feed(piece);
+            assert!(parser.try_next().unwrap().is_none());
+            examined += parser.buffered() - from;
+            assert_eq!(parser.scanned, parser.buffered());
+        }
+        assert_eq!(examined, head.len());
+        // The blank line ends it, and the next head scans from its start.
+        parser.feed(b"\r\n");
+        let req = parser.try_next().unwrap().expect("head complete");
+        assert_eq!(req.headers.len(), 60_000 / line.len());
+        assert_eq!((parser.scanned, parser.buffered()), (0, 0));
+    }
+
+    #[test]
+    fn head_end_looks_at_no_line_ending_before_where_it_resumes() {
+        // The parser's `scanned` offset is only worth keeping if the scan
+        // honours it: a blank line whose last `\n` lies before `from` is
+        // not found again, one at or after it is, whichever bytes precede.
+        for head in [&b"A\n\n"[..], b"POST / HTTP/1.0\r\nX: y\r\n\r\n"] {
+            let last = head.len() - 1;
+            assert_eq!(head_end(head, 0).unwrap(), Some(head.len()));
+            assert_eq!(head_end(head, last).unwrap(), Some(head.len()));
+            assert_eq!(head_end(head, last + 1).unwrap(), None);
+        }
+        // A line ending after `from` is checked against the bytes before
+        // `from`, so a blank line split across two feeds is found.
+        assert_eq!(head_end(b"A\r\n\r\nB", 4).unwrap(), Some(5));
+        assert_eq!(head_end(b"A\r\n\r\nB", 5).unwrap(), None);
     }
 
     #[test]

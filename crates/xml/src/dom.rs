@@ -468,20 +468,38 @@ pub fn read_content<'a>(
     if self_closing {
         return Ok(());
     }
+    while let Some(piece) = next_piece(tok, parent, |_| {})? {
+        f(tok, piece)?;
+    }
+    Ok(())
+}
+
+/// The next piece of the content of the open element `parent`, or `None`
+/// once its end tag is read: one step of [`read_content`] (a child piece
+/// must still be consumed through the child's end tag before the next).
+/// `before` gets the tokenizer ahead of every event, skipped comments and
+/// processing instructions included, so a decoder can take each text run
+/// where it lies ([`Tokenizer::take_text`]) before it would be scanned.
+pub fn next_piece<'a>(
+    tok: &mut Tokenizer<'a>,
+    parent: &str,
+    mut before: impl FnMut(&mut Tokenizer<'a>),
+) -> Result<Option<Piece<'a>>> {
     loop {
+        before(tok);
         let at = tok.offset();
         let Some(ev) = tok.next_event()? else {
             return Err(XmlError::UnexpectedEof { pos: tok.pos() });
         };
-        match ev {
-            Event::Text(t) => f(tok, Piece::Text(t))?,
-            Event::CData(t) => f(tok, Piece::CData(t))?,
+        let piece = match ev {
+            Event::Text(t) => Piece::Text(t),
+            Event::CData(t) => Piece::CData(t),
             Event::StartTag {
                 name,
                 attrs,
                 self_closing,
-            } => f(tok, Piece::Child(name, attrs, self_closing, at))?,
-            Event::EndTag { name } if name == parent => return Ok(()),
+            } => Piece::Child(name, attrs, self_closing, at),
+            Event::EndTag { name } if name == parent => return Ok(None),
             Event::EndTag { name } => {
                 return Err(XmlError::MismatchedTag {
                     pos: tok.pos_at(at),
@@ -489,8 +507,9 @@ pub fn read_content<'a>(
                     close: name.into_owned(),
                 })
             }
-            Event::Comment(_) | Event::Decl(_) | Event::Doctype(_) | Event::Pi { .. } => {}
-        }
+            Event::Comment(_) | Event::Decl(_) | Event::Doctype(_) | Event::Pi { .. } => continue,
+        };
+        return Ok(Some(piece));
     }
 }
 

@@ -287,6 +287,35 @@ impl<'a> Tokenizer<'a> {
         self.start_tag_event().map(Some)
     }
 
+    /// Hand the text run at the cursor to `consume`, which reads the
+    /// source from the cursor on and returns the run's length: how many
+    /// bytes come before the `<` that closes it (or the end of the
+    /// source). Those bytes must hold no `<` or `&`; a consumer that finds
+    /// one, or otherwise declines the run, returns `None`, and the run is
+    /// left for [`Tokenizer::next_event`] to produce as it stands.
+    ///
+    /// A taken run is consumed unscanned (the consumer's own pass is the
+    /// only one over it) and counted in [`crate::stats`] as `next_event`
+    /// counts an entity-free run. Returns whether a run was taken; with
+    /// the cursor at markup or at the end there is no run to hand over.
+    // portalint: hot-path-entry
+    pub fn take_text(&mut self, consume: impl FnOnce(&'a str) -> Option<usize>) -> bool {
+        let rest = self.rest();
+        if rest.is_empty() || rest.starts_with('<') {
+            return false;
+        }
+        let Some(len) = consume(rest) else {
+            return false;
+        };
+        let closed = (rest.as_bytes().get(len)).map_or(len == rest.len(), |&b| b == b'<');
+        if len == 0 || !closed {
+            return false;
+        }
+        self.advance(len);
+        stats::count_unescape(true);
+        true
+    }
+
     /// A text run, scanned once for its end and its first entity
     /// together: a run with no `&` is borrowed as it stands (counted as an
     /// unescape fast path), and only a run with one is resolved.
@@ -482,6 +511,41 @@ mod tests {
         }
         let counted = stats::snapshot().since(&before).unescape_borrowed;
         assert!(counted >= RUNS, "{counted} fast paths for {RUNS} runs");
+    }
+
+    #[test]
+    fn take_text_hands_over_a_run_and_counts_it_as_a_text_event_would() {
+        let doc = "<a>abc<b/>de&amp;f</a>";
+        let mut tok = Tokenizer::new(doc);
+        tok.next_event().unwrap(); // <a>
+        let before = stats::thread_snapshot();
+        let mut seen = "";
+        assert!(tok.take_text(|run| {
+            seen = run;
+            run.find('<')
+        }));
+        assert_eq!(seen, "abc<b/>de&amp;f</a>");
+        assert_eq!(tok.offset(), 6);
+        assert_eq!(stats::thread_snapshot().since(&before).unescape_borrowed, 1);
+        // At markup there is no run: the consumer is not called.
+        assert!(!tok.take_text(|_| panic!("called at markup")));
+        assert!(matches!(tok.next_event(), Ok(Some(Event::StartTag { .. }))));
+        // A declined run, or a length that does not reach the closing
+        // `<`, leaves the cursor and the counts where they were.
+        let before = stats::thread_snapshot();
+        assert!(!tok.take_text(|_| None));
+        assert!(!tok.take_text(|_| Some(2)));
+        assert!(!tok.take_text(|_| Some(0)));
+        assert_eq!(tok.offset(), 10);
+        assert_eq!(stats::thread_snapshot().since(&before), Default::default());
+        // So the run is produced as before.
+        let text = tok.next_event().unwrap();
+        assert_eq!(text, Some(Event::Text(Cow::Owned("de&f".into()))));
+        // A run may end the source; at the end there is none.
+        let mut tok = Tokenizer::new("tail");
+        assert!(tok.take_text(|run| Some(run.len())));
+        assert!(!tok.take_text(|_| panic!("called at the end")));
+        assert_eq!(tok.next_event(), Ok(None));
     }
 
     #[test]

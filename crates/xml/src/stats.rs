@@ -7,8 +7,11 @@
 //! are global atomics with relaxed ordering — they are telemetry, not
 //! synchronization — and tests compare snapshots with
 //! [`SubstrateCounters::since`] rather than resetting, so parallel test
-//! threads do not interfere.
+//! threads do not interfere. Each count also lands in a per-thread copy,
+//! read with [`thread_snapshot`], so a test can check exact deltas while
+//! other threads count alongside.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 static ESCAPE_BORROWED: AtomicU64 = AtomicU64::new(0);
@@ -16,19 +19,33 @@ static ESCAPE_OWNED: AtomicU64 = AtomicU64::new(0);
 static UNESCAPE_BORROWED: AtomicU64 = AtomicU64::new(0);
 static UNESCAPE_OWNED: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's counts, in [`SubstrateCounters`] field order.
+    static ON_THREAD: [Cell<u64>; 4] = const { [const { Cell::new(0) }; 4] };
+}
+
+fn bump(global: &AtomicU64, field: usize) {
+    global.fetch_add(1, Relaxed);
+    let _ = ON_THREAD.try_with(|counts| {
+        if let Some(n) = counts.get(field) {
+            Cell::set(n, n.get() + 1);
+        }
+    });
+}
+
 pub(crate) fn count_escape(borrowed: bool) {
     if borrowed {
-        ESCAPE_BORROWED.fetch_add(1, Relaxed);
+        bump(&ESCAPE_BORROWED, 0);
     } else {
-        ESCAPE_OWNED.fetch_add(1, Relaxed);
+        bump(&ESCAPE_OWNED, 1);
     }
 }
 
 pub(crate) fn count_unescape(borrowed: bool) {
     if borrowed {
-        UNESCAPE_BORROWED.fetch_add(1, Relaxed);
+        bump(&UNESCAPE_BORROWED, 2);
     } else {
-        UNESCAPE_OWNED.fetch_add(1, Relaxed);
+        bump(&UNESCAPE_OWNED, 3);
     }
 }
 
@@ -88,6 +105,20 @@ pub fn snapshot() -> SubstrateCounters {
     }
 }
 
+/// The counts made on the calling thread so far: unlike [`snapshot`],
+/// untouched by other threads.
+pub fn thread_snapshot() -> SubstrateCounters {
+    let [a, b, c, d] = ON_THREAD
+        .try_with(|counts| counts.each_ref().map(Cell::get))
+        .unwrap_or_default();
+    SubstrateCounters {
+        escape_borrowed: a,
+        escape_owned: b,
+        unescape_borrowed: c,
+        unescape_owned: d,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +141,23 @@ mod tests {
         assert_eq!(d.escape_borrowed, 6);
         assert_eq!(d.escape_owned, 0);
         assert!((d.escape_fast_path_rate() - 1.0).abs() < f64::EPSILON);
+    }
+
+    #[test]
+    fn thread_counts_see_only_this_thread() {
+        let before = thread_snapshot();
+        std::thread::scope(|s| {
+            s.spawn(|| count_unescape(true));
+        });
+        count_escape(false);
+        let d = thread_snapshot().since(&before);
+        assert_eq!(
+            d,
+            SubstrateCounters {
+                escape_owned: 1,
+                ..SubstrateCounters::default()
+            }
+        );
     }
 
     #[test]
