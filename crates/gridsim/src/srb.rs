@@ -452,28 +452,43 @@ impl Srb {
 
     /// List a collection.
     pub fn ls(&self, principal: &str, path: &str) -> SrbResult<Vec<DirEntry>> {
+        let mut entries = Vec::new();
+        self.ls_each(principal, path, |name, is_collection, size| {
+            entries.push(DirEntry {
+                name: name.to_owned(),
+                is_collection,
+                size,
+            })
+        })?;
+        Ok(entries)
+    }
+
+    /// Visit a collection's entries in name order, copying nothing: `f`
+    /// gets each entry's name, whether it is a collection, and its size
+    /// (0 for a collection), as [`Srb::ls`] would list them.
+    ///
+    /// `f` runs under the stripe's read lock, so it must not call back
+    /// into the broker: a call that writes the same stripe deadlocks, and
+    /// even a read can wait behind a writer queued for the lock `f` holds.
+    pub fn ls_each(
+        &self,
+        principal: &str,
+        path: &str,
+        mut f: impl FnMut(&str, bool, usize),
+    ) -> SrbResult<()> {
         let segs = split(path)?;
         let idx = self.stripe_for(&segs);
         self.touch(idx);
         let state = self.stripes[idx].state.read();
         Self::check_access(&state, principal, &segs)?;
         let col = Self::descend(&state.root, &segs)?;
-        Ok(col
-            .children
-            .iter()
-            .map(|(name, node)| match node {
-                Node::Collection(_) => DirEntry {
-                    name: name.clone(),
-                    is_collection: true,
-                    size: 0,
-                },
-                Node::Object(bytes) => DirEntry {
-                    name: name.clone(),
-                    is_collection: false,
-                    size: bytes.len(),
-                },
-            })
-            .collect())
+        for (name, node) in &col.children {
+            match node {
+                Node::Collection(_) => f(name, true, 0),
+                Node::Object(bytes) => f(name, false, bytes.len()),
+            }
+        }
+        Ok(())
     }
 
     /// Read an object's bytes.

@@ -62,6 +62,32 @@ pub(crate) fn srb_fault(e: SrbError) -> Fault {
     Fault::portal(kind, e.to_string())
 }
 
+/// One entry of an `xml_call` `ls` result. Its attributes are built from
+/// borrowed text, so an entry whose name fits in an [`Element`]'s inline
+/// strings costs only its attribute vector.
+pub(crate) fn ls_entry(name: &str, is_collection: bool, size: usize) -> Element {
+    Element::new("entry")
+        .with_attr("name", name)
+        .with_attr("collection", if is_collection { "true" } else { "false" })
+        .with_attr("size", decimal(size, &mut [0; 20]))
+}
+
+/// `n` in decimal, written into the end of `buf` (20 bytes hold any
+/// `u64`), so a number becomes an attribute value with no `String`.
+fn decimal(mut n: usize, buf: &mut [u8; 20]) -> &str {
+    let mut len = 0;
+    for digit in buf.iter_mut().rev() {
+        *digit = b'0' + (n % 10) as u8;
+        len += 1;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    let digits = buf.get(buf.len() - len..).unwrap_or_default();
+    std::str::from_utf8(digits).unwrap_or_default()
+}
+
 pub(crate) fn arg_str<'a>(
     args: &'a [(String, SoapValue)],
     i: usize,
@@ -117,16 +143,11 @@ impl DataManagementService {
                     let path = cmd
                         .attr("collection")
                         .ok_or_else(|| SrbError::Invalid("ls needs collection".into()))?;
-                    let entries = self.srb.ls(principal, path)?;
                     let mut out = Element::new("result").with_attr("op", "ls");
-                    for e in entries {
-                        out.push_child(
-                            Element::new("entry")
-                                .with_attr("name", e.name)
-                                .with_attr("collection", e.is_collection.to_string())
-                                .with_attr("size", e.size.to_string()),
-                        );
-                    }
+                    self.srb
+                        .ls_each(principal, path, |name, is_collection, size| {
+                            out.push_child(ls_entry(name, is_collection, size))
+                        })?;
                     Ok(out)
                 }
                 "cat" => {
@@ -155,7 +176,7 @@ impl DataManagementService {
                     self.srb.put(principal, path, text.as_bytes())?;
                     Ok(Element::new("result")
                         .with_attr("op", "put")
-                        .with_attr("bytes", text.len().to_string()))
+                        .with_attr("bytes", decimal(text.len(), &mut [0; 20])))
                 }
                 "rm" => {
                     let path = cmd
@@ -644,6 +665,133 @@ mod tests {
         assert_eq!(results[0].attr("error"), Some("true"));
         // A failed command does not abort the batch.
         assert_eq!(results[1].text(), "line one\nline two\n");
+    }
+
+    /// The collection the reply-text test lists: 128 seeded objects, a
+    /// sub-collection, and the 4 objects its batch puts.
+    const DIR: &str = "/data/c0";
+
+    /// `(path, content)` of `n` objects in [`DIR`] named as `write_churn`
+    /// names its own, with markup and non-ASCII text in every content.
+    fn objects(prefix: char, n: u32) -> Vec<(String, String)> {
+        (0..n)
+            .map(|k| {
+                let tag = k.wrapping_mul(2_654_435_761);
+                let pad = "x".repeat(k as usize % 70);
+                let content = format!("<{prefix}{k}> & \"é\" {pad}");
+                (format!("{DIR}/{prefix}{k}-{tag:08x}"), content)
+            })
+            .collect()
+    }
+
+    /// Make `DIR` with its sub-collection and 128 objects, through
+    /// whichever admin calls the broker under test has.
+    fn seed(mkdir: impl Fn(&str), put: impl Fn(&str, &str)) {
+        for dir in ["/data", DIR, "/data/c0/sub"] {
+            mkdir(dir);
+        }
+        for (path, content) in objects('s', 128) {
+            put(&path, &content);
+        }
+    }
+
+    /// 4 puts, an `ls` of [`DIR`], 4 gets, 3 rms and one unknown command.
+    fn batch(puts: &[(String, String)]) -> Element {
+        let command = |op: &str, path: &str| Element::new(op).with_attr("path", path);
+        let mut request = Element::new("request");
+        for (path, content) in puts {
+            request.push_child(command("put", path).with_text(content.as_str()));
+        }
+        request.push_child(Element::new("ls").with_attr("collection", DIR));
+        for (path, _) in puts {
+            request.push_child(command("get", path));
+        }
+        for (path, _) in &puts[..3] {
+            request.push_child(command("rm", path));
+        }
+        request.with_child(command("frob", DIR))
+    }
+
+    /// The reply to [`batch`] as it was built before listings borrowed
+    /// their names: `Srb::ls` on a twin broker, then one `Element` per
+    /// `DirEntry` with `to_string()` attributes.
+    fn reply_the_old_way(puts: &[(String, String)]) -> String {
+        let twin = Srb::new();
+        seed(
+            |dir| twin.mkdir(dir).unwrap(),
+            |path, content| twin.put("anonymous", path, content.as_bytes()).unwrap(),
+        );
+        for (path, content) in puts {
+            twin.put("anonymous", path, content.as_bytes()).unwrap();
+        }
+        let result = |op: &str| Element::new("result").with_attr("op", op);
+        let mut response = Element::new("response");
+        for (_, content) in puts {
+            response.push_child(result("put").with_attr("bytes", content.len().to_string()));
+        }
+        let mut ls = result("ls");
+        for e in twin.ls("anonymous", DIR).unwrap() {
+            ls.push_child(
+                Element::new("entry")
+                    .with_attr("name", e.name)
+                    .with_attr("collection", e.is_collection.to_string())
+                    .with_attr("size", e.size.to_string()),
+            );
+        }
+        response.push_child(ls);
+        for (_, content) in puts {
+            response.push_child(result("get").with_text(content.as_str()));
+        }
+        for _ in &puts[..3] {
+            response.push_child(result("rm"));
+        }
+        let unknown = SrbError::Invalid(format!("unknown command {:?}", "frob"));
+        response.push_child(
+            result("frob")
+                .with_attr("error", "true")
+                .with_text(unknown.to_string()),
+        );
+        response.to_xml()
+    }
+
+    #[test]
+    fn xml_call_reply_text_is_what_the_old_listing_built() {
+        let puts = objects('w', 4);
+        let want = reply_the_old_way(&puts);
+        assert!(want.contains(r#"<entry name="sub" collection="true" size="0"/>"#));
+
+        let srb = Arc::new(Srb::new());
+        seed(
+            |dir| srb.mkdir(dir).unwrap(),
+            |path, content| srb.put("anonymous", path, content.as_bytes()).unwrap(),
+        );
+        let router = Arc::new(crate::shard::ShardedDataService::new(3));
+        seed(
+            |dir| router.mkdir(dir).unwrap(),
+            |path, content| {
+                router
+                    .put_bytes("anonymous", path, content.as_bytes())
+                    .unwrap()
+            },
+        );
+        let services: [Arc<dyn portalws_soap::SoapService>; 2] =
+            [Arc::new(DataManagementService::new(srb)), router];
+        for service in services {
+            let server = SoapServer::new();
+            server.mount(service);
+            let handler: Arc<dyn Handler> = Arc::new(server);
+            let transport = Arc::new(InMemoryTransport::new(handler));
+            let c = SoapClient::new(transport, "DataManagement");
+            let out = c.call("xml_call", &[SoapValue::Xml(batch(&puts))]).unwrap();
+            assert_eq!(out.as_xml().unwrap().to_xml(), want);
+        }
+    }
+
+    #[test]
+    fn decimal_writes_every_width() {
+        for n in [0, 7, 10, 4096, 123_456_789, usize::MAX] {
+            assert_eq!(decimal(n, &mut [0; 20]), n.to_string());
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ use portalws_wire::ArcCell;
 use portalws_xml::Element;
 
 use crate::caller_principal;
-use crate::data::{arg_str, arg_usize, srb_fault, DataManagementService};
+use crate::data::{arg_str, arg_usize, ls_entry, srb_fault, DataManagementService};
 
 /// Virtual nodes per shard on the ring. Enough that 64 top-level
 /// collections over 4 shards balance within the e16 gate (max/mean ≤
@@ -640,18 +640,9 @@ impl ShardedDataService {
         };
         if op == "ls" && path_attr.is_some_and(|p| top_of(p).is_none()) {
             return match self.ls_routed(principal, "/") {
-                Ok(entries) => {
-                    let mut out = Element::new("result").with_attr("op", "ls");
-                    for e in entries {
-                        out.push_child(
-                            Element::new("entry")
-                                .with_attr("name", e.name)
-                                .with_attr("collection", e.is_collection.to_string())
-                                .with_attr("size", e.size.to_string()),
-                        );
-                    }
-                    out
-                }
+                Ok(entries) => Element::new("result").with_attr("op", "ls").with_children(
+                    (entries.iter()).map(|e| ls_entry(&e.name, e.is_collection, e.size)),
+                ),
                 Err(e) => Element::new("result")
                     .with_attr("op", "ls")
                     .with_attr("error", "true")

@@ -16,7 +16,7 @@ use std::borrow::Cow;
 
 use portalws_xml::dom::{read_content, read_document, Piece};
 use portalws_xml::escape::escape_attr;
-use portalws_xml::{Element, Tokenizer, XmlError};
+use portalws_xml::{Element, Str, Tokenizer, XmlError};
 
 use crate::fault::Fault;
 use crate::header::{self, HeaderEntry};
@@ -47,7 +47,7 @@ enum Body {
 #[derive(Debug, Clone, PartialEq)]
 struct Rpc {
     name: String,
-    attrs: Vec<(String, String)>,
+    attrs: Vec<(Str, Str)>,
     params: Vec<Param>,
 }
 
@@ -64,7 +64,7 @@ fn fault_params(el: &Element) -> Vec<Param> {
 }
 
 impl Envelope {
-    fn rpc(name: String, attrs: Vec<(String, String)>, params: Vec<Param>) -> Envelope {
+    fn rpc(name: String, attrs: Vec<(Str, Str)>, params: Vec<Param>) -> Envelope {
         Envelope {
             headers: Vec::new(),
             body: Body::Rpc(Rpc {
@@ -79,7 +79,7 @@ impl Envelope {
     fn call(service: &str, method: &str, params: Vec<Param>) -> Envelope {
         Self::rpc(
             format!("m:{method}"),
-            vec![("xmlns:m".into(), format!("urn:{service}"))],
+            vec![("xmlns:m".into(), format!("urn:{service}").into())],
             params,
         )
     }
@@ -423,7 +423,7 @@ fn read_body(
                 name: child.into_owned(),
                 attrs: attrs
                     .into_iter()
-                    .map(|(k, v)| (k.into_owned(), v.into_owned()))
+                    .map(|(k, v)| (k.into(), v.into()))
                     .collect(),
                 params,
             }));

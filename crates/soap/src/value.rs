@@ -13,7 +13,7 @@ use std::fmt::Write;
 
 use portalws_xml::dom::{next_piece, skip_subtree, Piece, MAX_DEPTH};
 use portalws_xml::escape::escape_text;
-use portalws_xml::{Element, Node, Tokenizer};
+use portalws_xml::{Element, Node, Str, Tokenizer};
 
 use crate::base64::{Base64Decoder, Base64Encoder};
 
@@ -353,7 +353,7 @@ pub(crate) fn element_len_hint(el: &Element) -> usize {
 }
 
 /// The length of `<name k="v"…>` and `</name>`, exact but for escaping.
-pub(crate) fn tags_len_hint(name: &str, attrs: &[(String, String)]) -> usize {
+pub(crate) fn tags_len_hint(name: &str, attrs: &[(Str, Str)]) -> usize {
     let attrs: usize = attrs.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
     2 * name.len() + "<></>".len() + attrs
 }

@@ -88,6 +88,9 @@ impl<T> Drop for ArcCell<T> {
 // SAFETY: the cell owns `Arc<T>`s and hands out clones; it is exactly as
 // thread-safe as `Arc<T>` itself.
 unsafe impl<T: Send + Sync> Send for ArcCell<T> {}
+// SAFETY: as for `Send`: shared use only loads the pointer and clones the
+// `Arc` it names, or swaps it under the `history` lock, so `&ArcCell<T>`
+// gives other threads what `&Arc<T>` would.
 unsafe impl<T: Send + Sync> Sync for ArcCell<T> {}
 
 #[cfg(test)]

@@ -103,9 +103,8 @@ impl Epoll {
             return Err(std::io::Error::last_os_error());
         }
         // SAFETY: `fd` is a freshly created, unowned epoll descriptor.
-        Ok(Epoll {
-            fd: unsafe { OwnedFd::from_raw_fd(fd) },
-        })
+        let fd = unsafe { OwnedFd::from_raw_fd(fd) };
+        Ok(Epoll { fd })
     }
 
     fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> std::io::Result<()> {

@@ -13,7 +13,7 @@ use std::borrow::Cow;
 
 use crate::event::{Event, Tokenizer};
 use crate::writer;
-use crate::{Result, XmlError};
+use crate::{Result, Str, XmlError};
 
 /// Deepest element nesting a parsed tree or SOAP value may have, counting
 /// its root as one level. The portal's documents nest about ten deep;
@@ -53,17 +53,18 @@ impl Node {
 }
 
 /// An XML element: a (possibly prefixed) name, attributes in document
-/// order, and child nodes.
+/// order, and child nodes. Its name and attributes are [`Str`]s, so short
+/// ones live inside the element.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Element {
-    name: String,
-    attrs: Vec<(String, String)>,
+    name: Str,
+    attrs: Vec<(Str, Str)>,
     children: Vec<Node>,
 }
 
 impl Element {
     /// Create an empty element named `name` (may include a `prefix:`).
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Str>) -> Self {
         Element {
             name: name.into(),
             attrs: Vec::new(),
@@ -74,7 +75,7 @@ impl Element {
     // ---- builder -------------------------------------------------------
 
     /// Builder: add an attribute and return self.
-    pub fn with_attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_attr(mut self, name: impl Into<Str>, value: impl Into<Str>) -> Self {
         self.set_attr(name, value);
         self
     }
@@ -100,7 +101,7 @@ impl Element {
 
     /// Builder: append a named child that holds only text — the most common
     /// shape in the portal's data documents.
-    pub fn with_text_child(self, name: impl Into<String>, text: impl Into<String>) -> Self {
+    pub fn with_text_child(self, name: impl Into<Str>, text: impl Into<String>) -> Self {
         self.with_child(Element::new(name).with_text(text))
     }
 
@@ -113,7 +114,7 @@ impl Element {
     // ---- mutation ------------------------------------------------------
 
     /// Set (or replace) an attribute.
-    pub fn set_attr(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub fn set_attr(&mut self, name: impl Into<Str>, value: impl Into<Str>) {
         let name = name.into();
         let value = value.into();
         if let Some(slot) = self.attrs.iter_mut().find(|(n, _)| *n == name) {
@@ -142,15 +143,13 @@ impl Element {
 
     /// Full element name as written, including any prefix.
     pub fn name(&self) -> &str {
-        &self.name
+        self.name.as_str()
     }
 
     /// Name with any `prefix:` removed.
     pub fn local_name(&self) -> &str {
-        match self.name.split_once(':') {
-            Some((_, local)) => local,
-            None => &self.name,
-        }
+        let name = self.name.as_str();
+        name.split_once(':').map_or(name, |(_, local)| local)
     }
 
     /// Namespace prefix, if the name is prefixed.
@@ -162,12 +161,12 @@ impl Element {
     pub fn attr(&self, name: &str) -> Option<&str> {
         self.attrs
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| n.as_str() == name)
             .map(|(_, v)| v.as_str())
     }
 
     /// All attributes in document order.
-    pub fn attrs(&self) -> &[(String, String)] {
+    pub fn attrs(&self) -> &[(Str, Str)] {
         &self.attrs
     }
 
@@ -246,7 +245,7 @@ impl Element {
         self.attrs
             .iter()
             .filter_map(|(n, v)| {
-                if n == "xmlns" {
+                if *n == "xmlns" {
                     Some(("", v.as_str()))
                 } else {
                     n.strip_prefix("xmlns:").map(|p| (p, v.as_str()))
@@ -360,10 +359,10 @@ impl Element {
                 Event::EndTag { name } => {
                     let closed = open.pop();
                     let el = closed.as_ref().unwrap_or(&root);
-                    if el.name != name {
+                    if el.name.as_str() != name {
                         return Err(XmlError::MismatchedTag {
                             pos: tok.pos_at(at),
-                            open: el.name.clone(),
+                            open: el.name.to_string(),
                             close: name.into_owned(),
                         });
                     }
@@ -379,12 +378,15 @@ impl Element {
         }
     }
 
+    /// The element a start tag opens. `(Str, Str)` and the tokenizer's
+    /// `(Cow, Cow)` pair share a layout, so the collect converts `attrs`
+    /// where it lies: short names and values cost no allocation at all.
     fn from_tag(name: Cow<'_, str>, attrs: Vec<(Cow<'_, str>, Cow<'_, str>)>) -> Element {
         Element {
-            name: name.into_owned(),
+            name: name.into(),
             attrs: attrs
                 .into_iter()
-                .map(|(k, v)| (k.into_owned(), v.into_owned()))
+                .map(|(k, v)| (k.into(), v.into()))
                 .collect(),
             children: Vec::new(),
         }
@@ -614,6 +616,17 @@ mod tests {
             let built = Element::parse(doc).map(drop);
             assert_eq!(skipped, built, "{doc}");
         }
+    }
+
+    #[test]
+    fn debug_text_shows_names_and_values_as_strings() {
+        let el = Element::new("m:put")
+            .with_attr("path", "/home/a \"quoted\" name longer than 22")
+            .with_text("x");
+        assert_eq!(
+            format!("{el:?}"),
+            r#"Element { name: "m:put", attrs: [("path", "/home/a \"quoted\" name longer than 22")], children: [Text("x")] }"#
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! line/col only when an error is being constructed.
 
 use std::borrow::Cow;
+use std::collections::HashSet;
 
 use crate::escape::{unescape, unescape_from};
 use crate::{scan, stats};
@@ -80,18 +81,37 @@ impl Event<'_> {
     }
 }
 
+/// A new attribute name is compared with each of the first this many
+/// names of its tag; names past them are checked in a hash set, so a tag
+/// costs time linear in its attributes and an ordinary tag allocates
+/// nothing for the check.
+const DUP_SCAN: usize = 8;
+
+/// A duplicate-check set whose capacity grew past this many names is
+/// dropped, not cleared, when the next long tag starts: clearing costs
+/// time in proportion to the capacity, and one huge tag must not make
+/// every later one pay for it.
+const DUP_SET_KEEP: usize = 256;
+
 /// Forward-only tokenizer over a source string.
 pub struct Tokenizer<'a> {
     src: &'a str,
     /// Current byte offset into `src` — the only position state the hot
     /// path maintains.
     off: usize,
+    /// Names past the first [`DUP_SCAN`] of the tag being read; made by
+    /// the first tag that has more, then reused.
+    seen: Option<HashSet<&'a str>>,
 }
 
 impl<'a> Tokenizer<'a> {
     /// Create a tokenizer over `src`.
     pub fn new(src: &'a str) -> Self {
-        Tokenizer { src, off: 0 }
+        Tokenizer {
+            src,
+            off: 0,
+            seen: None,
+        }
     }
 
     /// Current byte offset (cheap; record this on the hot path and convert
@@ -414,12 +434,36 @@ impl<'a> Tokenizer<'a> {
             self.advance(1);
             self.skip_ws();
             let value = self.take_quoted()?;
-            if attrs.iter().any(|(n, _)| n.as_ref() == aname) {
+            if self.is_duplicate(&attrs, aname) {
                 // portalint: allow(hot-path-alloc) — parse-error branch; never runs on well-formed input
                 return Err(self.err(format!("duplicate attribute {aname:?}")));
             }
             attrs.push((Cow::Borrowed(aname), value));
         }
+    }
+
+    /// Does the tag whose attributes so far are `attrs` already have one
+    /// named `name`? The first [`DUP_SCAN`] names are compared one by one,
+    /// and the rest are kept in `seen`, which this call starts afresh at
+    /// the first name past them.
+    fn is_duplicate(&mut self, attrs: &[(Cow<'a, str>, Cow<'a, str>)], name: &'a str) -> bool {
+        let (scanned, rest) = attrs.split_at(attrs.len().min(DUP_SCAN));
+        if scanned.iter().any(|(n, _)| n.as_ref() == name) {
+            return true;
+        }
+        if attrs.len() < DUP_SCAN {
+            return false;
+        }
+        let seen = match &mut self.seen {
+            Some(seen) if !rest.is_empty() => seen,
+            Some(seen) if seen.capacity() <= DUP_SET_KEEP => {
+                seen.clear();
+                seen
+            }
+            // portalint: allow(hot-path-alloc) — tags past DUP_SCAN attributes only; a new set allocates nothing until its first insert
+            slot => slot.insert(HashSet::new()),
+        };
+        !seen.insert(name)
     }
 
     /// Drain all events into a vector (convenience for tests and the DOM).
@@ -435,6 +479,7 @@ impl<'a> Tokenizer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Element;
 
     fn events(src: &str) -> Vec<Event<'_>> {
         Tokenizer::new(src).collect_events().unwrap()
@@ -633,6 +678,57 @@ mod tests {
     fn duplicate_attribute_rejected() {
         let mut t = Tokenizer::new(r#"<a k="1" k="2"/>"#);
         assert!(matches!(t.next_event(), Err(XmlError::Syntax { .. })));
+    }
+
+    #[test]
+    fn duplicate_check_spans_the_scan_and_the_set() {
+        // A repeat of a scanned name, of a name in the set, and one in a
+        // later long tag after a longer one left a large set behind. Long
+        // tags that share names are not duplicates: the set starts afresh
+        // for each, whether it is dropped (after the huge tag) or kept.
+        let names = |n: usize| (0..n).map(|i| format!("a{i}=''")).collect::<Vec<_>>();
+        let tag = |attrs: &[String]| format!("<t {}/>", attrs.join(" "));
+        let ok = names(3 * DUP_SET_KEEP);
+        let long = tag(&ok[..DUP_SCAN + 20]);
+        let mut doc = format!("<r>{}{long}{long}</r>", tag(&ok));
+        Element::parse(&doc).unwrap();
+        for (dup, at) in [
+            (0, DUP_SCAN + 4),
+            (DUP_SCAN + 1, DUP_SCAN + 4),
+            (DUP_SCAN, 40),
+        ] {
+            let mut attrs = ok[..at].to_vec();
+            attrs.push(ok[dup].clone());
+            doc = format!("<r>{}{}</r>", tag(&ok), tag(&attrs));
+            let err = Element::parse(&doc).unwrap_err();
+            let XmlError::Syntax { pos, msg } = err else {
+                panic!("{err:?}")
+            };
+            assert_eq!(msg, format!("duplicate attribute \"a{dup}\""));
+            // Reported where the parent reported it: after the value.
+            assert_eq!(pos.col as usize, doc.find("/></r>").unwrap() + 1);
+        }
+    }
+
+    #[test]
+    fn a_tag_of_many_attributes_parses_in_linear_time() {
+        // The aim is 4 MiB of attributes in under 1 s. On a 2-vCPU host a
+        // release build took 0.15 s for that, but the debug build `cargo
+        // test` runs took 0.9 s, so this runs 512 KiB (53,540 attributes)
+        // against 0.8 s: 0.16 s measured, 5x headroom. Comparing each name
+        // with every earlier one took 24 s here (4.8 s in release).
+        let mut doc = String::from("<a");
+        let mut n = 0;
+        while doc.len() < 512 << 10 {
+            doc.push_str(&format!(" n{n}=''"));
+            n += 1;
+        }
+        doc.push_str("/>");
+        let start = std::time::Instant::now();
+        let el = Element::parse(&doc).unwrap();
+        let took = start.elapsed();
+        assert_eq!(el.attrs().len(), n);
+        assert!(took.as_secs_f64() < 0.8, "{n} attributes took {took:?}");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   [`event::Event`]s (zero-copy on entity-free input) with
 //!   byte-accurate, lazily computed error positions.
 //! * [`dom`] — an owned element tree ([`Element`], [`Node`]) with a fluent
-//!   builder API and namespace-aware navigation.
+//!   builder API and namespace-aware navigation; names and attribute
+//!   values are [`Str`]s ([`small`]), held inside the element when short.
 //! * [`writer`] — compact and pretty serialization back to XML text.
 //! * [`path`] — a tiny path language (`"a/b/@c"`) for extracting values.
 //! * [`schema`] — the subset of XML Schema used by the paper's Application
@@ -39,6 +40,7 @@ pub mod event;
 pub mod path;
 pub mod scan;
 pub mod schema;
+pub mod small;
 pub mod stats;
 pub mod writer;
 
@@ -47,6 +49,7 @@ pub use event::{Event, Tokenizer};
 pub use schema::{
     ComplexType, ElementDecl, Occurs, Primitive, Schema, SimpleType, TypeDef, TypeRef,
 };
+pub use small::Str;
 
 use std::fmt;
 

@@ -439,7 +439,7 @@ impl Schema {
             if name.starts_with("xmlns") {
                 continue;
             }
-            if !ct.attributes.iter().any(|a| a.name == *name) {
+            if !ct.attributes.iter().any(|a| *name == a.name.as_str()) {
                 return Err(XmlError::SchemaViolation(format!(
                     "{path}: undeclared attribute {name:?}"
                 )));

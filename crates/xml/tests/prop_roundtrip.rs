@@ -46,7 +46,47 @@ fn element_strategy() -> impl Strategy<Value = Element> {
     })
 }
 
+/// A name of 1 to about 60 bytes, often near `Str`'s 22-byte inline
+/// limit, with multi-byte letters that can straddle it.
+fn any_length_name() -> impl Strategy<Value = String> {
+    "[a-zé中][a-z0-9_.éж中-]{0,24}"
+}
+
+/// An attribute value of 0 to about 100 bytes with markup characters
+/// and multi-byte text.
+fn any_length_value() -> impl Strategy<Value = String> {
+    proptest::string::string_regex("[a-z &<>\"'éж中😀]{0,26}").unwrap()
+}
+
+/// An element whose name, attribute names and values all come from the
+/// two strategies above, with one child of the same kind.
+fn any_length_element() -> impl Strategy<Value = Element> {
+    let attrs = || proptest::collection::vec((any_length_name(), any_length_value()), 0..5);
+    (any_length_name(), attrs(), any_length_name(), attrs()).prop_map(
+        |(name, attrs, child_name, child_attrs)| {
+            let with_attrs = |mut el: Element, attrs: Vec<(String, String)>| {
+                for (k, v) in attrs {
+                    el.set_attr(k, v);
+                }
+                el
+            };
+            let child = with_attrs(Element::new(child_name), child_attrs);
+            with_attrs(Element::new(name), attrs).with_child(child)
+        },
+    )
+}
+
 proptest! {
+    #[test]
+    fn names_and_values_of_any_length_round_trip(el in any_length_element()) {
+        let parsed = Element::parse(&el.to_xml()).expect("serialized XML must reparse");
+        prop_assert_eq!(&parsed, &el);
+        let child = parsed.children().next().expect("one child");
+        for (k, v) in child.attrs() {
+            prop_assert_eq!(child.attr(k), Some(v.as_str()));
+        }
+    }
+
     #[test]
     fn compact_round_trip(el in element_strategy()) {
         let xml = el.to_xml();
