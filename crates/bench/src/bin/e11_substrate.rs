@@ -42,7 +42,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use portalws_bench::{arm_name, jobs_request, representative_envelope};
+use portalws_bench::{
+    arm_name, jobs_request, median, read_baseline, representative_envelope, Flags, Gates, Json,
+};
 use portalws_soap::base64::{self, Base64Decoder, Base64Encoder};
 use portalws_soap::{
     CallContext, Envelope, Fault, MethodDesc, SoapClient, SoapResult, SoapServer, SoapService,
@@ -82,19 +84,6 @@ impl SoapService for EchoService {
             "Echo the argument",
         )]
     }
-}
-
-/// Median wall time of `f` over `n` runs, in microseconds.
-fn median_us(n: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<Duration> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2].as_secs_f64() * 1e6
 }
 
 struct ThroughputRow {
@@ -226,7 +215,7 @@ fn base64_kernel(iters: usize) -> (f64, f64) {
     assert_eq!(base64::decode(&text).as_deref(), Some(&data[..]));
     let kib = PAYLOAD_BYTES as f64 / 1024.0;
     let mut chars = String::with_capacity(text.len());
-    let encode = median_us(iters, || {
+    let encode = median(iters, || {
         chars.clear();
         let mut enc = Base64Encoder::new();
         enc.update(std::hint::black_box(&data), &mut chars);
@@ -234,40 +223,21 @@ fn base64_kernel(iters: usize) -> (f64, f64) {
         std::hint::black_box(&chars);
     });
     let mut bytes = Vec::with_capacity(data.len());
-    let decode = median_us(iters, || {
+    let decode = median(iters, || {
         bytes.clear();
         let mut dec = Base64Decoder::new();
         let decoded = dec.update(std::hint::black_box(&text), &mut bytes);
         std::hint::black_box((decoded, dec.finish(), &bytes));
     });
     assert_eq!((chars.as_str(), &bytes[..]), (text.as_str(), &data[..]));
-    (encode / kib, decode / kib)
-}
-
-/// Pull the number after `"key":` out of a flat JSON document. Enough for
-/// the baseline file this binary writes itself.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let tail = doc.get(at..)?.trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail.get(..end)?.parse().ok()
+    let us_per_kib = |d: Duration| d.as_secs_f64() * 1e6 / kib;
+    (us_per_kib(encode), us_per_kib(decode))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = flag_value("--json");
-    let baseline_path = flag_value("--baseline");
-    let assert_no_alloc = args.iter().any(|a| a == "--assert-no-alloc");
+    let flags = Flags::from_env(&["--quick", "--assert-no-alloc"], &["--json", "--baseline"]);
+    let quick = flags.has("--quick");
+    let baseline = flags.value("--baseline").map(read_baseline);
 
     let (micro_iters, per_client) = if quick { (300, 100) } else { (3000, 1500) };
 
@@ -275,7 +245,7 @@ fn main() {
     let env = representative_envelope();
     let xml = env.to_xml();
 
-    if assert_no_alloc {
+    if flags.has("--assert-no-alloc") {
         // Dynamic cross-check of portalint's static hot-path-alloc gate.
         // The lint proves no allocation site (outside audited allows) is
         // reachable from the tokenizer (`Tokenizer::next_event`) or from
@@ -327,13 +297,14 @@ fn main() {
         );
         return;
     }
-    let parse_us = median_us(micro_iters, || {
+    let parse = median(micro_iters, || {
         let parsed = Envelope::parse(&xml).expect("parse");
         std::hint::black_box(parsed);
     });
-    let serialize_us = median_us(micro_iters, || {
+    let serialize = median(micro_iters, || {
         std::hint::black_box(env.to_xml());
     });
+    let (parse_us, serialize_us) = (parse.as_secs_f64() * 1e6, serialize.as_secs_f64() * 1e6);
 
     let (b64_encode_us_per_kib, b64_decode_us_per_kib) =
         base64_kernel(if quick { 40 } else { 200 });
@@ -383,70 +354,60 @@ fn main() {
     }
 
     // --- JSON artifact ----------------------------------------------------
-    if let Some(path) = json_path {
-        let mut doc = String::new();
-        doc.push_str("{\n");
-        doc.push_str(&format!("  \"envelope_bytes\": {},\n", xml.len()));
-        doc.push_str(&format!("  \"parse_us\": {parse_us:.3},\n"));
-        doc.push_str(&format!("  \"serialize_us\": {serialize_us:.3},\n"));
-        doc.push_str(&format!(
-            "  \"b64_encode_us_per_kib\": {b64_encode_us_per_kib:.3},\n"
-        ));
-        doc.push_str(&format!(
-            "  \"b64_decode_us_per_kib\": {b64_decode_us_per_kib:.3},\n"
-        ));
-        doc.push_str(&format!("  \"b64_kernel\": \"{b64_kernel}\",\n"));
-        doc.push_str("  \"throughput\": [\n");
-        for (i, row) in rows.iter().enumerate() {
-            doc.push_str(&format!(
-                "    {{\"arm\": \"{}\", \"workers\": {}, \"req_per_s\": {:.1}, \"scratch_growths\": {}, \"scratch_high_water\": {}, \"escape_fast_path_rate\": {:.4}, \"unescape_fast_path_rate\": {:.4}}}{}\n",
-                arm_name(row.arm),
-                row.workers,
-                row.req_per_s,
-                row.scratch_growths,
-                row.scratch_high_water,
-                row.escape_fast_path_rate,
-                row.unescape_fast_path_rate,
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        doc.push_str("  ],\n");
-        doc.push_str("  \"idle_mix\": [\n");
-        for (i, row) in idle_rows.iter().enumerate() {
-            doc.push_str(&format!(
-                "    {{\"idle\": {}, \"active\": {}, \"req_per_s\": {:.1}, \"connections_high_water\": {}}}{}\n",
-                row.idle,
-                row.active,
-                row.req_per_s,
-                row.connections_high_water,
-                if i + 1 < idle_rows.len() { "," } else { "" },
-            ));
-        }
-        doc.push_str("  ]\n}\n");
-        std::fs::write(&path, doc).expect("write json");
-        println!("\nwrote {path}");
+    if let Some(path) = flags.value("--json") {
+        let throughput = rows.iter().map(|row| {
+            Json::obj()
+                .with("arm", arm_name(row.arm))
+                .with("workers", row.workers)
+                .with("req_per_s", Json::num(row.req_per_s, 1))
+                .with("scratch_growths", row.scratch_growths)
+                .with("scratch_high_water", row.scratch_high_water)
+                .with(
+                    "escape_fast_path_rate",
+                    Json::num(row.escape_fast_path_rate, 4),
+                )
+                .with(
+                    "unescape_fast_path_rate",
+                    Json::num(row.unescape_fast_path_rate, 4),
+                )
+        });
+        let idle_mix = idle_rows.iter().map(|row| {
+            Json::obj()
+                .with("idle", row.idle)
+                .with("active", row.active)
+                .with("req_per_s", Json::num(row.req_per_s, 1))
+                .with("connections_high_water", row.connections_high_water)
+        });
+        Json::obj()
+            .with("envelope_bytes", xml.len())
+            .with("parse_us", Json::num(parse_us, 3))
+            .with("serialize_us", Json::num(serialize_us, 3))
+            .with("b64_encode_us_per_kib", Json::num(b64_encode_us_per_kib, 3))
+            .with("b64_decode_us_per_kib", Json::num(b64_decode_us_per_kib, 3))
+            .with("b64_kernel", b64_kernel)
+            .with("throughput", throughput.collect::<Vec<_>>())
+            .with("idle_mix", idle_mix.collect::<Vec<_>>())
+            .write_to(path);
     }
 
     // --- Baseline gate ----------------------------------------------------
-    if let Some(path) = baseline_path {
-        let doc = std::fs::read_to_string(&path).expect("read baseline");
-        let gates = [
-            ("parse_us", parse_us, 2.0),
-            ("b64_encode_us_per_kib", b64_encode_us_per_kib, 3.0),
-            ("b64_decode_us_per_kib", b64_decode_us_per_kib, 3.0),
-        ];
-        let mut failed = false;
-        for (key, current, bound) in gates {
-            let base = json_number(&doc, key).unwrap_or_else(|| panic!("baseline {key}"));
-            println!("baseline {key}: {base:.3}, current: {current:.3} (gate {bound}x)");
-            if current > bound * base {
-                eprintln!("FAIL: {key} regressed >{bound}x ({current:.3} vs baseline {base:.3})");
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("baseline gates passed");
+    if let Some(baseline) = &baseline {
+        let mut gates = Gates::default();
+        const PARSE_FACTOR: f64 = 2.0;
+        gates.within(baseline, "parse_us", parse_us, PARSE_FACTOR);
+        const BASE64_FACTOR: f64 = 3.0;
+        gates.within(
+            baseline,
+            "b64_encode_us_per_kib",
+            b64_encode_us_per_kib,
+            BASE64_FACTOR,
+        );
+        gates.within(
+            baseline,
+            "b64_decode_us_per_kib",
+            b64_decode_us_per_kib,
+            BASE64_FACTOR,
+        );
+        gates.finish("baseline gates passed");
     }
 }

@@ -41,6 +41,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use portalws_auth::{QuotaConfig, TenantQuotas, UserSession};
+use portalws_bench::{Flags, Gates, Json};
 use portalws_core::{
     ChaosPolicy, PortalDeployment, PortalShell, SecurityMode, ServerArm, Topology, TransferClient,
     TransferConfig, TransportMode, UiServer,
@@ -768,18 +769,11 @@ fn run_move_schedule(seed: u64, arm: ServerArm) -> MoveOutcome {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = flag_value("--json");
-    let base_seed: u64 = flag_value("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0xE12_5EED);
+    let flags = Flags::from_env(&["--quick"], &["--json", "--seed"]);
+    let quick = flags.has("--quick");
+    let base_seed: u64 = flags.value("--seed").map_or(0xE12_5EED, |v| {
+        v.parse().expect("--seed takes an unsigned integer")
+    });
 
     // ≥50 distinct schedules even in quick mode; the full soak widens the
     // sweep. TCP schedules (server-side chaos included) alternate between
@@ -1008,129 +1002,63 @@ fn main() {
         move_total.recovered_back
     );
 
-    if let Some(path) = json_path {
-        let mut doc = String::new();
-        doc.push_str("{\n");
-        doc.push_str(&format!("  \"schedules\": {schedules},\n"));
-        doc.push_str(&format!("  \"base_seed\": {base_seed},\n"));
-        doc.push_str(&format!("  \"ops\": {},\n", total.ops));
-        doc.push_str(&format!(
-            "  \"attempt_failures\": {},\n",
-            total.attempt_failures
-        ));
-        doc.push_str(&format!(
-            "  \"put_acknowledged\": {},\n",
-            total.put_acknowledged
-        ));
-        doc.push_str(&format!(
-            "  \"put_clean_failure\": {},\n",
-            total.put_clean_failure
-        ));
-        doc.push_str(&format!(
-            "  \"put_unacknowledged\": {},\n",
-            total.put_unacknowledged
-        ));
-        doc.push_str(&format!(
-            "  \"transfer_put_acknowledged\": {},\n",
-            total.transfer_put_acknowledged
-        ));
-        doc.push_str(&format!(
-            "  \"transfer_put_clean_failure\": {},\n",
-            total.transfer_put_clean_failure
-        ));
-        doc.push_str(&format!(
-            "  \"transfer_put_unacknowledged\": {},\n",
-            total.transfer_put_unacknowledged
-        ));
-        doc.push_str(&format!(
-            "  \"transfer_gets_resumed\": {},\n",
-            total.transfer_gets_resumed
-        ));
-        doc.push_str(&format!(
-            "  \"empty_body_settled\": {},\n",
-            total.empty_body_settled
-        ));
-        doc.push_str(&format!(
-            "  \"stale_read_checks\": {},\n",
-            total.stale_read_checks
-        ));
-        doc.push_str("  \"chaos\": {\n");
-        for (i, class) in ChaosClass::ALL.iter().enumerate() {
-            doc.push_str(&format!(
-                "    \"{}\": {}{}\n",
-                class.name(),
-                total.chaos[i],
-                if i + 1 < ChaosClass::ALL.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        doc.push_str("  },\n");
-        doc.push_str(&format!("  \"shed_calls\": {},\n", shed_total.calls));
-        doc.push_str(&format!("  \"shed_admitted\": {},\n", shed_total.admitted));
-        doc.push_str(&format!(
-            "  \"shed_busy_typed\": {},\n",
-            shed_total.busy_typed
-        ));
-        doc.push_str(&format!(
-            "  \"shed_deadline_typed\": {},\n",
-            shed_total.deadline_typed
-        ));
-        doc.push_str(&format!(
-            "  \"shed_chaos_errors\": {},\n",
-            shed_total.chaos_errors
-        ));
-        doc.push_str(&format!(
-            "  \"shed_server_sheds\": {},\n",
-            shed_total.server_sheds
-        ));
-        doc.push_str(&format!("  \"move_calls\": {},\n", move_total.moves));
-        doc.push_str(&format!("  \"move_injected\": {},\n", move_total.injected));
-        doc.push_str(&format!(
-            "  \"move_rolled_forward\": {},\n",
-            move_total.recovered_forward
-        ));
-        doc.push_str(&format!(
-            "  \"move_rolled_back\": {},\n",
-            move_total.recovered_back
-        ));
-        doc.push_str(&format!("  \"panics\": {},\n", panicked.len()));
-        doc.push_str(&format!(
-            "  \"violations\": {}\n",
-            total.violations.len()
-                + shed_total.violations.len()
-                + shed_family_failures.len()
-                + move_total.violations.len()
-                + move_family_failures.len()
-        ));
-        doc.push_str("}\n");
-        std::fs::write(&path, doc).expect("write json");
-        println!("\nwrote {path}");
+    if let Some(path) = flags.value("--json") {
+        let chaos = ChaosClass::ALL
+            .iter()
+            .zip(total.chaos)
+            .fold(Json::obj(), |doc, (class, n)| doc.with(class.name(), n));
+        let violations = total.violations.len()
+            + shed_total.violations.len()
+            + shed_family_failures.len()
+            + move_total.violations.len()
+            + move_family_failures.len();
+        Json::obj()
+            .with("schedules", schedules)
+            .with("base_seed", base_seed)
+            .with("ops", total.ops)
+            .with("attempt_failures", total.attempt_failures)
+            .with("put_acknowledged", total.put_acknowledged)
+            .with("put_clean_failure", total.put_clean_failure)
+            .with("put_unacknowledged", total.put_unacknowledged)
+            .with("transfer_put_acknowledged", total.transfer_put_acknowledged)
+            .with(
+                "transfer_put_clean_failure",
+                total.transfer_put_clean_failure,
+            )
+            .with(
+                "transfer_put_unacknowledged",
+                total.transfer_put_unacknowledged,
+            )
+            .with("transfer_gets_resumed", total.transfer_gets_resumed)
+            .with("empty_body_settled", total.empty_body_settled)
+            .with("stale_read_checks", total.stale_read_checks)
+            .with("chaos", chaos)
+            .with("shed_calls", shed_total.calls)
+            .with("shed_admitted", shed_total.admitted)
+            .with("shed_busy_typed", shed_total.busy_typed)
+            .with("shed_deadline_typed", shed_total.deadline_typed)
+            .with("shed_chaos_errors", shed_total.chaos_errors)
+            .with("shed_server_sheds", shed_total.server_sheds)
+            .with("move_calls", move_total.moves)
+            .with("move_injected", move_total.injected)
+            .with("move_rolled_forward", move_total.recovered_forward)
+            .with("move_rolled_back", move_total.recovered_back)
+            .with("panics", panicked.len())
+            .with("violations", violations)
+            .write_to(path);
     }
 
-    if !panicked.is_empty()
-        || !violating.is_empty()
-        || !shed_family_failures.is_empty()
-        || !move_family_failures.is_empty()
-    {
-        eprintln!(
-            "\nFAIL: {} panicking, {} violating schedules, {} family-gate failures",
-            panicked.len(),
-            violating.len(),
-            shed_family_failures.len() + move_family_failures.len()
-        );
-        for f in shed_family_failures
-            .iter()
-            .chain(move_family_failures.iter())
-        {
-            eprintln!("  {f}");
-        }
-        for seed in panicked.iter().chain(violating.iter()) {
-            eprintln!("  replay with: e12_chaos --seed {seed} (schedule seed {seed:#x})");
-        }
-        std::process::exit(1);
+    let mut gates = Gates::default();
+    for failure in shed_family_failures.into_iter().chain(move_family_failures) {
+        gates.check(false, failure);
     }
-    println!("\nall schedules clean");
+    for (seeds, broke) in [(&panicked, "panicked"), (&violating, "broke an invariant")] {
+        for seed in seeds {
+            gates.check(
+                false,
+                format!("schedule {broke}; replay with: e12_chaos --seed {seed} (schedule seed {seed:#x})"),
+            );
+        }
+    }
+    gates.finish("all schedules clean");
 }

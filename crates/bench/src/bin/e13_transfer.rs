@@ -31,6 +31,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use portalws_bench::{Flags, Gates, Json};
 use portalws_core::{TransferClient, TransferConfig};
 use portalws_gridsim::Srb;
 use portalws_services::DataManagementService;
@@ -189,13 +190,8 @@ fn chunked(rig: &Rig, body: &[u8], chunk: usize, window: usize) -> Row {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let flags = Flags::from_env(&["--quick"], &["--json"]);
+    let quick = flags.has("--quick");
 
     // 64 MiB is always in the sweep: it is the point past the wire frame
     // cap where the single-envelope arms stop working at all, which is
@@ -259,19 +255,20 @@ fn main() {
     // Client residency is bounded by window × chunk by construction, and
     // the server reorder buffer can hold at most the in-flight window.
     // Allow one chunk of slack for the frontier chunk being appended.
-    let mut failures = Vec::new();
+    let mut gates = Gates::default();
     for row in rows.iter().filter(|r| r.arm == "chunked") {
         let bound = (row.window + 1) * row.chunk;
-        if row.peak_buffer > bound {
-            failures.push(format!(
+        gates.check(
+            row.peak_buffer <= bound,
+            format!(
                 "chunked {} MiB (chunk {}, window {}): peak buffer {} > bound {}",
                 row.size / MIB,
                 row.chunk,
                 row.window,
                 row.peak_buffer,
                 bound
-            ));
-        }
+            ),
+        );
     }
 
     // Headline comparison at the largest size: the chunked path must beat
@@ -291,40 +288,30 @@ fn main() {
         "\n  at {} MiB: chunked {best_chunked:.1} MiB/s vs single-envelope base64 {b64:.1} MiB/s",
         top / MIB
     );
-    if best_chunked <= b64 {
-        failures.push(format!(
+    gates.check(
+        best_chunked > b64,
+        format!(
             "chunked ({best_chunked:.1} MiB/s) did not beat single-envelope base64 ({b64:.1} MiB/s) at {} MiB",
             top / MIB
-        ));
+        ),
+    );
+
+    if let Some(path) = flags.value("--json") {
+        let rows = rows.iter().map(|row| {
+            Json::obj()
+                .with("arm", row.arm.as_str())
+                .with("size", row.size)
+                .with("chunk", row.chunk)
+                .with("window", row.window)
+                .with("put_mib_s", Json::num(row.put_mib_s, 2))
+                .with("get_mib_s", Json::num(row.get_mib_s, 2))
+                .with("peak_buffer", row.peak_buffer)
+                .with("chunks", row.chunks)
+        });
+        Json::obj()
+            .with("rows", rows.collect::<Vec<_>>())
+            .write_to(path);
     }
 
-    if let Some(path) = json_path {
-        let mut doc = String::new();
-        doc.push_str("{\n  \"rows\": [\n");
-        for (i, row) in rows.iter().enumerate() {
-            doc.push_str(&format!(
-                "    {{\"arm\": \"{}\", \"size\": {}, \"chunk\": {}, \"window\": {}, \"put_mib_s\": {:.2}, \"get_mib_s\": {:.2}, \"peak_buffer\": {}, \"chunks\": {}}}{}\n",
-                row.arm,
-                row.size,
-                row.chunk,
-                row.window,
-                row.put_mib_s,
-                row.get_mib_s,
-                row.peak_buffer,
-                row.chunks,
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        doc.push_str("  ]\n}\n");
-        std::fs::write(&path, doc).expect("write json");
-        println!("\nwrote {path}");
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("\nbounded-memory gate passed: chunked peak ≤ (window + 1) × chunk");
+    gates.finish("bounded-memory gate passed: chunked peak ≤ (window + 1) × chunk");
 }

@@ -27,12 +27,13 @@
 //! Gates: repeated discovery reads ≥5× faster cached; assertion
 //! re-verification ≥2× faster cached; mixed-flow read hit rate ≥0.8.
 //! `--baseline` additionally fails on a >2× regression of the cached
-//! read µs/op or a hit rate below the committed minimum.
+//! read µs/op.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use portalws_auth::{AuthService, UserSession};
+use portalws_bench::{read_baseline, Flags, Gates, Json};
 use portalws_core::{PortalDeployment, SecurityMode, UiServer};
 use portalws_gridsim::clock::SimClock;
 use portalws_gridsim::cred::Mechanism;
@@ -169,29 +170,10 @@ fn mixed_flow(cached: bool, rounds: usize) -> FlowRow {
     }
 }
 
-/// Pull the number after `"key":` out of a flat JSON document (the
-/// baseline file this binary writes itself).
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let tail = doc.get(at..)?.trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail.get(..end)?.parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = flag_value("--json");
-    let baseline_path = flag_value("--baseline");
+    let flags = Flags::from_env(&["--quick"], &["--json", "--baseline"]);
+    let quick = flags.has("--quick");
+    let baseline = flags.value("--baseline").map(read_baseline);
 
     let (read_iters, verify_iters, rounds) = if quick {
         (200, 2_000, 20)
@@ -242,87 +224,65 @@ fn main() {
     }
 
     // --- Gates ------------------------------------------------------------
-    let mut failures = Vec::new();
-    if find_speedup < 5.0 || bind_speedup < 5.0 {
-        failures.push(format!(
-            "repeated discovery reads must be ≥5x faster cached (find {find_speedup:.1}x, bind {bind_speedup:.1}x)"
-        ));
-    }
-    if verify_speedup < 2.0 {
-        failures.push(format!(
-            "assertion re-verification must be ≥2x faster cached (got {verify_speedup:.1}x)"
-        ));
-    }
-    if flow_on.read_hit_rate < 0.8 {
-        failures.push(format!(
-            "mixed-flow read hit rate must be ≥0.8 (got {:.3})",
+    let mut gates = Gates::default();
+    const MIN_READ_SPEEDUP: f64 = 5.0;
+    gates.check(
+        find_speedup >= MIN_READ_SPEEDUP && bind_speedup >= MIN_READ_SPEEDUP,
+        format!(
+            "repeated discovery reads must be ≥{MIN_READ_SPEEDUP}x faster cached (find {find_speedup:.1}x, bind {bind_speedup:.1}x)"
+        ),
+    );
+    const MIN_VERIFY_SPEEDUP: f64 = 2.0;
+    gates.check(
+        verify_speedup >= MIN_VERIFY_SPEEDUP,
+        format!(
+            "assertion re-verification must be ≥{MIN_VERIFY_SPEEDUP}x faster cached (got {verify_speedup:.1}x)"
+        ),
+    );
+    const MIN_HIT_RATE: f64 = 0.8;
+    gates.check(
+        flow_on.read_hit_rate >= MIN_HIT_RATE,
+        format!(
+            "mixed-flow read hit rate must be ≥{MIN_HIT_RATE} (got {:.3})",
             flow_on.read_hit_rate
-        ));
-    }
-    if flow_on.auth_verify_cached == 0 {
-        failures.push("mixed flow with assertion reuse produced no verify-cache hits".into());
-    }
+        ),
+    );
+    gates.check(
+        flow_on.auth_verify_cached > 0,
+        "mixed flow with assertion reuse produced no verify-cache hits".into(),
+    );
+    let cached_read_us = disc_on.find_us.max(disc_on.bind_us);
 
     // --- JSON artifact ----------------------------------------------------
-    if let Some(path) = json_path {
-        let mut doc = String::new();
-        doc.push_str("{\n");
-        doc.push_str(&format!(
-            "  \"find_us_off\": {:.3},\n  \"find_us_on\": {:.3},\n  \"bind_us_off\": {:.3},\n  \"bind_us_on\": {:.3},\n",
-            disc_off.find_us, disc_on.find_us, disc_off.bind_us, disc_on.bind_us
-        ));
-        doc.push_str(&format!(
-            "  \"cached_read_us\": {:.3},\n",
-            disc_on.find_us.max(disc_on.bind_us)
-        ));
-        doc.push_str(&format!(
-            "  \"verify_us_off\": {verify_off:.4},\n  \"verify_us_on\": {verify_on:.4},\n"
-        ));
-        doc.push_str(&format!(
-            "  \"flow_us_off\": {:.1},\n  \"flow_us_on\": {:.1},\n",
-            flow_off.us_per_round, flow_on.us_per_round
-        ));
-        doc.push_str(&format!(
-            "  \"hit_rate\": {:.4},\n  \"min_hit_rate\": 0.8,\n",
-            flow_on.read_hit_rate
-        ));
-        doc.push_str(&format!(
-            "  \"auth_verify_cached\": {}\n",
-            flow_on.auth_verify_cached
-        ));
-        doc.push_str("}\n");
-        std::fs::write(&path, doc).expect("write json");
-        println!("\nwrote {path}");
+    if let Some(path) = flags.value("--json") {
+        Json::obj()
+            .with("find_us_off", Json::num(disc_off.find_us, 3))
+            .with("find_us_on", Json::num(disc_on.find_us, 3))
+            .with("bind_us_off", Json::num(disc_off.bind_us, 3))
+            .with("bind_us_on", Json::num(disc_on.bind_us, 3))
+            .with("cached_read_us", Json::num(cached_read_us, 3))
+            .with("verify_us_off", Json::num(verify_off, 4))
+            .with("verify_us_on", Json::num(verify_on, 4))
+            .with("flow_us_off", Json::num(flow_off.us_per_round, 1))
+            .with("flow_us_on", Json::num(flow_on.us_per_round, 1))
+            .with("hit_rate", Json::num(flow_on.read_hit_rate, 4))
+            .with("min_hit_rate", Json::num(MIN_HIT_RATE, 1))
+            .with("auth_verify_cached", flow_on.auth_verify_cached)
+            .write_to(path);
     }
 
     // --- Baseline gate ----------------------------------------------------
-    if let Some(path) = baseline_path {
-        let doc = std::fs::read_to_string(&path).expect("read baseline");
-        let base_read = json_number(&doc, "cached_read_us").expect("baseline cached_read_us");
-        let min_hit_rate = json_number(&doc, "min_hit_rate").unwrap_or(0.8);
-        let cached_read = disc_on.find_us.max(disc_on.bind_us);
-        println!(
-            "\nbaseline cached read: {base_read:.1} µs/op, current: {cached_read:.1} µs/op; hit rate {:.3} (min {min_hit_rate:.2})",
-            flow_on.read_hit_rate
+    if let Some(baseline) = &baseline {
+        const CACHED_READ_FACTOR: f64 = 2.0;
+        gates.within(
+            baseline,
+            "cached_read_us",
+            cached_read_us,
+            CACHED_READ_FACTOR,
         );
-        if cached_read > 2.0 * base_read {
-            failures.push(format!(
-                "cached read µs/op regressed >2x ({cached_read:.1} vs baseline {base_read:.1})"
-            ));
-        }
-        if flow_on.read_hit_rate < min_hit_rate {
-            failures.push(format!(
-                "hit rate {:.3} below committed minimum {min_hit_rate:.2}",
-                flow_on.read_hit_rate
-            ));
-        }
     }
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("\ncache gates passed: reads ≥5x, re-verification ≥2x, hit rate ≥ 0.8");
+    gates.finish(&format!(
+        "cache gates passed: reads ≥{MIN_READ_SPEEDUP}x, re-verification ≥{MIN_VERIFY_SPEEDUP}x, hit rate ≥ {MIN_HIT_RATE}"
+    ));
 }

@@ -32,14 +32,14 @@
 //!
 //! ```sh
 //! cargo run -p portalws-bench --release --bin e15_load -- \
-//!     [--quick] [--json PATH] [--baseline PATH]
+//!     [--quick] [--json PATH]
 //! ```
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use portalws_auth::{QuotaConfig, TenantQuotas, UserSession};
-use portalws_bench::arm_name;
+use portalws_bench::{arm_name, percentile, Flags, Gates, Json};
 use portalws_core::{PortalDeployment, SecurityMode, ServerArm, Topology, TransportMode};
 use portalws_gridsim::cred::Mechanism;
 use portalws_soap::{Envelope, PortalErrorKind, SoapClient, SoapError, SoapValue};
@@ -290,14 +290,6 @@ impl Run {
     }
 }
 
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let ix = ((sorted_ms.len() - 1) as f64 * p).round() as usize;
-    sorted_ms[ix]
-}
-
 /// Stand up a fresh deployment on `arm` and drive `rate` sessions/sec at
 /// it for `dur_s`, open-loop.
 fn run_load(
@@ -441,29 +433,9 @@ fn drive_arm(arm: ServerArm, rates: &[f64], dur_s: f64, tenants: usize, seed: u6
     }
 }
 
-/// Pull the number after `"key":` out of a flat JSON document (the
-/// baseline file this binary writes itself).
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let tail = doc.get(at..)?.trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail.get(..end)?.parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = flag_value("--json");
-    let baseline_path = flag_value("--baseline");
+    let flags = Flags::from_env(&["--quick"], &["--json"]);
+    let quick = flags.has("--quick");
 
     let (rates, dur_s, tenants): (&[f64], f64, usize) = if quick {
         (&[40.0, 80.0, 160.0], 1.0, 4)
@@ -486,73 +458,70 @@ fn main() {
     let reactor = drive_arm(ServerArm::Reactor, rates, dur_s, tenants, seed);
 
     // --- Gates: shed, don't collapse -------------------------------------
-    let p99_max_ms = baseline_path
-        .as_deref()
-        .and_then(|p| std::fs::read_to_string(p).ok())
-        .and_then(|doc| json_number(&doc, "p99_max_ms"))
-        .unwrap_or(250.0);
-    let mut failures = Vec::new();
+    let mut gates = Gates::default();
+    const P99_MAX_MS: f64 = 250.0;
     for (name, report) in [("blocking", &blocking), ("reactor", &reactor)] {
         let run = &report.overload;
         let p99 = percentile(&run.admitted, 0.99);
-        if run.fail > 0 {
-            failures.push(format!(
+        gates.check(
+            run.fail == 0,
+            format!(
                 "{name}: {} calls failed untyped under overload (sheds must be well-formed faults)",
                 run.fail
-            ));
-        }
-        if run.sheds() == 0 {
-            failures.push(format!(
+            ),
+        );
+        gates.check(
+            run.sheds() > 0,
+            format!(
                 "{name}: overload at 2x knee produced no sheds — admission control never engaged"
-            ));
-        }
-        if p99 > p99_max_ms {
-            failures.push(format!(
-                "{name}: admitted p99 {p99:.1} ms exceeds the {p99_max_ms:.0} ms bound under overload"
-            ));
-        }
-        if run.admitted.is_empty() {
-            failures.push(format!("{name}: nothing admitted under overload"));
-        }
+            ),
+        );
+        gates.check(
+            p99 <= P99_MAX_MS,
+            format!("{name}: admitted p99 {p99:.1} ms exceeds the {P99_MAX_MS:.0} ms bound under overload"),
+        );
+        gates.check(
+            !run.admitted.is_empty(),
+            format!("{name}: nothing admitted under overload"),
+        );
         if let Some(starved) = run.per_tenant.iter().position(|&n| n == 0) {
-            failures.push(format!(
-                "{name}: tenant {starved} was starved outright under overload"
-            ));
+            gates.check(
+                false,
+                format!("{name}: tenant {starved} was starved outright under overload"),
+            );
         }
     }
 
     // --- JSON artifact ----------------------------------------------------
-    if let Some(path) = json_path {
-        let mut doc = String::new();
-        doc.push_str("{\n");
+    if let Some(path) = flags.value("--json") {
+        let mut doc = Json::obj();
         for (name, report) in [("blocking", &blocking), ("reactor", &reactor)] {
             let run = &report.overload;
-            doc.push_str(&format!(
-                "  \"knee_rate_{name}\": {:.1},\n  \"overload_p50_ms_{name}\": {:.3},\n  \"overload_p99_ms_{name}\": {:.3},\n  \"overload_p999_ms_{name}\": {:.3},\n  \"overload_admitted_{name}\": {},\n  \"overload_busy_{name}\": {},\n  \"overload_deadline_{name}\": {},\n  \"overload_late_{name}\": {},\n  \"overload_fail_{name}\": {},\n",
-                report.knee_rate,
-                percentile(&run.admitted, 0.50),
-                percentile(&run.admitted, 0.99),
-                percentile(&run.admitted, 0.999),
-                run.admitted.len(),
-                run.busy,
-                run.deadline,
-                run.late,
-                run.fail,
-            ));
+            doc = doc
+                .with(&format!("knee_rate_{name}"), Json::num(report.knee_rate, 1))
+                .with(
+                    &format!("overload_p50_ms_{name}"),
+                    Json::num(percentile(&run.admitted, 0.50), 3),
+                )
+                .with(
+                    &format!("overload_p99_ms_{name}"),
+                    Json::num(percentile(&run.admitted, 0.99), 3),
+                )
+                .with(
+                    &format!("overload_p999_ms_{name}"),
+                    Json::num(percentile(&run.admitted, 0.999), 3),
+                )
+                .with(&format!("overload_admitted_{name}"), run.admitted.len())
+                .with(&format!("overload_busy_{name}"), run.busy)
+                .with(&format!("overload_deadline_{name}"), run.deadline)
+                .with(&format!("overload_late_{name}"), run.late)
+                .with(&format!("overload_fail_{name}"), run.fail);
         }
-        doc.push_str(&format!("  \"p99_max_ms\": {p99_max_ms:.1}\n"));
-        doc.push_str("}\n");
-        std::fs::write(&path, doc).expect("write json");
-        println!("\nwrote {path}");
+        doc.with("p99_max_ms", Json::num(P99_MAX_MS, 1))
+            .write_to(path);
     }
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "\nload gates passed: typed sheds only, admitted p99 ≤ {p99_max_ms:.0} ms at 2x knee, no tenant starved"
-    );
+    gates.finish(&format!(
+        "load gates passed: typed sheds only, admitted p99 ≤ {P99_MAX_MS:.0} ms at 2x knee, no tenant starved"
+    ));
 }

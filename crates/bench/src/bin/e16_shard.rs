@@ -28,13 +28,14 @@
 //!
 //! Gates: mixed-flow req/s ≥1.8× at 4 stripes vs 1 (8 workers); ring
 //! balance max/mean ≤ 1.25 at 64 collections over 4 shards; rebalance
-//! fraction < 0.5. `--baseline` additionally enforces the committed
-//! minimum scaling and maximum balance.
+//! fraction < 0.5. `--baseline` holds the committed run's measured
+//! scaling and balance to the same two bounds.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
+use portalws_bench::{percentile, read_baseline, Flags, Gates, Json};
 use portalws_gridsim::srb::Srb;
 use portalws_services::shard::DEFAULT_VNODES;
 use portalws_services::{DataManagementService, ShardMap, ShardedDataService};
@@ -177,36 +178,10 @@ fn shard_arm(shards: usize, ops_per_worker: usize) -> f64 {
     (WORKERS * ops_per_worker) as f64 / t0.elapsed().as_secs_f64()
 }
 
-fn p99(lat: &mut [f64]) -> f64 {
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let idx = ((lat.len() as f64) * 0.99) as usize;
-    lat.get(idx.min(lat.len().saturating_sub(1)))
-        .copied()
-        .unwrap_or(0.0)
-}
-
-/// Pull the number after `"key":` out of a flat JSON document.
-fn json_number(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let tail = doc.get(at..)?.trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail.get(..end)?.parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let json_path = flag_value("--json");
-    let baseline_path = flag_value("--baseline");
+    let flags = Flags::from_env(&["--quick"], &["--json", "--baseline"]);
+    let quick = flags.has("--quick");
+    let baseline = flags.value("--baseline").map(read_baseline);
 
     let ops_per_worker = if quick { 200 } else { 800 };
 
@@ -222,7 +197,8 @@ fn main() {
     let mut p99_sharded = 0.0;
     for stripes in [1usize, 4, 8] {
         let (rps, mut lat) = stripe_arm(stripes, ops_per_worker);
-        let p = p99(&mut lat);
+        lat.sort_by(f64::total_cmp);
+        let p = percentile(&lat, 0.99);
         if stripes == 1 {
             p99_unsharded = p;
         }
@@ -270,75 +246,62 @@ fn main() {
     );
 
     // --- Gates ------------------------------------------------------------
-    let mut failures = Vec::new();
-    if stripe_scaling < 1.8 {
-        failures.push(format!(
-            "mixed flow must scale ≥1.8x at 4 stripes vs 1 (got {stripe_scaling:.2}x)"
-        ));
+    let mut gates = Gates::default();
+    const MIN_SCALING: f64 = 1.8;
+    const MAX_BALANCE: f64 = 1.25;
+    let mut check_run = |run: &str, scaling: f64, balance: f64| {
+        gates.check(
+            scaling >= MIN_SCALING,
+            format!(
+                "{run}mixed flow must scale ≥{MIN_SCALING}x at 4 stripes vs 1 (got {scaling:.2}x)"
+            ),
+        );
+        gates.check(
+            balance <= MAX_BALANCE,
+            format!("{run}ring balance max/mean must be ≤{MAX_BALANCE} at {COLLECTIONS} collections (got {balance:.3})"),
+        );
+    };
+    check_run("", stripe_scaling, balance);
+    // A committed baseline must itself meet the bounds; a missing key
+    // reads as NaN, which meets none.
+    if let Some(baseline) = &baseline {
+        let measured = |key| baseline.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        check_run(
+            "baseline: ",
+            measured("stripe_scaling_4"),
+            measured("balance_max_mean"),
+        );
     }
-    if balance > 1.25 {
-        failures.push(format!(
-            "ring balance max/mean must be ≤1.25 at {COLLECTIONS} collections (got {balance:.3})"
-        ));
-    }
-    if rebalance_fraction >= 0.5 {
-        failures.push(format!(
-            "adding one shard must move <50% of keys (got {rebalance_fraction:.3})"
-        ));
-    }
+    const MAX_REBALANCE: f64 = 0.5;
+    gates.check(
+        rebalance_fraction < MAX_REBALANCE,
+        format!(
+            "adding one shard must move <{:.0}% of keys (got {rebalance_fraction:.3})",
+            MAX_REBALANCE * 100.0
+        ),
+    );
 
     // --- JSON artifact ----------------------------------------------------
-    if let Some(path) = json_path {
-        let mut doc = String::new();
-        doc.push_str("{\n");
-        doc.push_str(&format!(
-            "  \"stripe_rps_1\": {:.1},\n  \"stripe_rps_4\": {:.1},\n  \"stripe_rps_8\": {:.1},\n",
-            stripe_rps.first().copied().unwrap_or(0.0),
-            stripe_rps.get(1).copied().unwrap_or(0.0),
-            stripe_rps.get(2).copied().unwrap_or(0.0)
-        ));
-        doc.push_str(&format!("  \"stripe_scaling_4\": {stripe_scaling:.3},\n"));
-        doc.push_str(&format!(
-            "  \"shard_rps_1\": {shard_rps_1:.1},\n  \"shard_rps_4\": {shard_rps_4:.1},\n  \"shard_scaling_4\": {shard_scaling:.3},\n"
-        ));
-        doc.push_str(&format!(
-            "  \"p99_us_unsharded\": {p99_unsharded:.1},\n  \"p99_us_sharded\": {p99_sharded:.1},\n"
-        ));
-        doc.push_str(&format!(
-            "  \"balance_max_mean\": {balance:.4},\n  \"rebalance_fraction\": {rebalance_fraction:.4},\n"
-        ));
-        doc.push_str("  \"min_scaling\": 1.8,\n  \"max_balance\": 1.25\n");
-        doc.push_str("}\n");
-        std::fs::write(&path, doc).expect("write json");
-        println!("\nwrote {path}");
+    if let Some(path) = flags.value("--json") {
+        let stripe_rps = |i: usize| Json::num(stripe_rps.get(i).copied().unwrap_or(0.0), 1);
+        Json::obj()
+            .with("stripe_rps_1", stripe_rps(0))
+            .with("stripe_rps_4", stripe_rps(1))
+            .with("stripe_rps_8", stripe_rps(2))
+            .with("stripe_scaling_4", Json::num(stripe_scaling, 3))
+            .with("shard_rps_1", Json::num(shard_rps_1, 1))
+            .with("shard_rps_4", Json::num(shard_rps_4, 1))
+            .with("shard_scaling_4", Json::num(shard_scaling, 3))
+            .with("p99_us_unsharded", Json::num(p99_unsharded, 1))
+            .with("p99_us_sharded", Json::num(p99_sharded, 1))
+            .with("balance_max_mean", Json::num(balance, 4))
+            .with("rebalance_fraction", Json::num(rebalance_fraction, 4))
+            .with("min_scaling", Json::num(MIN_SCALING, 1))
+            .with("max_balance", Json::num(MAX_BALANCE, 2))
+            .write_to(path);
     }
 
-    // --- Baseline gate ----------------------------------------------------
-    if let Some(path) = baseline_path {
-        let doc = std::fs::read_to_string(&path).expect("read baseline");
-        let min_scaling = json_number(&doc, "min_scaling").unwrap_or(1.8);
-        let max_balance = json_number(&doc, "max_balance").unwrap_or(1.25);
-        println!(
-            "\nbaseline: scaling ≥{min_scaling:.2}x, balance ≤{max_balance:.2}; \
-             current {stripe_scaling:.2}x / {balance:.3}"
-        );
-        if stripe_scaling < min_scaling {
-            failures.push(format!(
-                "stripe scaling {stripe_scaling:.2}x below committed minimum {min_scaling:.2}x"
-            ));
-        }
-        if balance > max_balance {
-            failures.push(format!(
-                "balance {balance:.3} above committed maximum {max_balance:.2}"
-            ));
-        }
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("\nshard gates passed: ≥1.8x at 4 stripes, balance ≤1.25, rebalance <0.5");
+    gates.finish(&format!(
+        "shard gates passed: ≥{MIN_SCALING}x at 4 stripes, balance ≤{MAX_BALANCE}, rebalance <{MAX_REBALANCE}",
+    ));
 }

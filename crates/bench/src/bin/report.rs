@@ -7,16 +7,16 @@
 //! cargo run -p portalws-bench --release --bin report
 //! ```
 //!
-//! Timing here is a simple median over repeated runs — Criterion (in
-//! `benches/`) owns the statistically careful numbers; this binary owns
-//! the *shape* of each result table.
+//! No other program runs E1–E10. Each timing is the median of
+//! repeated runs ([`portalws_bench::median`]): enough for the *shape* of
+//! each result table, which is what the experiments compare.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use portalws_bench::{
-    discovery_population, jobs_request, payload, per_call_transport, synthetic_form,
-    synthetic_schema,
+    discovery_population, jobs_request, median, payload, per_call_transport, synthetic_form,
+    synthetic_schema, Flags,
 };
 use portalws_core::{PortalDeployment, PortalShell, SecurityMode, UiServer};
 use portalws_gridsim::sched::{parse_script, SchedulerKind};
@@ -28,19 +28,6 @@ use portalws_soap::{SoapClient, SoapServer, SoapService, SoapValue};
 use portalws_wire::{Handler, InMemoryTransport, Transport};
 use portalws_wizard::{BeanRegistry, SchemaWizard, Som};
 use portalws_xml::Element;
-
-/// Median wall time of `f` over `n` runs.
-fn median(n: usize, mut f: impl FnMut()) -> Duration {
-    let mut samples: Vec<Duration> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
-}
 
 fn us(d: Duration) -> String {
     format!("{:.1} µs", d.as_secs_f64() * 1e6)
@@ -57,6 +44,7 @@ fn heading(s: &str) {
 }
 
 fn main() {
+    Flags::from_env(&[], &[]);
     heading("E1 (Fig. 1) — basic Web-Services interactions");
     e1();
     heading("E2 (Fig. 2) — assertion-based single sign-on");
@@ -683,6 +671,32 @@ fn e9() {
         );
     }
     println!("\n  (simulated time: 4s jobs, 2 cpus each, 32-cpu host; the paper's service ran them sequentially)");
+
+    // The wall-clock side: zero-second jobs leave only the processing
+    // cost of each request form.
+    let d = PortalDeployment::in_memory(SecurityMode::Open);
+    let c = SoapClient::new(d.transport("grid.sdsc.edu").unwrap(), "JobSubmission");
+    let run = |jobs: &Element| {
+        c.call("runXml", &[SoapValue::Xml(jobs.clone())]).unwrap();
+    };
+    println!(
+        "\n  {:<6} {:>22} {:>22} {:>9}",
+        "jobs", "one n-job request", "n 1-job requests", "ratio"
+    );
+    let one_job = jobs_request(1, 0, 1);
+    for n in [2usize, 4, 8, 16] {
+        let n_jobs = jobs_request(n, 0, 1);
+        let batched = median(20, || run(&n_jobs));
+        let separate = median(20, || (0..n).for_each(|_| run(&one_job)));
+        println!(
+            "  {:<6} {:>22} {:>22} {:>8.2}x",
+            n,
+            us(batched),
+            us(separate),
+            separate.as_secs_f64() / batched.as_secs_f64()
+        );
+    }
+    println!("\n  (wall clock, in-memory transport: 0 s jobs, 1 cpu each)");
 }
 
 fn e10() {

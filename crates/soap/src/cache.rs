@@ -286,8 +286,14 @@ impl ReadCache {
         }
     }
 
-    /// Leader half of a fetch: wire call, cache fill, publish to
-    /// followers, retire the flight.
+    /// Leader half of a fetch: wire call, cache fill, retire the flight,
+    /// publish to followers.
+    ///
+    /// A success fills the cache before it retires the flight, so a
+    /// caller arriving in between finds the key either in flight or
+    /// cached, never neither (which would lead a second wire call).
+    /// Callers arriving after the retirement start a fresh flight; current
+    /// followers still hold their Arc and see the published state.
     fn fetch_and_fill<E>(
         &self,
         key: &Key,
@@ -295,31 +301,19 @@ impl ReadCache {
         fetch: &dyn Fn() -> Result<(SoapValue, Option<u64>), E>,
     ) -> Result<Arc<SoapValue>, E> {
         self.stats.record_cache_miss();
-        let result = fetch();
-        if flight.is_some() {
-            // Callers arriving from here on start a fresh flight; current
-            // followers still hold their Arc and see the published state.
+        let filled = fetch().map(|(value, generation)| {
+            if let Some(g) = generation {
+                self.observe_generation(&key.0, g);
+            }
+            let value = Arc::new(value);
+            self.insert(key.clone(), Arc::clone(&value), generation);
+            (value, generation)
+        });
+        if let Some(flight) = flight {
             self.inflight.lock().remove(key);
+            flight.publish(filled.as_ref().ok().map(|(v, g)| (Arc::clone(v), *g)));
         }
-        match result {
-            Ok((value, generation)) => {
-                if let Some(g) = generation {
-                    self.observe_generation(&key.0, g);
-                }
-                let value = Arc::new(value);
-                self.insert(key.clone(), Arc::clone(&value), generation);
-                if let Some(flight) = flight {
-                    flight.publish(Some((Arc::clone(&value), generation)));
-                }
-                Ok(value)
-            }
-            Err(e) => {
-                if let Some(flight) = flight {
-                    flight.publish(None);
-                }
-                Err(e)
-            }
-        }
+        filled.map(|(value, _)| value)
     }
 
     /// Serve from the cache if the entry is present and provably fresh:
@@ -654,6 +648,45 @@ mod tests {
         assert_eq!(follower.join().unwrap(), Ok(Arc::new(SoapValue::Int(202))));
         assert_eq!(calls.load(Ordering::SeqCst), 2, "follower refetched");
         assert_eq!(cache.stats().snapshot().coalesced_calls, 0);
+    }
+
+    #[test]
+    fn leader_keeps_its_key_in_flight_until_the_fill_lands() {
+        // Hold the lock the leader's fill takes, then let its fetch
+        // return. Until the fill lands, the key must stay in flight: a
+        // caller arriving in that window joins the flight instead of
+        // finding neither flight nor entry and leading a second wire call.
+        let cache = Arc::new(cache_with_ttl(Duration::from_secs(60)));
+        let key: Key = ("Svc".into(), "read".into(), 1);
+        let (fetching_tx, fetching_rx) = std::sync::mpsc::channel();
+        let (return_tx, return_rx) = std::sync::mpsc::channel::<()>();
+        let leader = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                let fetch = || {
+                    fetching_tx.send(()).expect("test thread waits");
+                    return_rx.recv().expect("test thread releases the fetch");
+                    Ok::<_, ()>((SoapValue::Int(7), Some(1)))
+                };
+                cache.get_or_fetch("Svc", "read", 1, None, &fetch)
+            })
+        };
+        fetching_rx.recv().expect("leader fetching");
+        let entries = cache.entries.lock();
+        return_tx.send(()).expect("leader waits");
+        let held = Instant::now();
+        while held.elapsed() < Duration::from_millis(200) {
+            assert!(
+                cache.inflight.lock().contains_key(&key),
+                "key left flight {:?} after the fetch, before its fill",
+                held.elapsed()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop(entries);
+        assert_eq!(leader.join().unwrap(), Ok(Arc::new(SoapValue::Int(7))));
+        assert!(!cache.inflight.lock().contains_key(&key), "flight retired");
+        assert_eq!(cache.entry_count(), 1);
     }
 
     #[test]

@@ -66,13 +66,19 @@ mod sys {
     pub const EPOLL_CTL_MOD: i32 = 3;
     pub const EPOLL_CLOEXEC: i32 = 0o2000000;
 
-    /// `struct epoll_event`; packed on x86_64 per the kernel ABI.
-    #[repr(C, packed)]
+    /// `struct epoll_event`. The kernel packs it on x86_64 only
+    /// (`linux/eventpoll.h`), so it is 12 bytes there and 16 elsewhere.
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Clone, Copy)]
     pub struct EpollEvent {
         pub events: u32,
         pub data: u64,
     }
+
+    const _: () = assert!(
+        std::mem::size_of::<EpollEvent>() == if cfg!(target_arch = "x86_64") { 12 } else { 16 }
+    );
 
     extern "C" {
         pub fn epoll_create1(flags: i32) -> i32;

@@ -99,18 +99,6 @@ pub fn text_at(root: &Element, path: &str) -> Result<String> {
     value_at(root, path)
 }
 
-/// Count the elements matching the final name step of `path` under the
-/// element reached by the preceding steps.
-pub fn count_at(root: &Element, path: &str) -> Result<usize> {
-    match path.rsplit_once('/') {
-        Some((head, last)) => {
-            let parent = element_at(root, head)?;
-            Ok(parent.find_all(last).count())
-        }
-        None => Ok(root.find_all(path).count()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,13 +135,6 @@ mod tests {
         // root attribute needs a child step first in this language; verify
         // direct attr access still works through the Element API instead.
         assert_eq!(root.attr("version"), Some("2"));
-    }
-
-    #[test]
-    fn count() {
-        assert_eq!(count_at(&doc(), "host").unwrap(), 2);
-        assert_eq!(count_at(&doc(), "host/queue").unwrap(), 2);
-        assert_eq!(count_at(&doc(), "host[1]/queue").unwrap(), 1);
     }
 
     #[test]

@@ -495,49 +495,6 @@ impl Schema {
         Ok(())
     }
 
-    // ---- sample instance generation -------------------------------------
-
-    /// Generate a minimal valid instance of global element `name`, using
-    /// sample values for simple types. Used by the schema wizard's preview
-    /// and by property tests (generate → validate must succeed).
-    pub fn sample_instance(&self, name: &str) -> Result<Element> {
-        let decl = self
-            .global_element(name)
-            .ok_or_else(|| XmlError::SchemaViolation(format!("no global element {name:?}")))?;
-        self.sample_element(decl, 0)
-    }
-
-    fn sample_element(&self, decl: &ElementDecl, depth: usize) -> Result<Element> {
-        if depth > 32 {
-            return Err(XmlError::SchemaViolation(
-                "schema recursion exceeds depth 32".into(),
-            ));
-        }
-        let mut el = Element::new(decl.name.clone());
-        match self.resolve(&decl.ty)? {
-            TypeDef::Simple(st) => {
-                el = el.with_text(st.sample());
-            }
-            TypeDef::Complex(ct) => {
-                for ad in &ct.attributes {
-                    if ad.required {
-                        el.set_attr(ad.name.clone(), ad.ty.sample());
-                    }
-                }
-                if let Some(st) = &ct.text {
-                    el = el.with_text(st.sample());
-                } else {
-                    for child in &ct.sequence {
-                        for _ in 0..child.occurs.min {
-                            el.push_child(self.sample_element(child, depth + 1)?);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(el)
-    }
-
     // ---- serialization --------------------------------------------------
 
     /// Serialize as an `xs:schema` document element.
@@ -944,13 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_instance_validates() {
-        let schema = app_schema();
-        let sample = schema.sample_instance("application").unwrap();
-        schema.validate(&sample).unwrap();
-    }
-
-    #[test]
     fn schema_xml_round_trip() {
         let schema = app_schema();
         let xml = schema.to_xml();
@@ -1011,9 +961,6 @@ mod tests {
         let rt = Schema::from_xml(&schema.to_xml()).unwrap();
         assert_eq!(rt, schema);
         rt.validate(&ok).unwrap();
-        // Samples of simple-content types validate too.
-        let sample = schema.sample_instance("parameter").unwrap();
-        schema.validate(&sample).unwrap();
     }
 
     #[test]

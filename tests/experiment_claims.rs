@@ -1,9 +1,9 @@
 //! Non-timing checks for every quantitative prose claim the benchmarks
 //! measure (E5–E9): byte amplification, connection counts, discovery
 //! precision/recall, context overhead, and sequential-vs-parallel
-//! makespan in simulated time. The criterion benches measure the *time*
-//! side of the same claims; these tests pin the *counts*, which are
-//! deterministic.
+//! makespan in simulated time. The `report` binary of `portalws-bench`
+//! measures the *time* side of the same claims; these tests pin the
+//! *counts*, which are deterministic.
 
 use std::sync::Arc;
 
