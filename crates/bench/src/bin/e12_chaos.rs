@@ -47,6 +47,7 @@ use portalws_core::{
     TransferConfig, TransportMode, UiServer,
 };
 use portalws_gridsim::cred::Mechanism;
+use portalws_services::DataManagementService;
 use portalws_soap::{PortalErrorKind, ReadCache, SoapClient, SoapValue};
 use portalws_wire::{ChaosClass, ServerConfig};
 
@@ -91,6 +92,19 @@ struct ScheduleOutcome {
     chaos: [u64; ChaosClass::ALL.len()],
     /// Invariant violations (empty on a clean schedule).
     violations: Vec<String>,
+}
+
+/// `(shard, name)` of every entry of collection `dir` on every shard that
+/// holds it, read straight from the brokers: the ground truth the facade's
+/// answers are checked against.
+fn entries(data: &DataManagementService, principal: &str, dir: &str) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for (k, shard) in data.shards().iter().enumerate() {
+        if let Ok(listed) = shard.srb().ls(principal, dir) {
+            out.extend(listed.into_iter().map(|e| (k, e.name)));
+        }
+    }
+    out
 }
 
 /// Drive one seeded schedule end to end. `arm` picks the server
@@ -347,13 +361,17 @@ fn run_schedule(
     let abandon_path = format!("/home-alice@GCE.ORG/chaos-abandon-{seed:016x}.bin");
     if let Ok(client) = ui.proxy("grid.sdsc.edu", "DataManagement") {
         let mut handle = None;
+        let mut failed_opens = 0;
         for _ in 0..IDEMPOTENT_ATTEMPTS {
             match client.call("open_put", &[SoapValue::str(&abandon_path)]) {
                 Ok(v) => {
                     handle = v.as_str().map(str::to_owned);
                     break;
                 }
-                Err(_) => out.attempt_failures += 1,
+                Err(_) => {
+                    out.attempt_failures += 1;
+                    failed_opens += 1;
+                }
             }
         }
         if let Some(handle) = handle {
@@ -379,12 +397,36 @@ fn run_schedule(
             }
             if aborted {
                 out.ops += 1;
-                let staging =
-                    format!("/home-alice@GCE.ORG/.part-{handle}-chaos-abandon-{seed:016x}.bin");
-                if deployment.srb.get("alice@GCE.ORG", &staging).is_ok() {
-                    out.violations.push(format!(
-                        "abort acknowledged but staging object remains (seed {seed:#x})"
-                    ));
+                // The facade returns `s<k>/<handle>`; shard k stages the
+                // put as `.part-<handle>-<leaf>`, and that object must be
+                // gone. An open whose reply was lost may have staged one
+                // more, which idles out, so each failed open may leave one
+                // other.
+                let leaf = format!("-chaos-abandon-{seed:016x}.bin");
+                let staged: Vec<(usize, String)> =
+                    entries(&deployment.data, "alice@GCE.ORG", "/home-alice@GCE.ORG")
+                        .into_iter()
+                        .filter(|(_, name)| name.starts_with(".part-") && name.ends_with(&leaf))
+                        .collect();
+                let own = (handle.strip_prefix('s'))
+                    .and_then(|rest| rest.split_once('/'))
+                    .and_then(|(k, local)| Some((k.parse().ok()?, format!(".part-{local}{leaf}"))));
+                match own {
+                    None => out.violations.push(format!(
+                        "open_put returned {handle:?}, not an s<k>/ handle (seed {seed:#x})"
+                    )),
+                    Some(own) if staged.contains(&own) => out.violations.push(format!(
+                        "abort acknowledged but staging object {} remains on shard {} (seed {seed:#x})",
+                        own.1, own.0
+                    )),
+                    Some(own) => {
+                        let others = staged.iter().filter(|e| **e != own).count();
+                        if others > failed_opens {
+                            out.violations.push(format!(
+                                "abort acknowledged but staging objects {staged:?} remain after {failed_opens} failed opens (seed {seed:#x})"
+                            ));
+                        }
+                    }
                 }
                 if deployment.srb.get("alice@GCE.ORG", &abandon_path).is_ok() {
                     out.violations.push(format!(
@@ -638,12 +680,7 @@ fn run_move_schedule(seed: u64, arm: ServerArm) -> MoveOutcome {
         data_shards: 3,
         ..Topology::new(SecurityMode::Open)
     });
-    let router = Arc::clone(
-        deployment
-            .data_shards
-            .as_ref()
-            .expect("sharded deployment exposes the router"),
-    );
+    let router = Arc::clone(&deployment.data);
 
     // Two top-level collections guaranteed to live on different shards.
     let src_top = "/mv-src".to_owned();
@@ -741,17 +778,12 @@ fn run_move_schedule(seed: u64, arm: ServerArm) -> MoveOutcome {
             }
         }
         // No tombstone or staging residue on any shard after recovery.
-        for (k, backend) in router.backends().iter().enumerate() {
-            for top in [&src_top, &dst_top] {
-                if let Ok(entries) = backend.srb().ls("anonymous", top) {
-                    for e in entries {
-                        if e.name.starts_with(".mv-") || e.name.starts_with(".part-") {
-                            out.violations.push(format!(
-                                "residue {:?} on shard {k} under {top} after recovery (seed {seed:#x})",
-                                e.name
-                            ));
-                        }
-                    }
+        for top in [&src_top, &dst_top] {
+            for (k, name) in entries(&router, "anonymous", top) {
+                if name.starts_with(".mv-") || name.starts_with(".part-") {
+                    out.violations.push(format!(
+                        "residue {name:?} on shard {k} under {top} after recovery (seed {seed:#x})"
+                    ));
                 }
             }
         }
@@ -760,12 +792,80 @@ fn run_move_schedule(seed: u64, arm: ServerArm) -> MoveOutcome {
                 .push(format!("journal not empty after recovery (seed {seed:#x})"));
         }
         // Clean up both names so the next move starts fresh.
-        for b in router.backends() {
-            let _ = b.srb().rm("anonymous", &dst);
-            let _ = b.srb().rm("anonymous", &src);
+        for shard in router.shards() {
+            let _ = shard.srb().rm("anonymous", &dst);
+            let _ = shard.srb().rm("anonymous", &src);
         }
     }
     out
+}
+
+/// What a failing schedule did, as its gate line says it.
+const PANICKED: &str = "panicked";
+const BROKE: &str = "broke an invariant";
+
+/// The schedule families. Each draws its schedule seeds from its own
+/// offset above the base seed, so one `--seed` fixes every schedule.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Family {
+    /// The Fig. 4 session in memory, Central security on even schedules
+    /// and Open on odd.
+    InMemory,
+    /// The same session over pooled TCP, the blocking arm on even
+    /// schedules and the reactor on odd.
+    Tcp,
+    /// The E15 admission path in a tight posture (arms alternate).
+    Shed,
+    /// The E16 cross-shard move protocol (arms alternate).
+    Move,
+}
+
+impl Family {
+    fn name(self) -> &'static str {
+        match self {
+            Family::InMemory => "in-memory",
+            Family::Tcp => "tcp",
+            Family::Shed => "shed",
+            Family::Move => "move",
+        }
+    }
+
+    /// Schedules the family runs. Quick mode still runs ≥50 distinct
+    /// schedules, and TCP schedules on both server arms.
+    fn schedules(self, quick: bool) -> u64 {
+        match (self, quick) {
+            (Family::InMemory, true) => 50,
+            (Family::InMemory, false) => 120,
+            (Family::Tcp, true) => 2,
+            (Family::Tcp, false) => 6,
+            (Family::Shed | Family::Move, true) => 2,
+            (Family::Shed | Family::Move, false) => 4,
+        }
+    }
+
+    /// Seed of schedule `index` under base seed `base`: the one
+    /// derivation the runs and the replay hint share.
+    fn seed(self, base: u64, index: u64) -> u64 {
+        let offset = match self {
+            Family::InMemory => 0,
+            Family::Tcp => 0x10_0000,
+            Family::Shed => 0x20_0000,
+            Family::Move => 0x30_0000,
+        };
+        base.wrapping_add(offset + index)
+    }
+}
+
+/// The command that reruns schedule `index` of `family` as it ran: the
+/// same base seed and mode give the same family, index and seed, and the
+/// index picks the same security and server arms.
+fn replay_hint(base: u64, quick: bool, family: Family, index: u64) -> String {
+    format!(
+        "e12_chaos{} --seed {base} ({} schedule {index}, seed {:#x})",
+        if quick { " --quick" } else { "" },
+        family.name(),
+        family.seed(base, index)
+    )
 }
 
 fn main() {
@@ -775,31 +875,31 @@ fn main() {
         v.parse().expect("--seed takes an unsigned integer")
     });
 
-    // ≥50 distinct schedules even in quick mode; the full soak widens the
-    // sweep. TCP schedules (server-side chaos included) alternate between
-    // the blocking worker pool and the epoll reactor so both server arms
-    // soak under identical fault classes — even in quick mode.
-    let (in_memory_schedules, tcp_schedules) = if quick { (50u64, 2u64) } else { (120u64, 6u64) };
-
     println!(
         "E12 — chaos soak: {} in-memory + {} tcp-pooled schedules (both server arms), base seed {base_seed:#x}",
-        in_memory_schedules, tcp_schedules
+        Family::InMemory.schedules(quick),
+        Family::Tcp.schedules(quick)
     );
 
     let mut total = ScheduleOutcome::default();
     let mut schedules = 0u64;
-    let mut panicked: Vec<u64> = Vec::new();
-    let mut violating: Vec<u64> = Vec::new();
+    // `(family, index, what went wrong)` of each failing schedule.
+    let mut failed: Vec<(Family, u64, &str)> = Vec::new();
 
-    let mut run = |seed: u64, security: SecurityMode, mode: TransportMode, arm: ServerArm| {
+    let mut run = |family: Family,
+                   index: u64,
+                   security: SecurityMode,
+                   mode: TransportMode,
+                   arm: ServerArm| {
         schedules += 1;
+        let seed = family.seed(base_seed, index);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_schedule(seed, security, mode, arm)
         }));
         match outcome {
             Ok(out) => {
                 if !out.violations.is_empty() {
-                    violating.push(seed);
+                    failed.push((family, index, BROKE));
                     for v in &out.violations {
                         eprintln!("  seed {seed:#x} [{security:?}/{mode:?}/{arm:?}]: {v}");
                     }
@@ -821,15 +921,14 @@ fn main() {
                 total.violations.extend(out.violations);
             }
             Err(_) => {
-                panicked.push(seed);
+                failed.push((family, index, PANICKED));
                 eprintln!("  seed {seed:#x} [{security:?}/{mode:?}/{arm:?}]: PANIC");
             }
         }
     };
 
     let t0 = Instant::now();
-    for i in 0..in_memory_schedules {
-        let seed = base_seed.wrapping_add(i);
+    for i in 0..Family::InMemory.schedules(quick) {
         // Alternate the E2 security arms so the Fig. 2 auth hop also runs
         // under chaos on half the schedules.
         let security = if i % 2 == 0 {
@@ -837,10 +936,15 @@ fn main() {
         } else {
             SecurityMode::Open
         };
-        run(seed, security, TransportMode::InMemory, ServerArm::Blocking);
+        run(
+            Family::InMemory,
+            i,
+            security,
+            TransportMode::InMemory,
+            ServerArm::Blocking,
+        );
     }
-    for i in 0..tcp_schedules {
-        let seed = base_seed.wrapping_add(0x10_0000 + i);
+    for i in 0..Family::Tcp.schedules(quick) {
         // Alternate arms so every TCP fault class soaks both the blocking
         // pool and the reactor under the same schedule family.
         let arm = if i % 2 == 0 {
@@ -848,17 +952,22 @@ fn main() {
         } else {
             ServerArm::Reactor
         };
-        run(seed, SecurityMode::Open, TransportMode::TcpPooled, arm);
+        run(
+            Family::Tcp,
+            i,
+            SecurityMode::Open,
+            TransportMode::TcpPooled,
+            arm,
+        );
     }
 
     // --- E15 admission path under the same chaos classes -----------------
     // Tight admission bounds force sheds while faults land around them;
     // both arms soak. Family gates: the servers really shed, and typed
     // sheds reached clients whole (a torn shed cannot parse to one).
-    let shed_schedules = if quick { 2u64 } else { 4u64 };
     let mut shed_total = ShedOutcome::default();
-    for i in 0..shed_schedules {
-        let seed = base_seed.wrapping_add(0x20_0000 + i);
+    for i in 0..Family::Shed.schedules(quick) {
+        let seed = Family::Shed.seed(base_seed, i);
         let arm = if i % 2 == 0 {
             ServerArm::Blocking
         } else {
@@ -870,7 +979,7 @@ fn main() {
         })) {
             Ok(out) => {
                 if !out.violations.is_empty() {
-                    violating.push(seed);
+                    failed.push((Family::Shed, i, BROKE));
                     for v in &out.violations {
                         eprintln!("  seed {seed:#x} [shed/{arm:?}]: {v}");
                     }
@@ -884,7 +993,7 @@ fn main() {
                 shed_total.violations.extend(out.violations);
             }
             Err(_) => {
-                panicked.push(seed);
+                failed.push((Family::Shed, i, PANICKED));
                 eprintln!("  seed {seed:#x} [shed/{arm:?}]: PANIC");
             }
         }
@@ -906,10 +1015,9 @@ fn main() {
     // point while wire chaos faults the SOAP call; journal recovery must
     // restore exactly one visible copy. Family gates: coordinator faults
     // actually fired, recovery actually ran, and zero invariant breaks.
-    let move_schedules = if quick { 2u64 } else { 4u64 };
     let mut move_total = MoveOutcome::default();
-    for i in 0..move_schedules {
-        let seed = base_seed.wrapping_add(0x30_0000 + i);
+    for i in 0..Family::Move.schedules(quick) {
+        let seed = Family::Move.seed(base_seed, i);
         let arm = if i % 2 == 0 {
             ServerArm::Blocking
         } else {
@@ -921,7 +1029,7 @@ fn main() {
         })) {
             Ok(out) => {
                 if !out.violations.is_empty() {
-                    violating.push(seed);
+                    failed.push((Family::Move, i, BROKE));
                     for v in &out.violations {
                         eprintln!("  seed {seed:#x} [move/{arm:?}]: {v}");
                     }
@@ -933,7 +1041,7 @@ fn main() {
                 move_total.violations.extend(out.violations);
             }
             Err(_) => {
-                panicked.push(seed);
+                failed.push((Family::Move, i, PANICKED));
                 eprintln!("  seed {seed:#x} [move/{arm:?}]: PANIC");
             }
         }
@@ -1043,7 +1151,7 @@ fn main() {
             .with("move_injected", move_total.injected)
             .with("move_rolled_forward", move_total.recovered_forward)
             .with("move_rolled_back", move_total.recovered_back)
-            .with("panics", panicked.len())
+            .with("panics", failed.iter().filter(|f| f.2 == PANICKED).count())
             .with("violations", violations)
             .write_to(path);
     }
@@ -1052,13 +1160,60 @@ fn main() {
     for failure in shed_family_failures.into_iter().chain(move_family_failures) {
         gates.check(false, failure);
     }
-    for (seeds, broke) in [(&panicked, "panicked"), (&violating, "broke an invariant")] {
-        for seed in seeds {
-            gates.check(
-                false,
-                format!("schedule {broke}; replay with: e12_chaos --seed {seed} (schedule seed {seed:#x})"),
-            );
-        }
+    for (family, index, broke) in failed {
+        gates.check(
+            false,
+            format!(
+                "schedule {broke}; replay with: {}",
+                replay_hint(base_seed, quick, family, index)
+            ),
+        );
     }
     gates.finish("all schedules clean");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The base seed and mode a hint's command line gives `main`.
+    fn replayed(hint: &str) -> (u64, bool) {
+        let words: Vec<&str> = hint.split_whitespace().collect();
+        let base = (words.iter().position(|w| *w == "--seed"))
+            .and_then(|i| words.get(i + 1))
+            .and_then(|v| v.parse().ok())
+            .expect("the hint names --seed N");
+        (base, words.contains(&"--quick"))
+    }
+
+    #[test]
+    fn a_replay_hint_reruns_the_schedule_that_failed() {
+        let families = [Family::InMemory, Family::Tcp, Family::Shed, Family::Move];
+        for base in [0xE12_5EED, 0, u64::MAX - 1] {
+            for quick in [true, false] {
+                for family in families {
+                    for index in 0..family.schedules(quick) {
+                        let hint = replay_hint(base, quick, family, index);
+                        let (replay_base, replay_quick) = replayed(&hint);
+                        // The replay runs this family's schedule `index`…
+                        assert_eq!(replay_quick, quick, "{hint}");
+                        assert!(index < family.schedules(replay_quick), "{hint}");
+                        // …at the seed the failing run gave it.
+                        let seed = family.seed(base, index);
+                        assert_eq!(family.seed(replay_base, index), seed, "{hint}");
+                        assert!(hint.contains(&format!("seed {seed:#x})")), "{hint}");
+                        let named = format!("({} schedule {index},", family.name());
+                        assert!(hint.contains(&named), "{hint}");
+                    }
+                }
+            }
+        }
+        // Each family draws from its own range of seeds.
+        let seeds: std::collections::HashSet<u64> = families
+            .iter()
+            .flat_map(|f| (0..f.schedules(false)).map(|i| f.seed(0xE12_5EED, i)))
+            .collect();
+        let total: u64 = families.iter().map(|f| f.schedules(false)).sum();
+        assert_eq!(seeds.len() as u64, total);
+    }
 }

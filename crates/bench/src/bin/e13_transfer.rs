@@ -172,7 +172,10 @@ fn chunked(rig: &Rig, body: &[u8], chunk: usize, window: usize) -> Row {
     let get_s = t0.elapsed().as_secs_f64();
     assert_eq!(back, body, "chunked round trip must be lossless");
 
-    let server_high = rig.data.transfers().buffered_high_water();
+    // The rig has one shard, so this sum is its own high-water.
+    let server_high: usize = (rig.data.shards().iter())
+        .map(|s| s.transfers().buffered_high_water())
+        .sum();
     let client_high = put_report
         .buffer_high_water
         .max(get_report.buffer_high_water);

@@ -12,10 +12,10 @@
 //!    number of stripes the collections spread across, independent of
 //!    host core count. Reports req/s per arm and the p99 per-op latency
 //!    of the 1-stripe (the old knee) vs the 8-stripe arm.
-//! 2. **Shard-router scaling**: the same flow through
-//!    [`ShardedDataService`] over 1 vs 4 single-stripe backends, calls
-//!    entering through the SOAP `invoke` surface with wrapped handles
-//!    and routed paths.
+//! 2. **Shard-router scaling**: the same flow through the
+//!    [`DataManagementService`] facade over 1 vs 4 single-stripe brokers,
+//!    calls entering through the SOAP `invoke` surface with routed
+//!    paths.
 //! 3. **Placement quality**: the consistent-hash ring's per-shard key
 //!    counts for 64 collections over 4 shards (balance = max/mean), and
 //!    the fraction of 256 keys that move when a fifth shard joins
@@ -37,8 +37,7 @@ use std::time::Instant;
 
 use portalws_bench::{percentile, read_baseline, Flags, Gates, Json};
 use portalws_gridsim::srb::Srb;
-use portalws_services::shard::DEFAULT_VNODES;
-use portalws_services::{DataManagementService, ShardMap, ShardedDataService};
+use portalws_services::{DataManagementService, ShardMap};
 use portalws_soap::{CallContext, SoapService, SoapValue};
 
 const WORKERS: usize = 8;
@@ -102,9 +101,9 @@ fn stripe_arm(stripes: usize, ops_per_worker: usize) -> (f64, Vec<f64>) {
     (rps, lat)
 }
 
-/// One worker's share of the mixed flow through the shard router's SOAP
+/// One worker's share of the mixed flow through the facade's SOAP
 /// `invoke` surface.
-fn drive_router(svc: &ShardedDataService, worker: usize, ops: usize) {
+fn drive_router(svc: &DataManagementService, worker: usize, ops: usize) {
     let ctx = CallContext {
         headers: vec![],
         service: "DataManagement".into(),
@@ -151,17 +150,17 @@ fn drive_router(svc: &ShardedDataService, worker: usize, ops: usize) {
     }
 }
 
-/// Series 2 arm: req/s through the router over `shards` single-stripe
-/// backends (so every speedup comes from sharding, not striping).
+/// Series 2 arm: req/s through the facade over `shards` single-stripe
+/// brokers (so every speedup comes from sharding, not striping).
 fn shard_arm(shards: usize, ops_per_worker: usize) -> f64 {
-    let backends: Vec<_> = (0..shards)
+    let brokers: Vec<_> = (0..shards)
         .map(|_| {
             let srb = Arc::new(Srb::with_stripes(1));
             srb.set_service_time_us(SERVICE_US);
-            Arc::new(DataManagementService::new(srb))
+            srb
         })
         .collect();
-    let svc = Arc::new(ShardedDataService::with_backends(backends, DEFAULT_VNODES));
+    let svc = Arc::new(DataManagementService::with_brokers(brokers));
     for i in 0..COLLECTIONS {
         svc.mkdir(&coll(i)).expect("mkdir");
     }
@@ -223,7 +222,7 @@ fn main() {
     println!("  scaling at 4 shards vs 1: {shard_scaling:.2}x");
 
     // --- Series 3: placement quality -------------------------------------
-    let map = ShardMap::new(4, DEFAULT_VNODES);
+    let map = ShardMap::new(4);
     let mut counts = vec![0usize; 4];
     for i in 0..COLLECTIONS {
         if let Some(c) = counts.get_mut(map.owner_of_top(&format!("coll-{i:02}"))) {
@@ -232,7 +231,7 @@ fn main() {
     }
     let max = counts.iter().copied().max().unwrap_or(0) as f64;
     let balance = max / (COLLECTIONS as f64 / 4.0);
-    let after = ShardMap::new(5, DEFAULT_VNODES);
+    let after = ShardMap::new(5);
     let moved = (0..256)
         .filter(|i| {
             let top = format!("coll-{i}");

@@ -32,7 +32,6 @@ use portalws_services::context::{ContextManagerMonolith, ContextStore, Decompose
 use portalws_services::scriptgen::{ContextCoupling, IuScriptGen, SdscScriptGen};
 use portalws_services::{
     AppFactoryService, BatchJobService, DataManagementService, JobSubmissionService,
-    ShardedDataService,
 };
 use portalws_soap::{SoapClient, SoapServer, SoapService};
 use portalws_wire::{
@@ -131,14 +130,15 @@ pub struct Topology {
     /// [`ChaosTransport`] and (in TCP modes) every server gets a seeded
     /// response hook. E12 soaks this.
     pub chaos: Option<ChaosPolicy>,
-    /// Backend brokers behind `DataManagement`. More than one mounts a
-    /// consistent-hash router over them (the e12 cross-shard move family
-    /// runs this on both server arms).
+    /// Brokers behind `DataManagement`, each top-level collection on the
+    /// one its consistent-hash map names (the e12 cross-shard move family
+    /// runs 3 on both server arms).
     pub data_shards: usize,
 }
 
 impl Topology {
-    /// In memory, unsharded, fault-free, default servers, under `security`.
+    /// In memory, one data shard, fault-free, default servers, under
+    /// `security`.
     pub fn new(security: SecurityMode) -> Topology {
         Topology {
             security,
@@ -237,18 +237,13 @@ pub struct PortalDeployment {
     pub clock: Arc<SimClock>,
     /// The simulated grid.
     pub grid: Arc<Grid>,
-    /// The storage broker.
+    /// Shard 0's storage broker: the whole namespace when the deployment
+    /// has one data shard.
     pub srb: Arc<Srb>,
-    /// The data-management service instance (kept so benches and tests
-    /// can read the chunked-transfer table's buffering high-water). In a
-    /// sharded deployment this is shard 0's backend, and [`Self::srb`]
-    /// is shard 0's broker.
-    pub data_service: Arc<DataManagementService>,
-    /// The consistent-hash shard router serving `DataManagement` when
-    /// the deployment was built with more than one data shard (the e12
-    /// cross-shard fault family reaches its fault hook and recovery
-    /// through this); `None` in unsharded deployments.
-    pub data_shards: Option<Arc<ShardedDataService>>,
+    /// The `DataManagement` facade over [`Topology::data_shards`] brokers
+    /// (the e12 cross-shard fault family reaches its fault hook and
+    /// recovery through this).
+    pub data: Arc<DataManagementService>,
     /// The Authentication Service (keytab holder).
     pub auth: Arc<AuthService>,
     /// The Gateway context store.
@@ -313,23 +308,11 @@ impl PortalDeployment {
         for spec in testbed_hosts() {
             grid.add_host(spec.0, spec.1);
         }
-        // With `data_shards > 1` the `DataManagement` endpoint is a
-        // consistent-hash router over that many backend brokers; the
-        // deployment's `srb`/`data_service` fields then point at shard 0
-        // so existing benches and tests keep a valid (if partial) view.
-        let data_shards = (topology.data_shards > 1).then(|| {
-            Arc::new(ShardedDataService::testbed(
-                &["alice@GCE.ORG", "bob@GCE.ORG"],
-                topology.data_shards,
-            ))
-        });
-        let srb = match data_shards
-            .as_ref()
-            .and_then(|router| router.backends().first())
-        {
-            Some(backend) => Arc::clone(backend.srb()),
-            None => Arc::new(Srb::testbed(&["alice@GCE.ORG", "bob@GCE.ORG"])),
-        };
+        let data = Arc::new(DataManagementService::testbed(
+            &["alice@GCE.ORG", "bob@GCE.ORG"],
+            topology.data_shards,
+        ));
+        let srb = Arc::clone(data.shards()[0].srb());
         let auth = AuthService::new(Arc::clone(&clock));
         for (user, pass) in USERS {
             auth.register_user(user, pass);
@@ -357,22 +340,7 @@ impl PortalDeployment {
         let grid_srv = LogicalServer::new();
         let jobsub = Arc::new(JobSubmissionService::new(Arc::clone(&grid)));
         grid_srv.mount("grid.sdsc.edu", jobsub);
-        let data_service = match data_shards
-            .as_ref()
-            .and_then(|router| router.backends().first())
-        {
-            Some(backend) => Arc::clone(backend),
-            None => Arc::new(DataManagementService::new(Arc::clone(&srb))),
-        };
-        match &data_shards {
-            Some(router) => {
-                grid_srv.mount("grid.sdsc.edu", Arc::clone(router) as Arc<dyn SoapService>)
-            }
-            None => grid_srv.mount(
-                "grid.sdsc.edu",
-                Arc::clone(&data_service) as Arc<dyn SoapService>,
-            ),
-        }
+        grid_srv.mount("grid.sdsc.edu", Arc::clone(&data) as Arc<dyn SoapService>);
         grid_srv.mount(
             "grid.sdsc.edu",
             Arc::new(AppFactoryService::new(
@@ -512,8 +480,7 @@ impl PortalDeployment {
             clock,
             grid,
             srb,
-            data_service,
-            data_shards,
+            data,
             auth,
             contexts,
             uddi,
@@ -1167,8 +1134,8 @@ mod tests {
             data_shards: 4,
             ..Topology::new(SecurityMode::Open)
         });
-        let router = d.data_shards.as_ref().expect("sharded deployment");
-        assert_eq!(router.backends().len(), 4);
+        let router = &d.data;
+        assert_eq!(router.shards().len(), 4);
         let c = SoapClient::new(d.transport("grid.sdsc.edu").unwrap(), "DataManagement");
         // The testbed namespace is reachable through the router.
         let readme = c.call("cat", &[SoapValue::str("/public/README")]).unwrap();
@@ -1202,9 +1169,6 @@ mod tests {
             Some("GCE testbed public collection\n")
         );
         assert_eq!(router.pending_moves(), 0);
-        // Unsharded deployments advertise no router.
-        let plain = PortalDeployment::in_memory(SecurityMode::Open);
-        assert!(plain.data_shards.is_none());
     }
 
     #[test]

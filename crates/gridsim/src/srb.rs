@@ -44,7 +44,7 @@ use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 
 use std::fmt;
 
-/// Default stripe count for [`Srb::new`] / [`Srb::testbed`].
+/// Default stripe count for [`Srb::new`].
 pub const DEFAULT_STRIPES: usize = 8;
 
 /// SRB operation failures, mapped by the data-management service onto the
@@ -221,26 +221,6 @@ impl Srb {
             stripes: stripes.into_boxed_slice(),
             service_time_us: AtomicU64::new(0),
         }
-    }
-
-    /// A broker populated like the GCE testbed: one home collection per
-    /// user with a 1 MiB quota, plus a world-readable `/public`.
-    pub fn testbed(users: &[&str]) -> Srb {
-        let srb = Srb::new();
-        for user in users {
-            let home = format!("/home-{user}");
-            srb.mkdir(&home).unwrap();
-            srb.set_acl(&home, vec![(*user).to_owned()]);
-            srb.set_quota(&home, 1 << 20);
-        }
-        srb.mkdir("/public").unwrap();
-        srb.put(
-            "anonymous",
-            "/public/README",
-            b"GCE testbed public collection\n",
-        )
-        .unwrap();
-        srb
     }
 
     /// Number of namespace stripes.
@@ -841,6 +821,17 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// A broker with one home collection per user, open only to its user.
+    fn homes(users: &[&str]) -> Srb {
+        let srb = Srb::new();
+        for user in users {
+            let home = format!("/home-{user}");
+            srb.mkdir(&home).unwrap();
+            srb.set_acl(&home, vec![(*user).to_owned()]);
+        }
+        srb
+    }
+
     #[test]
     fn put_get_cat_round_trip() {
         let srb = Srb::new();
@@ -881,7 +872,9 @@ mod tests {
 
     #[test]
     fn acl_enforced() {
-        let srb = Srb::testbed(&["alice"]);
+        let srb = homes(&["alice"]);
+        srb.mkdir("/public").unwrap();
+        srb.put("anonymous", "/public/README", b"readme").unwrap();
         assert!(srb.ls("alice", "/home-alice").is_ok());
         assert!(matches!(
             srb.ls("mallory", "/home-alice"),
@@ -942,7 +935,7 @@ mod tests {
         // `segs.first().copied().unwrap_or("")` silently treated these as
         // the root collection, so `//home-alice` bypassed the ACL keyed on
         // "home-alice". Each malformed shape must fault.
-        let srb = Srb::testbed(&["alice"]);
+        let srb = homes(&["alice"]);
         for bad in [
             "",
             "/",
@@ -1065,7 +1058,7 @@ mod tests {
         // The failed append left the object untouched.
         assert_eq!(srb.stat("u", "/small/f").unwrap(), 8);
 
-        let acl = Srb::testbed(&["alice"]);
+        let acl = homes(&["alice"]);
         assert!(matches!(
             acl.append_at("mallory", "/home-alice/f", 0, b"x"),
             Err(SrbError::PermissionDenied(_))
@@ -1115,7 +1108,7 @@ mod tests {
 
     #[test]
     fn cross_top_rename_enforces_destination_acl_and_quota() {
-        let srb = Srb::testbed(&["alice", "bob"]);
+        let srb = homes(&["alice", "bob"]);
         srb.put("alice", "/home-alice/f", b"secret").unwrap();
         // bob cannot pull alice's object, and alice cannot push into bob's
         // home: both sides of the move are access-checked.

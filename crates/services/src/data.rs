@@ -12,40 +12,166 @@
 //! Both the string-streaming (measured in E5) and the batching (measured
 //! in E6) are reproduced exactly; `getB64`/`putB64` are the encoding
 //! ablation E5 compares against.
+//!
+//! One facade serves the port over one or more brokers. Each broker is a
+//! [`Shard`] with its own chunked-transfer table, and [`crate::shard`]
+//! places every top-level collection on one shard. One broker is a
+//! one-shard map, so a deployment runs the same request path at every
+//! shard count.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use portalws_gridsim::srb::{Srb, SrbError};
 use portalws_soap::{
     CallContext, Fault, MethodDesc, PortalErrorKind, SoapResult, SoapService, SoapType, SoapValue,
 };
+use portalws_wire::ArcCell;
 use portalws_xml::Element;
 
 use crate::caller_principal;
+use crate::shard::{Journal, ShardMap};
 use crate::transfer::TransferTable;
 
-/// SOAP facade over the Storage Resource Broker.
-pub struct DataManagementService {
+/// One shard of the namespace: a broker and the chunked-transfer table
+/// that stages on it.
+pub struct Shard {
     srb: Arc<Srb>,
     transfers: TransferTable,
 }
 
-impl DataManagementService {
-    /// Wrap a broker.
-    pub fn new(srb: Arc<Srb>) -> DataManagementService {
+impl Shard {
+    fn new(srb: Arc<Srb>) -> Shard {
         let transfers = TransferTable::new(Arc::clone(&srb));
-        DataManagementService { srb, transfers }
+        Shard { srb, transfers }
     }
 
-    /// The wrapped broker.
+    /// The shard's broker.
     pub fn srb(&self) -> &Arc<Srb> {
         &self.srb
     }
 
-    /// The chunked-transfer handle table (benches and tests read its
-    /// buffering high-water and tune its caps).
+    /// The shard's chunked-transfer handle table (benches and tests read
+    /// its buffering high-water and tune its caps).
     pub fn transfers(&self) -> &TransferTable {
         &self.transfers
+    }
+
+    /// Read an object as UTF-8 text, or fault with a message that points
+    /// the caller at the binary-safe paths. Before this check the string
+    /// path degraded into a generic "not UTF-8" broker error with no hint
+    /// that `getB64` and the chunked `open_get`/`get_chunk` protocol
+    /// exist.
+    pub(crate) fn cat_utf8(&self, principal: &str, path: &str) -> SoapResult<String> {
+        let bytes = self.srb.get(principal, path).map_err(srb_fault)?;
+        String::from_utf8(bytes).map_err(|_| {
+            Fault::portal(
+                PortalErrorKind::BadArguments,
+                format!(
+                    "object at {path:?} is not UTF-8 text; use getB64 or the chunked open_get/get_chunk path for binary content"
+                ),
+            )
+        })
+    }
+
+    /// Execute one `xml_call` command element on this shard's broker,
+    /// returning its result element.
+    pub(crate) fn run_command(&self, principal: &str, cmd: &Element) -> Element {
+        let op = cmd.local_name();
+        // The broker rejects relative and blank paths, so a missing
+        // attribute faults up front instead of being papered over with a
+        // default.
+        let attr = |name: &str| {
+            cmd.attr(name)
+                .ok_or_else(|| SrbError::Invalid(format!("{op} needs {name}")))
+        };
+        let result = || Element::new("result").with_attr("op", op);
+        let outcome = (|| -> Result<Element, SrbError> {
+            match op {
+                "ls" => {
+                    let mut out = result();
+                    let path = attr("collection")?;
+                    self.srb
+                        .ls_each(principal, path, |name, is_collection, size| {
+                            out.push_child(ls_entry(name, is_collection, size))
+                        })?;
+                    Ok(out)
+                }
+                "cat" | "get" => Ok(result().with_text(self.srb.cat(principal, attr("path")?)?)),
+                "put" => {
+                    let path = attr("path")?;
+                    let text = cmd.text();
+                    self.srb.put(principal, path, text.as_bytes())?;
+                    Ok(result().with_attr("bytes", decimal(text.len(), &mut [0; 20])))
+                }
+                "rm" => {
+                    self.srb.rm(principal, attr("path")?)?;
+                    Ok(result())
+                }
+                "mkdir" => {
+                    self.srb.mkdir(attr("path")?)?;
+                    Ok(result())
+                }
+                other => Err(SrbError::Invalid(format!("unknown command {other:?}"))),
+            }
+        })();
+        outcome.unwrap_or_else(|e| error_result(op, e.to_string()))
+    }
+}
+
+/// SOAP facade over the Storage Resource Broker: one or more brokers,
+/// each top-level collection on the shard the [`ShardMap`] names.
+pub struct DataManagementService {
+    pub(crate) shards: Box<[Shard]>,
+    pub(crate) map: ArcCell<ShardMap>,
+    /// Bumped once each mutation has run, and on every topology change;
+    /// a reply carries the value read before its method ran. Excess bumps
+    /// only cost cache refills.
+    pub(crate) generation: AtomicU64,
+    pub(crate) journal: Journal,
+}
+
+impl DataManagementService {
+    /// A facade over one broker.
+    pub fn new(srb: Arc<Srb>) -> DataManagementService {
+        Self::with_brokers(vec![srb])
+    }
+
+    /// A facade over `brokers`, one shard each in the order given. Give
+    /// it at least one: with none, every call faults `NOT_FOUND`.
+    pub fn with_brokers(brokers: Vec<Arc<Srb>>) -> DataManagementService {
+        DataManagementService {
+            map: ArcCell::new(Arc::new(ShardMap::new(brokers.len()))),
+            shards: brokers.into_iter().map(Shard::new).collect(),
+            generation: AtomicU64::new(0),
+            journal: Journal::new(),
+        }
+    }
+
+    /// A facade over `shards` fresh brokers populated like the GCE
+    /// testbed: one home collection per user with a 1 MiB quota, plus a
+    /// world-readable `/public`, each provisioned only on its owning
+    /// shard.
+    pub fn testbed(users: &[&str], shards: usize) -> DataManagementService {
+        let svc = Self::with_brokers((0..shards.max(1)).map(|_| Arc::new(Srb::new())).collect());
+        for user in users {
+            let home = format!("/home-{user}");
+            let _ = svc.mkdir(&home);
+            svc.set_acl(&home, vec![(*user).to_owned()]);
+            svc.set_quota(&home, 1 << 20);
+        }
+        let _ = svc.mkdir("/public");
+        let _ = svc.put_bytes(
+            "anonymous",
+            "/public/README",
+            b"GCE testbed public collection\n",
+        );
+        svc
+    }
+
+    /// The shards in shard order: shard `k` serves the handles `s<k>/…`.
+    pub fn shards(&self) -> &[Shard] {
+        &self.shards
     }
 }
 
@@ -60,6 +186,14 @@ pub(crate) fn srb_fault(e: SrbError) -> Fault {
         SrbError::Invalid(_) => PortalErrorKind::BadArguments,
     };
     Fault::portal(kind, e.to_string())
+}
+
+/// The inline result of an `xml_call` command that failed.
+pub(crate) fn error_result(op: &str, message: String) -> Element {
+    Element::new("result")
+        .with_attr("op", op)
+        .with_attr("error", "true")
+        .with_text(message)
 }
 
 /// One entry of an `xml_call` `ls` result. Its attributes are built from
@@ -88,21 +222,27 @@ fn decimal(mut n: usize, buf: &mut [u8; 20]) -> &str {
     std::str::from_utf8(digits).unwrap_or_default()
 }
 
-pub(crate) fn arg_str<'a>(
-    args: &'a [(String, SoapValue)],
-    i: usize,
-    name: &str,
-) -> SoapResult<&'a str> {
-    args.get(i)
-        .and_then(|(_, v)| v.as_str())
-        .ok_or_else(|| Fault::portal(PortalErrorKind::BadArguments, format!("missing {name}")))
+fn missing(name: &str) -> Fault {
+    Fault::portal(PortalErrorKind::BadArguments, format!("missing {name}"))
 }
 
-pub(crate) fn arg_usize(args: &[(String, SoapValue)], i: usize, name: &str) -> SoapResult<usize> {
+fn arg_str<'a>(args: &'a [(String, SoapValue)], i: usize, name: &str) -> SoapResult<&'a str> {
+    args.get(i)
+        .and_then(|(_, v)| v.as_str())
+        .ok_or_else(|| missing(name))
+}
+
+fn arg_bytes<'a>(args: &'a [(String, SoapValue)], i: usize, name: &str) -> SoapResult<&'a [u8]> {
+    args.get(i)
+        .and_then(|(_, v)| v.as_bytes())
+        .ok_or_else(|| missing(name))
+}
+
+fn arg_usize(args: &[(String, SoapValue)], i: usize, name: &str) -> SoapResult<usize> {
     let v = args
         .get(i)
         .and_then(|(_, v)| v.as_i64())
-        .ok_or_else(|| Fault::portal(PortalErrorKind::BadArguments, format!("missing {name}")))?;
+        .ok_or_else(|| missing(name))?;
     usize::try_from(v).map_err(|_| {
         Fault::portal(
             PortalErrorKind::BadArguments,
@@ -112,115 +252,17 @@ pub(crate) fn arg_usize(args: &[(String, SoapValue)], i: usize, name: &str) -> S
 }
 
 impl DataManagementService {
-    /// Read an object as UTF-8 text, or fault with a message that points
-    /// the caller at the binary-safe paths. Before this check the string
-    /// path degraded into a generic "not UTF-8" broker error with no hint
-    /// that `getB64` and the chunked `open_get`/`get_chunk` protocol
-    /// exist.
-    pub(crate) fn cat_utf8(&self, principal: &str, path: &str) -> SoapResult<String> {
-        let bytes = self.srb.get(principal, path).map_err(srb_fault)?;
-        String::from_utf8(bytes).map_err(|_| {
-            Fault::portal(
-                PortalErrorKind::BadArguments,
-                format!(
-                    "object at {path:?} is not UTF-8 text; use getB64 or the chunked open_get/get_chunk path for binary content"
-                ),
-            )
-        })
-    }
-
-    /// Execute one `xml_call` command element, returning its result
-    /// element. Used by the SOAP method, the shard router (which routes
-    /// each batched command to its owning backend), and tests.
-    pub(crate) fn run_command(&self, principal: &str, cmd: &Element) -> Element {
-        let op = cmd.local_name();
-        let outcome = (|| -> Result<Element, SrbError> {
-            match op {
-                "ls" => {
-                    // The broker rejects relative and blank paths, so a
-                    // missing attribute faults up front instead of being
-                    // papered over with a default.
-                    let path = cmd
-                        .attr("collection")
-                        .ok_or_else(|| SrbError::Invalid("ls needs collection".into()))?;
-                    let mut out = Element::new("result").with_attr("op", "ls");
-                    self.srb
-                        .ls_each(principal, path, |name, is_collection, size| {
-                            out.push_child(ls_entry(name, is_collection, size))
-                        })?;
-                    Ok(out)
-                }
-                "cat" => {
-                    let path = cmd
-                        .attr("path")
-                        .ok_or_else(|| SrbError::Invalid("cat needs path".into()))?;
-                    let text = self.srb.cat(principal, path)?;
-                    Ok(Element::new("result")
-                        .with_attr("op", "cat")
-                        .with_text(text))
-                }
-                "get" => {
-                    let path = cmd
-                        .attr("path")
-                        .ok_or_else(|| SrbError::Invalid("get needs path".into()))?;
-                    let text = self.srb.cat(principal, path)?;
-                    Ok(Element::new("result")
-                        .with_attr("op", "get")
-                        .with_text(text))
-                }
-                "put" => {
-                    let path = cmd
-                        .attr("path")
-                        .ok_or_else(|| SrbError::Invalid("put needs path".into()))?;
-                    let text = cmd.text();
-                    self.srb.put(principal, path, text.as_bytes())?;
-                    Ok(Element::new("result")
-                        .with_attr("op", "put")
-                        .with_attr("bytes", decimal(text.len(), &mut [0; 20])))
-                }
-                "rm" => {
-                    let path = cmd
-                        .attr("path")
-                        .ok_or_else(|| SrbError::Invalid("rm needs path".into()))?;
-                    self.srb.rm(principal, path)?;
-                    Ok(Element::new("result").with_attr("op", "rm"))
-                }
-                "mkdir" => {
-                    let path = cmd
-                        .attr("path")
-                        .ok_or_else(|| SrbError::Invalid("mkdir needs path".into()))?;
-                    self.srb.mkdir(path)?;
-                    Ok(Element::new("result").with_attr("op", "mkdir"))
-                }
-                other => Err(SrbError::Invalid(format!("unknown command {other:?}"))),
-            }
-        })();
-        match outcome {
-            Ok(el) => el,
-            Err(e) => Element::new("result")
-                .with_attr("op", op)
-                .with_attr("error", "true")
-                .with_text(e.to_string()),
-        }
-    }
-}
-
-impl SoapService for DataManagementService {
-    fn name(&self) -> &str {
-        "DataManagement"
-    }
-
-    fn invoke(
+    /// Run one SOAP method as `principal`.
+    fn answer(
         &self,
         method: &str,
         args: &[(String, SoapValue)],
-        ctx: &CallContext,
+        principal: &str,
     ) -> SoapResult<SoapValue> {
-        let principal = caller_principal(ctx);
         match method {
             "ls" => {
                 let path = arg_str(args, 0, "collection")?;
-                let entries = self.srb.ls(&principal, path).map_err(srb_fault)?;
+                let entries = self.ls_routed(principal, path)?;
                 // The paper's ls "returns an array containing the directory
                 // listing".
                 Ok(SoapValue::Array(
@@ -236,73 +278,68 @@ impl SoapService for DataManagementService {
                         .collect(),
                 ))
             }
-            "cat" => {
+            // `get` is string streaming, exactly as deployed in 2002.
+            "cat" | "get" => {
                 let path = arg_str(args, 0, "path")?;
-                Ok(SoapValue::String(self.cat_utf8(&principal, path)?))
-            }
-            // String streaming, exactly as deployed in 2002.
-            "get" => {
-                let path = arg_str(args, 0, "path")?;
-                Ok(SoapValue::String(self.cat_utf8(&principal, path)?))
+                Ok(SoapValue::String(
+                    self.route(path)?.cat_utf8(principal, path)?,
+                ))
             }
             "put" => {
                 let path = arg_str(args, 0, "path")?;
                 let content = arg_str(args, 1, "content")?;
-                self.srb
-                    .put(&principal, path, content.as_bytes())
+                self.route(path)?
+                    .srb
+                    .put(principal, path, content.as_bytes())
                     .map_err(srb_fault)?;
                 Ok(SoapValue::Int(content.len() as i64))
             }
             // Base64 ablation (E5): binary-safe, no escaping amplification.
             "getB64" => {
                 let path = arg_str(args, 0, "path")?;
-                let bytes = self.srb.get(&principal, path).map_err(srb_fault)?;
+                let bytes = self
+                    .route(path)?
+                    .srb
+                    .get(principal, path)
+                    .map_err(srb_fault)?;
                 Ok(SoapValue::Base64(bytes))
             }
             "putB64" => {
                 let path = arg_str(args, 0, "path")?;
-                let bytes = args
-                    .get(1)
-                    .and_then(|(_, v)| v.as_bytes())
-                    .ok_or_else(|| Fault::portal(PortalErrorKind::BadArguments, "missing data"))?;
-                self.srb.put(&principal, path, bytes).map_err(srb_fault)?;
+                let bytes = arg_bytes(args, 1, "data")?;
+                self.route(path)?
+                    .srb
+                    .put(principal, path, bytes)
+                    .map_err(srb_fault)?;
                 Ok(SoapValue::Int(bytes.len() as i64))
             }
             "rm" => {
                 let path = arg_str(args, 0, "path")?;
-                self.srb.rm(&principal, path).map_err(srb_fault)?;
+                self.route(path)?
+                    .srb
+                    .rm(principal, path)
+                    .map_err(srb_fault)?;
                 Ok(SoapValue::Null)
             }
             "mkdir" => {
                 let path = arg_str(args, 0, "path")?;
-                self.srb.mkdir(path).map_err(srb_fault)?;
+                self.route(path)?.srb.mkdir(path).map_err(srb_fault)?;
                 Ok(SoapValue::Null)
             }
-            // Namespace moves (PR 10): atomic within one broker, and the
-            // building block the shard router composes its cross-shard
-            // move protocol from.
-            "rename" => {
+            // Namespace moves: one broker's atomic move within a
+            // shard, the journaled protocol across shards.
+            "rename" | "cp" => {
                 let from = arg_str(args, 0, "from")?;
                 let to = arg_str(args, 1, "to")?;
-                self.srb.rename(&principal, from, to).map_err(srb_fault)?;
-                Ok(SoapValue::Null)
-            }
-            "cp" => {
-                let from = arg_str(args, 0, "from")?;
-                let to = arg_str(args, 1, "to")?;
-                self.srb.cp(&principal, from, to).map_err(srb_fault)?;
+                self.move_object(principal, from, to, method == "cp")?;
                 Ok(SoapValue::Null)
             }
             // Chunked streaming transfer protocol (E13): SOAP stays the
             // control channel, the payload moves as bounded chunks.
             "open_get" => {
-                let path = arg_str(args, 0, "path")?;
-                let (handle, size) = self
-                    .transfers
-                    .open_get(&principal, path)
-                    .map_err(|e| e.to_fault())?;
+                let (handle, size) = self.open_get(principal, arg_str(args, 0, "path")?)?;
                 Ok(SoapValue::Struct(vec![
-                    ("handle".into(), SoapValue::str(handle)),
+                    ("handle".into(), SoapValue::String(handle)),
                     ("size".into(), SoapValue::Int(size as i64)),
                 ]))
             }
@@ -310,45 +347,40 @@ impl SoapService for DataManagementService {
                 let handle = arg_str(args, 0, "handle")?;
                 let off = arg_usize(args, 1, "offset")?;
                 let len = arg_usize(args, 2, "length")?;
-                let bytes = self
+                let (shard, handle) = self.handle_shard(handle)?;
+                let bytes = shard
                     .transfers
-                    .get_chunk(&principal, handle, off, len)
+                    .get_chunk(principal, handle, off, len)
                     .map_err(|e| e.to_fault())?;
                 Ok(SoapValue::Base64(bytes))
             }
-            "open_put" => {
-                let path = arg_str(args, 0, "path")?;
-                let handle = self
-                    .transfers
-                    .open_put(&principal, path)
-                    .map_err(|e| e.to_fault())?;
-                Ok(SoapValue::String(handle))
-            }
+            "open_put" => Ok(SoapValue::String(
+                self.open_put(principal, arg_str(args, 0, "path")?)?,
+            )),
             "put_chunk" => {
                 let handle = arg_str(args, 0, "handle")?;
                 let off = arg_usize(args, 1, "offset")?;
-                let data = args
-                    .get(2)
-                    .and_then(|(_, v)| v.as_bytes())
-                    .ok_or_else(|| Fault::portal(PortalErrorKind::BadArguments, "missing data"))?;
-                let acked = self
+                let data = arg_bytes(args, 2, "data")?;
+                let (shard, handle) = self.handle_shard(handle)?;
+                let acked = shard
                     .transfers
-                    .put_chunk(&principal, handle, off, data)
+                    .put_chunk(principal, handle, off, data)
                     .map_err(|e| e.to_fault())?;
                 Ok(SoapValue::Int(acked as i64))
             }
             "commit" => {
-                let handle = arg_str(args, 0, "handle")?;
-                let total = self
+                let (shard, handle) = self.handle_shard(arg_str(args, 0, "handle")?)?;
+                let total = shard
                     .transfers
-                    .commit(&principal, handle)
+                    .commit(principal, handle)
                     .map_err(|e| e.to_fault())?;
                 Ok(SoapValue::Int(total as i64))
             }
             "abort" => {
-                let handle = arg_str(args, 0, "handle")?;
-                self.transfers
-                    .abort(&principal, handle)
+                let (shard, handle) = self.handle_shard(arg_str(args, 0, "handle")?)?;
+                shard
+                    .transfers
+                    .abort(principal, handle)
                     .map_err(|e| e.to_fault())?;
                 Ok(SoapValue::Null)
             }
@@ -366,14 +398,59 @@ impl SoapService for DataManagementService {
                 // the requests sequentially."
                 let mut response = Element::new("response");
                 for cmd in request.children() {
-                    response.push_child(self.run_command(&principal, cmd));
+                    response.push_child(self.run_routed_command(principal, cmd));
                 }
                 Ok(SoapValue::Xml(response))
             }
+            // The read cache's revalidation probe.
+            "generation" => Ok(SoapValue::Int(
+                self.generation.load(Ordering::Relaxed) as i64
+            )),
             other => Err(Fault::client(format!(
                 "DataManagement has no method {other:?}"
             ))),
         }
+    }
+}
+
+impl SoapService for DataManagementService {
+    fn name(&self) -> &str {
+        "DataManagement"
+    }
+
+    fn generation(&self) -> Option<u64> {
+        Some(self.generation.load(Ordering::Relaxed))
+    }
+
+    fn invoke(
+        &self,
+        method: &str,
+        args: &[(String, SoapValue)],
+        ctx: &CallContext,
+    ) -> SoapResult<SoapValue> {
+        let answer = self.answer(method, args, &caller_principal(ctx));
+        // Over-approximate mutation detection: anything that can change
+        // visible namespace state bumps the generation once it has run,
+        // refused or not. A reply is stamped before its method runs, so
+        // no reply that saw the state a write replaced carries the
+        // generation the write leaves behind.
+        if matches!(
+            method,
+            "put"
+                | "putB64"
+                | "rm"
+                | "mkdir"
+                | "rename"
+                | "cp"
+                | "open_put"
+                | "put_chunk"
+                | "commit"
+                | "abort"
+                | "xml_call"
+        ) {
+            self.bump();
+        }
+        answer
     }
 
     fn methods(&self) -> Vec<MethodDesc> {
@@ -382,7 +459,7 @@ impl SoapService for DataManagementService {
                 "ls",
                 vec![("collection", SoapType::String)],
                 SoapType::Array,
-                "Directory listing of an SRB collection",
+                "Directory listing of an SRB collection; \"/\" lists every top-level collection",
             ),
             MethodDesc::new(
                 "cat",
@@ -430,7 +507,7 @@ impl SoapService for DataManagementService {
                 "rename",
                 vec![("from", SoapType::String), ("to", SoapType::String)],
                 SoapType::Void,
-                "Atomically move an object, replacing any existing destination",
+                "Move an object, replacing any existing destination; atomic within a shard, journaled copy-then-delete across shards",
             ),
             MethodDesc::new(
                 "cp",
@@ -488,6 +565,12 @@ impl SoapService for DataManagementService {
                 SoapType::Xml,
                 "Execute multiple SRB commands from one XML request over one connection",
             ),
+            MethodDesc::new(
+                "generation",
+                vec![],
+                SoapType::Int,
+                "Current mutation generation (cheap cache revalidation probe)",
+            ),
         ]
     }
 }
@@ -495,176 +578,237 @@ impl SoapService for DataManagementService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use portalws_soap::{SoapClient, SoapError, SoapServer};
+    use portalws_soap::{ReadCache, ReadCacheConfig, SoapClient, SoapError, SoapServer};
     use portalws_wire::{Handler, InMemoryTransport};
+    use std::time::Duration;
 
-    fn client() -> (Arc<Srb>, SoapClient) {
-        let srb = Arc::new(Srb::new());
-        srb.mkdir("/data").unwrap();
-        srb.put("anonymous", "/data/in.txt", b"line one\nline two\n")
-            .unwrap();
+    /// Every facade test runs on one broker and on a map that spreads
+    /// top-level collections across three.
+    const SHARD_COUNTS: [usize; 2] = [1, 3];
+
+    fn fresh(shards: usize) -> Arc<DataManagementService> {
+        let brokers = (0..shards).map(|_| Arc::new(Srb::new())).collect();
+        Arc::new(DataManagementService::with_brokers(brokers))
+    }
+
+    fn serve(svc: &Arc<DataManagementService>) -> SoapClient {
         let server = SoapServer::new();
-        server.mount(Arc::new(DataManagementService::new(Arc::clone(&srb))));
+        server.mount(Arc::clone(svc) as Arc<dyn SoapService>);
         let handler: Arc<dyn Handler> = Arc::new(server);
-        (
-            srb,
-            SoapClient::new(Arc::new(InMemoryTransport::new(handler)), "DataManagement"),
-        )
+        SoapClient::new(Arc::new(InMemoryTransport::new(handler)), "DataManagement")
+    }
+
+    fn client(shards: usize) -> (Arc<DataManagementService>, SoapClient) {
+        let svc = fresh(shards);
+        svc.mkdir("/data").unwrap();
+        svc.put_bytes("anonymous", "/data/in.txt", b"line one\nline two\n")
+            .unwrap();
+        let c = serve(&svc);
+        (svc, c)
+    }
+
+    fn kind(err: &SoapError) -> Option<PortalErrorKind> {
+        err.as_fault().and_then(|f| f.kind())
     }
 
     #[test]
     fn ls_returns_array_of_structs() {
-        let (_, c) = client();
-        let out = c.call("ls", &[SoapValue::str("/data")]).unwrap();
-        let arr = out.as_array().unwrap();
-        assert_eq!(arr.len(), 1);
-        assert_eq!(arr[0].field("name").unwrap().as_str(), Some("in.txt"));
-        assert_eq!(arr[0].field("size").unwrap().as_i64(), Some(18));
+        for shards in SHARD_COUNTS {
+            let (_, c) = client(shards);
+            let out = c.call("ls", &[SoapValue::str("/data")]).unwrap();
+            let arr = out.as_array().unwrap();
+            assert_eq!(arr.len(), 1);
+            assert_eq!(arr[0].field("name").unwrap().as_str(), Some("in.txt"));
+            assert_eq!(arr[0].field("size").unwrap().as_i64(), Some(18));
+        }
+    }
+
+    #[test]
+    fn only_slash_lists_the_root() {
+        for shards in [1, 4] {
+            let (svc, c) = client(shards);
+            for top in ["/public", "/proj-0", "/proj-1"] {
+                svc.mkdir(top).unwrap();
+            }
+            let root = c.call("ls", &[SoapValue::str("/")]).unwrap();
+            let names: Vec<&str> = (root.as_array().unwrap().iter())
+                .filter_map(|e| e.field("name").and_then(SoapValue::as_str))
+                .collect();
+            assert_eq!(names, ["data", "proj-0", "proj-1", "public"], "{shards}");
+            // Every other spelling is the broker's to refuse.
+            for (path, says) in [("", "is not absolute"), ("//", "has an empty segment")] {
+                let err = c.call("ls", &[SoapValue::str(path)]).unwrap_err();
+                assert_eq!(kind(&err), Some(PortalErrorKind::BadArguments), "{path:?}");
+                assert!(err.to_string().contains(says), "{path:?}: {err}");
+            }
+            let ls = |collection: &str| Element::new("ls").with_attr("collection", collection);
+            let request = Element::new("request")
+                .with_child(ls("/"))
+                .with_child(ls(""))
+                .with_child(ls("//"));
+            let out = c.call("xml_call", &[SoapValue::Xml(request)]).unwrap();
+            let results: Vec<&Element> = out.as_xml().unwrap().children().collect();
+            assert_eq!(results[0].children().count(), 4, "{shards}");
+            assert_eq!(results[1].attr("error"), Some("true"));
+            assert!(results[1].text().contains("is not absolute"));
+            assert_eq!(results[2].attr("error"), Some("true"));
+            assert!(results[2].text().contains("has an empty segment"));
+        }
     }
 
     #[test]
     fn cat_and_get_stream_strings() {
-        let (_, c) = client();
-        let out = c.call("cat", &[SoapValue::str("/data/in.txt")]).unwrap();
-        assert_eq!(out.as_str().unwrap(), "line one\nline two\n");
-        let out = c.call("get", &[SoapValue::str("/data/in.txt")]).unwrap();
-        assert!(out.as_str().unwrap().starts_with("line one"));
+        for shards in SHARD_COUNTS {
+            let (_, c) = client(shards);
+            let out = c.call("cat", &[SoapValue::str("/data/in.txt")]).unwrap();
+            assert_eq!(out.as_str().unwrap(), "line one\nline two\n");
+            let out = c.call("get", &[SoapValue::str("/data/in.txt")]).unwrap();
+            assert!(out.as_str().unwrap().starts_with("line one"));
+        }
     }
 
     #[test]
     fn put_then_get_round_trip() {
-        let (srb, c) = client();
-        let content = "x <b>&</b> y\n".repeat(10);
-        let n = c
-            .call(
-                "put",
-                &[
-                    SoapValue::str("/data/out.txt"),
-                    SoapValue::str(content.clone()),
-                ],
-            )
-            .unwrap();
-        assert_eq!(n.as_i64(), Some(content.len() as i64));
-        assert_eq!(srb.cat("anonymous", "/data/out.txt").unwrap(), content);
-        let back = c.call("get", &[SoapValue::str("/data/out.txt")]).unwrap();
-        assert_eq!(back.as_str().unwrap(), content);
+        for shards in SHARD_COUNTS {
+            let (svc, c) = client(shards);
+            let content = "x <b>&</b> y\n".repeat(10);
+            let n = c
+                .call(
+                    "put",
+                    &[
+                        SoapValue::str("/data/out.txt"),
+                        SoapValue::str(content.clone()),
+                    ],
+                )
+                .unwrap();
+            assert_eq!(n.as_i64(), Some(content.len() as i64));
+            assert_eq!(
+                svc.get_bytes("anonymous", "/data/out.txt").unwrap(),
+                content.as_bytes()
+            );
+            let back = c.call("get", &[SoapValue::str("/data/out.txt")]).unwrap();
+            assert_eq!(back.as_str().unwrap(), content);
+        }
     }
 
     #[test]
     fn rename_and_cp_over_soap() {
-        let (srb, c) = client();
-        c.call(
-            "rename",
-            &[
-                SoapValue::str("/data/in.txt"),
-                SoapValue::str("/data/moved.txt"),
-            ],
-        )
-        .unwrap();
-        assert!(srb.stat("anonymous", "/data/in.txt").is_err());
-        c.call(
-            "cp",
-            &[
-                SoapValue::str("/data/moved.txt"),
-                SoapValue::str("/data/copy.txt"),
-            ],
-        )
-        .unwrap();
-        assert_eq!(
-            srb.cat("anonymous", "/data/moved.txt").unwrap(),
-            "line one\nline two\n"
-        );
-        assert_eq!(
-            srb.cat("anonymous", "/data/copy.txt").unwrap(),
-            "line one\nline two\n"
-        );
+        for shards in SHARD_COUNTS {
+            let (svc, c) = client(shards);
+            c.call(
+                "rename",
+                &[
+                    SoapValue::str("/data/in.txt"),
+                    SoapValue::str("/data/moved.txt"),
+                ],
+            )
+            .unwrap();
+            assert!(svc.get_bytes("anonymous", "/data/in.txt").is_err());
+            c.call(
+                "cp",
+                &[
+                    SoapValue::str("/data/moved.txt"),
+                    SoapValue::str("/data/copy.txt"),
+                ],
+            )
+            .unwrap();
+            for path in ["/data/moved.txt", "/data/copy.txt"] {
+                assert_eq!(
+                    svc.get_bytes("anonymous", path).unwrap(),
+                    b"line one\nline two\n"
+                );
+            }
+        }
     }
 
     #[test]
     fn base64_round_trip_is_binary_safe() {
-        let (_, c) = client();
-        let data: Vec<u8> = (0u8..=255).collect();
-        c.call(
-            "putB64",
-            &[SoapValue::str("/data/bin"), SoapValue::Base64(data.clone())],
-        )
-        .unwrap();
-        let back = c.call("getB64", &[SoapValue::str("/data/bin")]).unwrap();
-        assert_eq!(back.as_bytes().unwrap(), &data[..]);
+        for shards in SHARD_COUNTS {
+            let (_, c) = client(shards);
+            let data: Vec<u8> = (0u8..=255).collect();
+            c.call(
+                "putB64",
+                &[SoapValue::str("/data/bin"), SoapValue::Base64(data.clone())],
+            )
+            .unwrap();
+            let back = c.call("getB64", &[SoapValue::str("/data/bin")]).unwrap();
+            assert_eq!(back.as_bytes().unwrap(), &data[..]);
+        }
     }
 
     #[test]
     fn missing_file_maps_to_file_not_found() {
-        let (_, c) = client();
-        let err = c.call("get", &[SoapValue::str("/data/ghost")]).unwrap_err();
-        assert_eq!(
-            err.as_fault().and_then(|f| f.kind()),
-            Some(PortalErrorKind::FileNotFound)
-        );
+        for shards in SHARD_COUNTS {
+            let (_, c) = client(shards);
+            let err = c.call("get", &[SoapValue::str("/data/ghost")]).unwrap_err();
+            assert_eq!(kind(&err), Some(PortalErrorKind::FileNotFound));
+        }
     }
 
     #[test]
     fn quota_maps_to_disk_full() {
-        let (srb, c) = client();
-        srb.set_quota("/data", 32);
-        let err = c
-            .call(
-                "put",
-                &[
-                    SoapValue::str("/data/big.txt"),
-                    SoapValue::str("much more than thirty-two bytes of text"),
-                ],
-            )
-            .unwrap_err();
-        assert_eq!(
-            err.as_fault().and_then(|f| f.kind()),
-            Some(PortalErrorKind::DiskFull)
-        );
+        for shards in SHARD_COUNTS {
+            let (svc, c) = client(shards);
+            svc.set_quota("/data", 32);
+            let err = c
+                .call(
+                    "put",
+                    &[
+                        SoapValue::str("/data/big.txt"),
+                        SoapValue::str("much more than thirty-two bytes of text"),
+                    ],
+                )
+                .unwrap_err();
+            assert_eq!(kind(&err), Some(PortalErrorKind::DiskFull));
+        }
     }
 
     #[test]
     fn acl_maps_to_permission_denied() {
-        let (srb, c) = client();
-        srb.set_acl("/data", vec!["alice".into()]);
-        let err = c.call("ls", &[SoapValue::str("/data")]).unwrap_err();
-        assert_eq!(
-            err.as_fault().and_then(|f| f.kind()),
-            Some(PortalErrorKind::PermissionDenied)
-        );
+        for shards in SHARD_COUNTS {
+            let (svc, c) = client(shards);
+            svc.set_acl("/data", vec!["alice".into()]);
+            let err = c.call("ls", &[SoapValue::str("/data")]).unwrap_err();
+            assert_eq!(kind(&err), Some(PortalErrorKind::PermissionDenied));
+        }
     }
 
     #[test]
     fn xml_call_batches_commands_sequentially() {
-        let (_, c) = client();
-        let request = Element::new("request")
-            .with_child(Element::new("mkdir").with_attr("path", "/data/sub"))
-            .with_child(
-                Element::new("put")
-                    .with_attr("path", "/data/sub/a.txt")
-                    .with_text("alpha"),
-            )
-            .with_child(Element::new("cat").with_attr("path", "/data/sub/a.txt"))
-            .with_child(Element::new("ls").with_attr("collection", "/data/sub"));
-        let out = c.call("xml_call", &[SoapValue::Xml(request)]).unwrap();
-        let response = out.as_xml().unwrap();
-        let results: Vec<&Element> = response.children().collect();
-        assert_eq!(results.len(), 4);
-        assert_eq!(results[2].text(), "alpha");
-        assert_eq!(results[3].children().count(), 1);
+        for shards in SHARD_COUNTS {
+            let (_, c) = client(shards);
+            let request = Element::new("request")
+                .with_child(Element::new("mkdir").with_attr("path", "/data/sub"))
+                .with_child(
+                    Element::new("put")
+                        .with_attr("path", "/data/sub/a.txt")
+                        .with_text("alpha"),
+                )
+                .with_child(Element::new("cat").with_attr("path", "/data/sub/a.txt"))
+                .with_child(Element::new("ls").with_attr("collection", "/data/sub"));
+            let out = c.call("xml_call", &[SoapValue::Xml(request)]).unwrap();
+            let response = out.as_xml().unwrap();
+            let results: Vec<&Element> = response.children().collect();
+            assert_eq!(results.len(), 4);
+            assert_eq!(results[2].text(), "alpha");
+            assert_eq!(results[3].children().count(), 1);
+        }
     }
 
     #[test]
     fn xml_call_reports_per_command_errors_inline() {
-        let (_, c) = client();
-        let request = Element::new("request")
-            .with_child(Element::new("cat").with_attr("path", "/data/ghost"))
-            .with_child(Element::new("cat").with_attr("path", "/data/in.txt"));
-        let out = c.call("xml_call", &[SoapValue::Xml(request)]).unwrap();
-        let response = out.as_xml().unwrap();
-        let results: Vec<&Element> = response.children().collect();
-        assert_eq!(results[0].attr("error"), Some("true"));
-        // A failed command does not abort the batch.
-        assert_eq!(results[1].text(), "line one\nline two\n");
+        for shards in SHARD_COUNTS {
+            let (_, c) = client(shards);
+            let request = Element::new("request")
+                .with_child(Element::new("cat").with_attr("path", "/data/ghost"))
+                .with_child(Element::new("cat").with_attr("path", "/data/in.txt"));
+            let out = c.call("xml_call", &[SoapValue::Xml(request)]).unwrap();
+            let response = out.as_xml().unwrap();
+            let results: Vec<&Element> = response.children().collect();
+            assert_eq!(results[0].attr("error"), Some("true"));
+            // A failed command does not abort the batch.
+            assert_eq!(results[1].text(), "line one\nline two\n");
+        }
     }
 
     /// The collection the reply-text test lists: 128 seeded objects, a
@@ -760,28 +904,16 @@ mod tests {
         let want = reply_the_old_way(&puts);
         assert!(want.contains(r#"<entry name="sub" collection="true" size="0"/>"#));
 
-        let srb = Arc::new(Srb::new());
-        seed(
-            |dir| srb.mkdir(dir).unwrap(),
-            |path, content| srb.put("anonymous", path, content.as_bytes()).unwrap(),
-        );
-        let router = Arc::new(crate::shard::ShardedDataService::new(3));
-        seed(
-            |dir| router.mkdir(dir).unwrap(),
-            |path, content| {
-                router
-                    .put_bytes("anonymous", path, content.as_bytes())
-                    .unwrap()
-            },
-        );
-        let services: [Arc<dyn portalws_soap::SoapService>; 2] =
-            [Arc::new(DataManagementService::new(srb)), router];
-        for service in services {
-            let server = SoapServer::new();
-            server.mount(service);
-            let handler: Arc<dyn Handler> = Arc::new(server);
-            let transport = Arc::new(InMemoryTransport::new(handler));
-            let c = SoapClient::new(transport, "DataManagement");
+        for shards in SHARD_COUNTS {
+            let svc = fresh(shards);
+            seed(
+                |dir| svc.mkdir(dir).unwrap(),
+                |path, content| {
+                    svc.put_bytes("anonymous", path, content.as_bytes())
+                        .unwrap()
+                },
+            );
+            let c = serve(&svc);
             let out = c.call("xml_call", &[SoapValue::Xml(batch(&puts))]).unwrap();
             assert_eq!(out.as_xml().unwrap().to_xml(), want);
         }
@@ -796,168 +928,203 @@ mod tests {
 
     #[test]
     fn xml_call_rejects_non_request_documents() {
-        let (_, c) = client();
-        let err = c
-            .call("xml_call", &[SoapValue::Xml(Element::new("wrong"))])
-            .unwrap_err();
-        assert!(matches!(err, SoapError::Fault(_)));
+        for shards in SHARD_COUNTS {
+            let (_, c) = client(shards);
+            let err = c
+                .call("xml_call", &[SoapValue::Xml(Element::new("wrong"))])
+                .unwrap_err();
+            assert!(matches!(err, SoapError::Fault(_)));
+        }
     }
 
     #[test]
     fn unknown_method_is_fault() {
-        let (_, c) = client();
-        assert!(c.call("chmod", &[]).is_err());
+        for shards in SHARD_COUNTS {
+            let (_, c) = client(shards);
+            assert!(c.call("chmod", &[]).is_err());
+        }
+    }
+
+    #[test]
+    fn a_cached_get_past_its_ttl_costs_one_generation_probe() {
+        for shards in SHARD_COUNTS {
+            let (_, c) = client(shards);
+            let cache = Arc::new(ReadCache::new(ReadCacheConfig {
+                ttl: Duration::from_millis(1),
+                ..ReadCacheConfig::default()
+            }));
+            c.enable_read_cache(Arc::clone(&cache), &["get"]);
+            let get = || c.call("get", &[SoapValue::str("/data/in.txt")]).unwrap();
+            get();
+            std::thread::sleep(Duration::from_millis(5));
+            let (wire, hits) = (c.transport().stats(), cache.stats());
+            let (wire_before, hits_before) = (wire.snapshot(), hits.snapshot());
+            assert_eq!(get().as_str(), Some("line one\nline two\n"));
+            // The probe answers the generation the entry was filled at,
+            // so the body is served from the cache, not fetched again.
+            assert_eq!(wire.snapshot().since(&wire_before).requests, 1, "{shards}");
+            assert_eq!(
+                hits.snapshot().since(&hits_before).cache_hits,
+                1,
+                "{shards}"
+            );
+        }
     }
 
     #[test]
     fn non_utf8_get_faults_toward_binary_paths() {
         // Regression: the string path used to surface a bare broker error
         // with no redirect; callers must be pointed at getB64/open_get.
-        let (srb, c) = client();
-        srb.put("anonymous", "/data/bin", &[0xC3, 0x28, 0xFF])
-            .unwrap();
-        for method in ["get", "cat"] {
-            let err = c.call(method, &[SoapValue::str("/data/bin")]).unwrap_err();
-            let fault = err.as_fault().expect("typed fault");
-            assert_eq!(fault.kind(), Some(PortalErrorKind::BadArguments));
-            assert!(
-                fault.string.contains("getB64") && fault.string.contains("open_get"),
-                "{method} fault must direct to the binary paths: {}",
-                fault.string
-            );
+        for shards in SHARD_COUNTS {
+            let (svc, c) = client(shards);
+            svc.put_bytes("anonymous", "/data/bin", &[0xC3, 0x28, 0xFF])
+                .unwrap();
+            for method in ["get", "cat"] {
+                let err = c.call(method, &[SoapValue::str("/data/bin")]).unwrap_err();
+                let fault = err.as_fault().expect("typed fault");
+                assert_eq!(fault.kind(), Some(PortalErrorKind::BadArguments));
+                assert!(
+                    fault.string.contains("getB64") && fault.string.contains("open_get"),
+                    "{method} fault must direct to the binary paths: {}",
+                    fault.string
+                );
+            }
+            // The binary paths themselves still work on the same object.
+            let back = c.call("getB64", &[SoapValue::str("/data/bin")]).unwrap();
+            assert_eq!(back.as_bytes().unwrap(), &[0xC3, 0x28, 0xFF]);
         }
-        // The binary paths themselves still work on the same object.
-        let back = c.call("getB64", &[SoapValue::str("/data/bin")]).unwrap();
-        assert_eq!(back.as_bytes().unwrap(), &[0xC3, 0x28, 0xFF]);
     }
 
     #[test]
     fn chunked_transfer_round_trip_over_soap() {
-        let (srb, c) = client();
-        let payload: Vec<u8> = (0..10_000u32).flat_map(|i| i.to_le_bytes()).collect();
-        // Put in 7 KiB chunks.
-        let handle = c
-            .call("open_put", &[SoapValue::str("/data/big.bin")])
-            .unwrap();
-        let handle = handle.as_str().unwrap().to_owned();
-        let chunk = 7 * 1024;
-        let mut off = 0usize;
-        while off < payload.len() {
-            let end = (off + chunk).min(payload.len());
-            let acked = c
-                .call(
-                    "put_chunk",
-                    &[
-                        SoapValue::str(handle.clone()),
-                        SoapValue::Int(off as i64),
-                        SoapValue::Base64(payload[off..end].to_vec()),
-                    ],
-                )
+        for shards in SHARD_COUNTS {
+            let (svc, c) = client(shards);
+            let payload: Vec<u8> = (0..10_000u32).flat_map(|i| i.to_le_bytes()).collect();
+            // Put in 7 KiB chunks.
+            let handle = c
+                .call("open_put", &[SoapValue::str("/data/big.bin")])
                 .unwrap();
-            assert_eq!(acked.as_i64(), Some(end as i64));
-            off = end;
-        }
-        let total = c.call("commit", &[SoapValue::str(handle)]).unwrap();
-        assert_eq!(total.as_i64(), Some(payload.len() as i64));
-        assert_eq!(srb.get("anonymous", "/data/big.bin").unwrap(), payload);
+            let handle = handle.as_str().unwrap().to_owned();
+            let chunk = 7 * 1024;
+            let mut off = 0usize;
+            while off < payload.len() {
+                let end = (off + chunk).min(payload.len());
+                let acked = c
+                    .call(
+                        "put_chunk",
+                        &[
+                            SoapValue::str(handle.clone()),
+                            SoapValue::Int(off as i64),
+                            SoapValue::Base64(payload[off..end].to_vec()),
+                        ],
+                    )
+                    .unwrap();
+                assert_eq!(acked.as_i64(), Some(end as i64));
+                off = end;
+            }
+            let total = c.call("commit", &[SoapValue::str(handle)]).unwrap();
+            assert_eq!(total.as_i64(), Some(payload.len() as i64));
+            assert_eq!(
+                svc.get_bytes("anonymous", "/data/big.bin").unwrap(),
+                payload
+            );
 
-        // Get it back in different-sized chunks.
-        let opened = c
-            .call("open_get", &[SoapValue::str("/data/big.bin")])
-            .unwrap();
-        let gh = opened.field("handle").unwrap().as_str().unwrap().to_owned();
-        let size = opened.field("size").unwrap().as_i64().unwrap() as usize;
-        assert_eq!(size, payload.len());
-        let mut back = Vec::new();
-        let chunk = 9 * 1024;
-        while back.len() < size {
-            let piece = c
+            // Get it back in different-sized chunks.
+            let opened = c
+                .call("open_get", &[SoapValue::str("/data/big.bin")])
+                .unwrap();
+            let gh = opened.field("handle").unwrap().as_str().unwrap().to_owned();
+            let size = opened.field("size").unwrap().as_i64().unwrap() as usize;
+            assert_eq!(size, payload.len());
+            let mut back = Vec::new();
+            let chunk = 9 * 1024;
+            while back.len() < size {
+                let piece = c
+                    .call(
+                        "get_chunk",
+                        &[
+                            SoapValue::str(gh.clone()),
+                            SoapValue::Int(back.len() as i64),
+                            SoapValue::Int(chunk as i64),
+                        ],
+                    )
+                    .unwrap();
+                let piece = piece.as_bytes().unwrap().to_vec();
+                assert!(!piece.is_empty());
+                back.extend_from_slice(&piece);
+            }
+            assert_eq!(back, payload);
+            // One more read lands exactly at EOF: clean empty chunk.
+            let eof = c
                 .call(
                     "get_chunk",
                     &[
                         SoapValue::str(gh.clone()),
-                        SoapValue::Int(back.len() as i64),
+                        SoapValue::Int(size as i64),
                         SoapValue::Int(chunk as i64),
                     ],
                 )
                 .unwrap();
-            let piece = piece.as_bytes().unwrap().to_vec();
-            assert!(!piece.is_empty());
-            back.extend_from_slice(&piece);
+            assert_eq!(eof.as_bytes().unwrap(), b"");
+            c.call("abort", &[SoapValue::str(gh)]).unwrap();
         }
-        assert_eq!(back, payload);
-        // One more read lands exactly at EOF: clean empty chunk.
-        let eof = c
-            .call(
-                "get_chunk",
-                &[
-                    SoapValue::str(gh.clone()),
-                    SoapValue::Int(size as i64),
-                    SoapValue::Int(chunk as i64),
-                ],
-            )
-            .unwrap();
-        assert_eq!(eof.as_bytes().unwrap(), b"");
-        c.call("abort", &[SoapValue::str(gh)]).unwrap();
     }
 
     #[test]
     fn chunked_put_of_zero_length_file_round_trips() {
-        let (srb, c) = client();
-        let handle = c
-            .call("open_put", &[SoapValue::str("/data/empty.bin")])
-            .unwrap();
-        let handle = handle.as_str().unwrap().to_owned();
-        let total = c.call("commit", &[SoapValue::str(handle)]).unwrap();
-        assert_eq!(total.as_i64(), Some(0));
-        assert_eq!(srb.get("anonymous", "/data/empty.bin").unwrap(), b"");
-        // And the chunked read of it: open reports size 0, first read EOF.
-        let opened = c
-            .call("open_get", &[SoapValue::str("/data/empty.bin")])
-            .unwrap();
-        assert_eq!(opened.field("size").unwrap().as_i64(), Some(0));
-        let gh = opened.field("handle").unwrap().as_str().unwrap().to_owned();
-        let eof = c
-            .call(
-                "get_chunk",
-                &[SoapValue::str(gh), SoapValue::Int(0), SoapValue::Int(4096)],
-            )
-            .unwrap();
-        assert_eq!(eof.as_bytes().unwrap(), b"");
+        for shards in SHARD_COUNTS {
+            let (svc, c) = client(shards);
+            let handle = c
+                .call("open_put", &[SoapValue::str("/data/empty.bin")])
+                .unwrap();
+            let handle = handle.as_str().unwrap().to_owned();
+            let total = c.call("commit", &[SoapValue::str(handle)]).unwrap();
+            assert_eq!(total.as_i64(), Some(0));
+            assert_eq!(svc.get_bytes("anonymous", "/data/empty.bin").unwrap(), b"");
+            // And the chunked read of it: open reports size 0, first read EOF.
+            let opened = c
+                .call("open_get", &[SoapValue::str("/data/empty.bin")])
+                .unwrap();
+            assert_eq!(opened.field("size").unwrap().as_i64(), Some(0));
+            let gh = opened.field("handle").unwrap().as_str().unwrap().to_owned();
+            let eof = c
+                .call(
+                    "get_chunk",
+                    &[SoapValue::str(gh), SoapValue::Int(0), SoapValue::Int(4096)],
+                )
+                .unwrap();
+            assert_eq!(eof.as_bytes().unwrap(), b"");
+        }
     }
 
     #[test]
     fn transfer_faults_carry_typed_kinds_over_soap() {
-        let (_, c) = client();
-        // Unknown handle → NOT_FOUND.
-        let err = c
-            .call(
-                "get_chunk",
-                &[
-                    SoapValue::str("t-404"),
-                    SoapValue::Int(0),
-                    SoapValue::Int(16),
-                ],
-            )
-            .unwrap_err();
-        assert_eq!(
-            err.as_fault().and_then(|f| f.kind()),
-            Some(PortalErrorKind::NotFound)
-        );
-        // Negative offset → BAD_ARGUMENTS before touching the table.
-        let err = c
-            .call(
-                "get_chunk",
-                &[
-                    SoapValue::str("t-404"),
-                    SoapValue::Int(-1),
-                    SoapValue::Int(16),
-                ],
-            )
-            .unwrap_err();
-        assert_eq!(
-            err.as_fault().and_then(|f| f.kind()),
-            Some(PortalErrorKind::BadArguments)
-        );
+        for shards in SHARD_COUNTS {
+            let (_, c) = client(shards);
+            // Unknown handle on a shard that exists → NOT_FOUND.
+            let err = c
+                .call(
+                    "get_chunk",
+                    &[
+                        SoapValue::str("s0/t-404"),
+                        SoapValue::Int(0),
+                        SoapValue::Int(16),
+                    ],
+                )
+                .unwrap_err();
+            assert_eq!(kind(&err), Some(PortalErrorKind::NotFound));
+            // Negative offset → BAD_ARGUMENTS before touching the table.
+            let err = c
+                .call(
+                    "get_chunk",
+                    &[
+                        SoapValue::str("s0/t-404"),
+                        SoapValue::Int(-1),
+                        SoapValue::Int(16),
+                    ],
+                )
+                .unwrap_err();
+            assert_eq!(kind(&err), Some(PortalErrorKind::BadArguments));
+        }
     }
 }

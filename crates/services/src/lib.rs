@@ -15,7 +15,8 @@
 //!   perform a task".
 //! * [`data`] — the SRB data-management service: `ls`, `cat`, `get`,
 //!   `put` (string-streamed, the mechanism that "does not scale well"),
-//!   the batched `xml_call`, and a base64 ablation.
+//!   the batched `xml_call`, and a base64 ablation, over one or more
+//!   brokers that [`shard`] places collections on.
 //! * [`context`] — the Gateway context manager, in both shapes the paper
 //!   discusses: the 60-plus-method monolith and the decomposed refactoring.
 //! * [`factory`] — the §6 application factory: binds registered
@@ -36,11 +37,11 @@ pub mod transfer;
 
 pub use batch::BatchJobService;
 pub use context::{ContextManagerMonolith, ContextStore, DecomposedContextServices};
-pub use data::DataManagementService;
+pub use data::{DataManagementService, Shard};
 pub use factory::AppFactoryService;
 pub use job::JobSubmissionService;
 pub use scriptgen::{IuScriptGen, SdscScriptGen};
-pub use shard::{ShardMap, ShardedDataService};
+pub use shard::ShardMap;
 pub use transfer::{TransferError, TransferTable};
 
 use portalws_auth::{Assertion, UserSession};
