@@ -47,6 +47,12 @@ pub const DEFAULT_WINDOW: usize = 4;
 /// transport's own idempotent retries).
 pub const DEFAULT_CHUNK_ATTEMPTS: usize = 8;
 
+/// Most bytes [`TransferClient::get`] reserves up front for the size
+/// `open_get` reports. The size comes from a peer, so it is only a hint:
+/// the cap keeps a wrong one from becoming an arbitrary allocation. It is
+/// the wire's cap on one frame's body.
+const MAX_GET_RESERVE: usize = portalws_wire::MAX_BODY_BYTES;
+
 /// The six protocol methods; all safe to re-send, so all are marked
 /// idempotent on the proxy.
 const TRANSFER_METHODS: [&str; 6] = [
@@ -309,10 +315,14 @@ impl<'a> TransferClient<'a> {
         }
     }
 
-    /// Download `path` into memory. See [`TransferClient::get_with`].
+    /// Download `path` into memory. See [`TransferClient::get_with`]. The
+    /// output is reserved once for the size `open_get` reports, up to the
+    /// wire's 64 MiB body cap ([`portalws_wire::MAX_BODY_BYTES`]); a file
+    /// larger than that grows it past the cap.
     pub fn get(&self, path: &str) -> Result<(Vec<u8>, TransferReport), SoapError> {
-        let mut out = Vec::new();
-        let report = self.get_with(path, |chunk| out.extend_from_slice(chunk))?;
+        let (handle, size) = self.open_get(path)?;
+        let mut out = Vec::with_capacity(size.min(MAX_GET_RESERVE));
+        let report = self.read_open(handle, size, |chunk| out.extend_from_slice(chunk))?;
         Ok((out, report))
     }
 
@@ -324,6 +334,13 @@ impl<'a> TransferClient<'a> {
         path: &str,
         sink: impl FnMut(&[u8]),
     ) -> Result<TransferReport, SoapError> {
+        let (handle, size) = self.open_get(path)?;
+        self.read_open(handle, size, sink)
+    }
+
+    /// Open `path` for reading: its read handle and the size the server
+    /// reports.
+    fn open_get(&self, path: &str) -> Result<(String, usize), SoapError> {
         let opened = self.call_retry("open_get", || [SoapValue::str(path)])?;
         let handle = opened
             .field("handle")
@@ -335,7 +352,17 @@ impl<'a> TransferClient<'a> {
             .and_then(|v| v.as_i64())
             .and_then(|n| usize::try_from(n).ok())
             .ok_or_else(|| SoapError::Protocol("open_get reply missing size".into()))?;
+        Ok((handle, size))
+    }
 
+    /// Read the `size` bytes of the file open under `handle` into `sink`,
+    /// then release the handle.
+    fn read_open(
+        &self,
+        handle: String,
+        size: usize,
+        sink: impl FnMut(&[u8]),
+    ) -> Result<TransferReport, SoapError> {
         let fetch = |off: usize, len: usize| {
             let fetched = self.call_retry("get_chunk", || {
                 [
@@ -511,6 +538,7 @@ mod tests {
 
         let (back, down) = tc.get("/data/f.bin").unwrap();
         assert_eq!(back, data);
+        assert_eq!(back.capacity(), back.len(), "reserved once, for the size");
         assert_eq!(down.bytes, 10_000);
         assert_eq!(down.chunks, 10);
     }
@@ -583,7 +611,52 @@ mod tests {
             tc.put(&path, &data).unwrap();
             let (back, _) = tc.get(&path).unwrap();
             assert_eq!(back, data, "size {n}");
+            assert_eq!(back.capacity(), n, "size {n}");
         }
+    }
+
+    /// The in-memory transport, with every `open_get` reply claiming a
+    /// file of 1 TiB.
+    struct Inflating(InMemoryTransport);
+
+    impl Transport for Inflating {
+        fn round_trip(&self, req: Request) -> portalws_wire::Result<Response> {
+            let opening = String::from_utf8_lossy(&req.body).contains("open_get");
+            let resp = self.0.round_trip(req)?;
+            if !opening {
+                return Ok(resp);
+            }
+            let reply = Envelope::parse(&resp.body_str()).unwrap();
+            let SoapValue::Struct(mut fields) = reply.into_return_value().unwrap() else {
+                panic!("open_get reply was not a struct");
+            };
+            for (name, value) in &mut fields {
+                if name == "size" {
+                    *value = SoapValue::Int(1 << 40);
+                }
+            }
+            let reply = Envelope::response("open_get", SoapValue::Struct(fields));
+            Ok(Response::xml(reply.to_xml()))
+        }
+
+        fn stats(&self) -> Arc<portalws_wire::WireStats> {
+            self.0.stats()
+        }
+    }
+
+    #[test]
+    fn a_peer_claiming_a_huge_file_fails_the_get_instead_of_its_reservation() {
+        let (srb, handler) = data_server();
+        srb.put("anonymous", "/data/small.bin", &payload(3_000))
+            .unwrap();
+        let transport = Inflating(InMemoryTransport::new(handler));
+        let client = SoapClient::new(Arc::new(transport), "DataManagement");
+        let tc = TransferClient::with_config(&client, config(1));
+        let err = tc.get("/data/small.bin").unwrap_err();
+        assert!(
+            matches!(&err, SoapError::Protocol(m) if m.contains("returned 0 bytes")),
+            "{err:?}"
+        );
     }
 
     /// Names of the staging objects left in `/data`.
@@ -634,12 +707,17 @@ mod tests {
         }
     }
 
-    fn recording_harness(answer_put: PutAnswer) -> (Arc<Srb>, SoapClient, Arc<Recording>) {
+    /// A broker with an empty `/data`, and a `DataManagement` server over it.
+    fn data_server() -> (Arc<Srb>, Arc<dyn Handler>) {
         let srb = Arc::new(Srb::new());
         srb.mkdir("/data").unwrap();
         let server = SoapServer::new();
         server.mount(Arc::new(DataManagementService::new(Arc::clone(&srb))));
-        let handler: Arc<dyn Handler> = Arc::new(server);
+        (srb, Arc::new(server))
+    }
+
+    fn recording_harness(answer_put: PutAnswer) -> (Arc<Srb>, SoapClient, Arc<Recording>) {
+        let (srb, handler) = data_server();
         let transport = Arc::new(Recording {
             inner: InMemoryTransport::new(handler),
             calls: Mutex::new(Vec::new()),

@@ -86,7 +86,7 @@ mod tests {
         };
         assert_eq!(caller_principal(&ctx), "anonymous");
         let ctx = CallContext {
-            headers: vec![HeaderEntry::text_element("Other", "")],
+            headers: vec![HeaderEntry::parse("<Other/>").unwrap()],
             service: "X".into(),
             method: "m".into(),
         };

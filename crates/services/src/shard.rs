@@ -34,14 +34,15 @@
 //!
 //!   A journal entry recorded before step 1 drives [`recover`]: entries
 //!   that reached step 4 roll forward (re-run the delete leg), earlier
-//!   ones roll back (abort staging, rename the tombstone home). A step
-//!   before the commit point that a broker refuses (a missing source, a
-//!   destination the caller may not write or that is full) is rolled
-//!   back the same way before the call returns, so the caller sees the
-//!   refusal with the namespace as it was, as on one broker. Past the
-//!   commit point the move has happened and the call succeeds; a
-//!   tombstone already gone counts as deleted, and a delete leg the
-//!   broker refuses leaves its entry for [`recover`], as does a
+//!   ones roll back (abort staging, rename the tombstone home if step 1
+//!   made one), and an entry whose repair a broker refuses stays for the
+//!   next call. A step before the commit point that a broker refuses (a
+//!   missing source, a destination the caller may not write or that is
+//!   full) is rolled back the same way before the call returns, so the
+//!   caller sees the refusal with the namespace as it was, as on one
+//!   broker. Past the commit point the move has happened and the call
+//!   succeeds; a tombstone already gone counts as deleted, and a delete
+//!   leg the broker refuses leaves its entry for [`recover`], as does a
 //!   coordinator that dies mid-move. The e12 chaos harness injects such
 //!   deaths at `copy-chunk`, `pre-commit` and `delete-leg` and asserts
 //!   the exactly-one-copy invariant after recovery.
@@ -175,11 +176,12 @@ struct MoveRecord {
     src_handle: Option<String>,
     /// Shard-local staged-put handle at the destination, if still open.
     dst_handle: Option<String>,
+    /// True once the source was renamed to its tombstone; `cp` never
+    /// hides its source. Only a hidden source has a tombstone to delete
+    /// or rename back.
+    hidden: bool,
     /// True once the destination committed: roll forward from here.
     committed: bool,
-    /// True for `cp`: no tombstone, no delete leg, rollback only ever
-    /// aborts staging.
-    copy_only: bool,
 }
 
 /// The cross-shard move journal, and the chaos hook fired at its
@@ -207,6 +209,9 @@ pub struct RecoveryReport {
     pub rolled_forward: usize,
     /// Moves before the commit point whose source was restored.
     pub rolled_back: usize,
+    /// Moves whose repair a broker refused; their entries stay in the
+    /// journal for a later `recover`.
+    pub pending: usize,
 }
 
 impl DataManagementService {
@@ -447,8 +452,8 @@ impl DataManagementService {
             tombstone: tombstone.clone(),
             src_handle: None,
             dst_handle: None,
+            hidden: false,
             committed: false,
-            copy_only,
         };
         self.journal.moves.lock().insert(id, record);
         (id, tombstone)
@@ -458,10 +463,12 @@ impl DataManagementService {
     /// Neither does one a broker refused before the commit point: the
     /// coordinator is alive, so it rolls the move back at once, as
     /// `recover` would, and the caller sees the refusal with the
-    /// namespace as it was. Past the commit point the move has happened,
-    /// so a refused delete leg leaves its entry for `recover` and the
-    /// call succeeds. An injected fault, which stands for a coordinator
-    /// that died mid-move, leaves its entry and reaches the caller.
+    /// namespace as it was (a roll-back the broker refuses in turn keeps
+    /// its entry for `recover`). Past the commit point the move has
+    /// happened, so a refused delete leg leaves its entry for `recover`
+    /// and the call succeeds. An injected fault, which stands for a
+    /// coordinator that died mid-move, leaves its entry and reaches the
+    /// caller.
     fn settle(&self, id: u64, outcome: Result<(), Stop>) -> SoapResult<()> {
         let mut moves = self.journal.moves.lock();
         match outcome {
@@ -471,7 +478,7 @@ impl DataManagementService {
                 let rec = moves.remove(&id);
                 drop(moves);
                 if let Some(rec) = rec {
-                    self.repair(rec);
+                    self.retire(id, rec);
                 }
                 Err(f)
             }
@@ -569,6 +576,9 @@ impl DataManagementService {
                 .srb()
                 .rename(principal, from, &tombstone)
                 .map_err(srb_fault)?;
+            if let Some(rec) = self.journal.moves.lock().get_mut(&id) {
+                rec.hidden = true;
+            }
             let staged = self.copy_across(id, "rename", principal, (si, &tombstone), (di, to))?;
             self.fault_point("pre-commit", "rename")?;
             self.commit_across(id, di, principal, &staged)?;
@@ -603,51 +613,71 @@ impl DataManagementService {
     /// Repair every journaled move: committed entries roll forward
     /// (re-run the delete leg), uncommitted ones roll back (abort
     /// staging, rename the tombstone back to the source name). Safe to
-    /// call repeatedly; the journal is empty afterwards.
+    /// call repeatedly. A move whose repair a broker refuses (the mover
+    /// may no longer write the source's collection) keeps its entry and
+    /// counts as pending, so a later call can finish it; the journal is
+    /// empty afterwards only when every repair went through.
     pub fn recover(&self) -> RecoveryReport {
-        let drained: Vec<MoveRecord> = {
-            let mut moves = self.journal.moves.lock();
-            moves.drain().map(|(_, rec)| rec).collect()
-        };
+        let drained: Vec<(u64, MoveRecord)> = self.journal.moves.lock().drain().collect();
         let mut report = RecoveryReport::default();
-        for rec in drained {
-            let forward = self.repair(rec);
+        for (id, rec) in drained {
+            let repaired = self.retire(id, rec);
             // A refused move's repair rides on its call's own bump;
             // recovery is a write of its own.
             self.bump();
-            if forward {
-                report.rolled_forward += 1;
-            } else {
-                report.rolled_back += 1;
+            match repaired {
+                Some(true) => report.rolled_forward += 1,
+                Some(false) => report.rolled_back += 1,
+                None => report.pending += 1,
             }
         }
         report
     }
 
-    /// Roll one move forward if its destination committed, back if not;
-    /// true when it rolled forward.
-    fn repair(&self, rec: MoveRecord) -> bool {
+    /// Repair move `id`: `Some(true)` when it rolled forward,
+    /// `Some(false)` when it rolled back, and `None` when a broker
+    /// refused the repair, which puts the entry back in the journal.
+    fn retire(&self, id: u64, mut rec: MoveRecord) -> Option<bool> {
+        match self.repair(&mut rec) {
+            Ok(()) => Some(rec.committed),
+            Err(_) => {
+                self.journal.moves.lock().insert(id, rec);
+                None
+            }
+        }
+    }
+
+    /// Roll one move forward if its destination committed, back if not.
+    /// A tombstone already gone counts as deleted or restored; any other
+    /// refusal is the broker's.
+    fn repair(&self, rec: &mut MoveRecord) -> SrbResult<()> {
         let src_s = self.shards.get(rec.src_shard);
         let dst_s = self.shards.get(rec.dst_shard);
         // Open handles die first: staging `.part-` files and read
         // handles must not outlive the move.
-        if let (Some(s), Some(h)) = (src_s, rec.src_handle.as_deref()) {
-            let _ = s.transfers().abort(&rec.principal, h);
+        if let (Some(s), Some(h)) = (src_s, rec.src_handle.take()) {
+            let _ = s.transfers().abort(&rec.principal, &h);
         }
-        if let (Some(s), Some(h)) = (dst_s, rec.dst_handle.as_deref()) {
-            let _ = s.transfers().abort(&rec.principal, h);
+        if let (Some(s), Some(h)) = (dst_s, rec.dst_handle.take()) {
+            let _ = s.transfers().abort(&rec.principal, &h);
         }
-        // `cp` never hid its source: nothing else to do either way.
-        if let (false, Some(s)) = (rec.copy_only, src_s) {
-            if rec.committed {
-                // The destination is complete: finish the delete leg.
-                let _ = s.srb().rm(&rec.principal, &rec.tombstone);
-            } else if s.srb().stat(&rec.principal, &rec.tombstone).is_ok() {
-                // The destination never committed: restore the source.
-                let _ = s.srb().rename(&rec.principal, &rec.tombstone, &rec.src);
-            }
+        // A `cp`, or a rename whose hide step was refused, made no
+        // tombstone: nothing else to do either way.
+        let (true, Some(s)) = (rec.hidden, src_s) else {
+            return Ok(());
+        };
+        let srb = s.srb();
+        let done = if rec.committed {
+            // The destination is complete: finish the delete leg.
+            srb.rm(&rec.principal, &rec.tombstone)
+        } else {
+            // The destination never committed: restore the source.
+            srb.rename(&rec.principal, &rec.tombstone, &rec.src)
+        };
+        match done {
+            Ok(()) | Err(SrbError::NotFound(_)) => Ok(()),
+            Err(e) => Err(e),
         }
-        rec.committed
     }
 }
 
@@ -973,16 +1003,19 @@ mod tests {
     #[test]
     fn a_refused_cross_shard_move_leaves_the_namespace_as_it_was() {
         // A destination the caller may not write, one too small for the
-        // object (refused mid-copy, with the source already hidden), and
-        // a source that does not exist. Each refusal reaches the caller
-        // with the source in place, nothing staged, and no journal entry
-        // left for `recover`: a one-broker rename refuses the same way.
+        // object (refused mid-copy, with the source already hidden), a
+        // source that does not exist, and a source the caller may not
+        // move (refused at the hide step, so no tombstone was made). Each
+        // refusal reaches the caller with the source in place, nothing
+        // staged, and no journal entry left for `recover`: a one-broker
+        // rename refuses the same way.
         let cases = [
             ("rename", "denied", PortalErrorKind::PermissionDenied),
             ("cp", "denied", PortalErrorKind::PermissionDenied),
             ("rename", "full", PortalErrorKind::DiskFull),
             ("cp", "full", PortalErrorKind::DiskFull),
             ("rename", "missing", PortalErrorKind::FileNotFound),
+            ("rename", "source denied", PortalErrorKind::PermissionDenied),
         ];
         for (method, case, kind) in cases {
             let (svc, c) = client(4);
@@ -1000,6 +1033,9 @@ mod tests {
             if case != "missing" {
                 svc.put_bytes("anonymous", &src, &body).unwrap();
             }
+            if case == "source denied" {
+                svc.set_acl(&format!("/{a}"), vec!["alice".into()]);
+            }
             let err = c
                 .call(method, &[SoapValue::str(&src), SoapValue::str(&dst)])
                 .unwrap_err();
@@ -1010,7 +1046,7 @@ mod tests {
             );
             assert_eq!(svc.pending_moves(), 0, "{method} {case}");
             assert_eq!(
-                svc.get_bytes("anonymous", &src).ok(),
+                svc.get_bytes("alice", &src).ok(),
                 (case != "missing").then_some(body)
             );
             for (k, shard) in svc.shards().iter().enumerate() {
@@ -1077,14 +1113,78 @@ mod tests {
             if case == "delete refused" {
                 assert_eq!(svc.pending_moves(), 1, "{case}");
                 assert_eq!(tombstones().len(), 1, "{case}");
+                // While the ACL still refuses the delete, recovery keeps
+                // the entry instead of counting the move as done.
+                let report = svc.recover();
+                let pending = RecoveryReport {
+                    pending: 1,
+                    ..RecoveryReport::default()
+                };
+                assert_eq!(report, pending, "{case}");
+                assert_eq!(svc.pending_moves(), 1, "{case}");
+                assert_eq!(tombstones().len(), 1, "{case}");
                 svc.set_acl(&format!("/{a}"), vec!["alice".into(), "anonymous".into()]);
                 let report = svc.recover();
-                assert_eq!((report.rolled_forward, report.rolled_back), (1, 0));
+                let forward = RecoveryReport {
+                    rolled_forward: 1,
+                    ..RecoveryReport::default()
+                };
+                assert_eq!(report, forward, "{case}");
             }
             assert_eq!(svc.pending_moves(), 0, "{case}");
             assert_eq!(tombstones(), Vec::<String>::new(), "{case}");
             assert!(svc.get_bytes("alice", &src).is_err(), "{case}");
         }
+    }
+
+    #[test]
+    fn a_roll_back_the_broker_refuses_waits_for_the_next_recover() {
+        // The coordinator dies before the commit point, and the source
+        // top's ACL then stops the mover from renaming the tombstone back.
+        let (svc, c) = client(4);
+        let (a, b) = two_cross_shard_tops(&svc);
+        let (src, dst) = (format!("/{a}/data.bin"), format!("/{b}/data.bin"));
+        for top in [&a, &b] {
+            svc.mkdir(&format!("/{top}")).unwrap();
+        }
+        svc.put_bytes("anonymous", &src, b"payload").unwrap();
+        let srb = Arc::clone(svc.route(&src).unwrap().srb());
+        let top = format!("/{a}");
+        let tombstones = || -> Vec<String> {
+            (srb.ls("alice", &top).unwrap().into_iter())
+                .filter(|e| e.name.starts_with(".mv-"))
+                .map(|e| e.name)
+                .collect()
+        };
+        svc.set_fault_hook(Some(Arc::new(|point: &str| point == "pre-commit")));
+        let err = c
+            .call("rename", &[SoapValue::str(&src), SoapValue::str(&dst)])
+            .unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        svc.set_fault_hook(None);
+        svc.set_acl(&top, vec!["alice".into()]);
+        let report = svc.recover();
+        let pending = RecoveryReport {
+            pending: 1,
+            ..RecoveryReport::default()
+        };
+        assert_eq!(report, pending);
+        assert_eq!(svc.pending_moves(), 1);
+        assert_eq!(tombstones().len(), 1);
+        svc.set_acl(&top, vec!["alice".into(), "anonymous".into()]);
+        let report = svc.recover();
+        let back = RecoveryReport {
+            rolled_back: 1,
+            ..RecoveryReport::default()
+        };
+        assert_eq!(report, back);
+        assert_eq!(svc.pending_moves(), 0);
+        assert_eq!(tombstones(), Vec::<String>::new());
+        assert_eq!(svc.get_bytes("anonymous", &src).unwrap(), b"payload");
+        assert!(svc.get_bytes("anonymous", &dst).is_err());
+        // Nothing staged is left at the destination either.
+        let dst_srb = svc.route(&dst).unwrap().srb();
+        assert_eq!(dst_srb.ls("anonymous", &format!("/{b}")).unwrap().len(), 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Allocation budget for one `xml_call` listing, client to server and back.
 //!
-//! `SoapClient` → `InMemoryTransport` (framed, so HTTP bytes are written
-//! and re-read) → `SoapServer` → `DataManagementService`, all on the
+//! `SoapClient` → `InMemoryTransport` (framed: each HTTP head is written
+//! and re-read, and each body handed over) → `SoapServer` →
+//! `DataManagementService`, all on the
 //! calling thread: one warm `xml_call` whose single `ls` lists a
 //! collection of 128 objects, as each `write_churn` batch does. A
 //! counting global allocator, scoped to this test binary, counts the
@@ -63,10 +64,13 @@ static COUNTING: CountingAlloc = CountingAlloc;
 
 #[test]
 fn list_a_collection_of_128_objects() {
-    // Measured 337: about one attribute vector per entry where the
-    // server builds it and one where the client parses it. With each name
-    // cloned out of the broker and every name and value of the result
-    // tree its own `String`, the same call took 2,149.
+    // Measured 343: about one attribute vector per entry where the
+    // server builds it and one where the client parses it, and the reply's
+    // generation stamp, written into one buffer sized once and read back
+    // through `text()` (344 with the stamp formatted through `to_string`,
+    // 337 before replies carried it). With each name cloned out of the
+    // broker and every name and value of the result tree its own
+    // `String`, the same call took 2,149.
     const BUDGET: u64 = 405;
     let srb = Arc::new(Srb::new());
     srb.mkdir("/data").unwrap();

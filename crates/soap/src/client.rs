@@ -405,7 +405,7 @@ mod tests {
         // Without supplier: rejected.
         assert!(client.call("echo", &[SoapValue::str("x")]).is_err());
 
-        client.set_header_supplier(Arc::new(|| vec![HeaderEntry::text_element("Token", "t")]));
+        client.set_header_supplier(Arc::new(|| vec![HeaderEntry::number_element("Token", 1)]));
         assert_eq!(
             client.call("echo", &[SoapValue::str("x")]).unwrap(),
             SoapValue::str("x")

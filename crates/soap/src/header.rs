@@ -12,9 +12,9 @@
 //! as the Authentication Service reads an assertion.
 
 use std::borrow::Cow;
+use std::fmt::Write;
 
 use portalws_xml::dom::{read_content, read_document, skip_subtree, Piece};
-use portalws_xml::escape::escape_text;
 use portalws_xml::{Element, Tokenizer, XmlError};
 
 use crate::value::local_name;
@@ -65,14 +65,12 @@ impl HeaderEntry {
         }
     }
 
-    /// `<name>text</name>`, with `text` escaped: the shape of a generation
-    /// stamp or a bare token.
-    pub fn text_element(name: &str, text: &str) -> HeaderEntry {
-        let text = escape_text(text);
-        let mut xml = String::with_capacity(2 * name.len() + text.len() + 5);
-        for part in ["<", name, ">", &*text, "</", name, ">"] {
-            xml.push_str(part);
-        }
+    /// `<name>n</name>`: the shape of a generation stamp, its digits
+    /// written straight into the entry's one buffer, sized once.
+    pub fn number_element(name: &str, n: u64) -> HeaderEntry {
+        let digits = n.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let mut xml = String::with_capacity(2 * name.len() + digits + 5);
+        let _ = write!(xml, "<{name}>{n}</{name}>");
         HeaderEntry {
             xml,
             name_end: 1 + name.len(),
@@ -175,12 +173,25 @@ mod tests {
             assert_eq!(entry.as_str(), el.to_xml());
             assert_eq!(entry.to_element().unwrap(), el);
         }
-        let stamp = HeaderEntry::text_element("Generation", "7 < 8");
-        assert_eq!(stamp.as_str(), "<Generation>7 &lt; 8</Generation>");
+        let stamp = HeaderEntry::parse("<Generation>7 &lt; 8</Generation>").unwrap();
         assert_eq!(stamp.local_name(), "Generation");
         assert_eq!(stamp.text(), "7 < 8");
         let bare = HeaderEntry::parse("<t:Token/>").unwrap();
         assert_eq!((bare.name(), bare.text()), ("t:Token", String::new()));
+    }
+
+    #[test]
+    fn a_number_reads_back_as_written_and_as_a_peer_spells_it() {
+        let read = |entry: &HeaderEntry| entry.text().trim().parse::<u64>().ok();
+        for n in [0, 7, 10, u64::MAX] {
+            let stamp = HeaderEntry::number_element("Generation", n);
+            assert_eq!(stamp.as_str(), format!("<Generation>{n}</Generation>"));
+            assert_eq!(stamp.as_str().len(), stamp.xml.capacity(), "{n}");
+            assert_eq!(stamp, HeaderEntry::parse(stamp.as_str()).unwrap());
+            assert_eq!(read(&stamp), Some(n));
+        }
+        let peer = HeaderEntry::parse("<g:Generation> 7 </g:Generation>").unwrap();
+        assert_eq!(read(&peer), Some(7));
     }
 
     #[test]
@@ -205,9 +216,9 @@ mod tests {
     #[test]
     fn find_takes_the_first_match_by_local_name() {
         let entries = [
-            HeaderEntry::text_element("Other", "0"),
-            HeaderEntry::text_element("a:Token", "1"),
-            HeaderEntry::text_element("b:Token", "2"),
+            HeaderEntry::number_element("Other", 0),
+            HeaderEntry::number_element("a:Token", 1),
+            HeaderEntry::number_element("b:Token", 2),
         ];
         assert_eq!(
             find(&entries, "Token").map(HeaderEntry::text),

@@ -196,10 +196,8 @@ impl SoapServer {
         let finish = |reply: Envelope| {
             let mut reply = self.stamp(reply);
             if let Some(generation) = generation {
-                reply.headers.push(HeaderEntry::text_element(
-                    GENERATION_HEADER,
-                    &generation.to_string(),
-                ));
+                let stamp = HeaderEntry::number_element(GENERATION_HEADER, generation);
+                reply.headers.push(stamp);
             }
             reply
         };

@@ -129,9 +129,9 @@ proptest! {
     fn headers_always_preserved(n in 0usize..4) {
         let mut env = Envelope::request("S", "m", []);
         for i in 0..n {
-            env = env.with_header(portalws_soap::HeaderEntry::text_element(
+            env = env.with_header(portalws_soap::HeaderEntry::number_element(
                 &format!("H{i}"),
-                &i.to_string(),
+                i as u64,
             ));
         }
         let parsed = Envelope::parse(&env.to_xml()).unwrap();

@@ -8,7 +8,10 @@
 //! One grammar reads every frame head and one writer writes it. Three
 //! front ends feed the grammar: the incremental [`RequestParser`] of both
 //! server arms, the blocking `read_from_buffered` readers, and a
-//! whole-frame parse of a frame's own bytes (the in-memory transport).
+//! two-piece parse of a head and the body beside it (the in-memory
+//! transport, which writes each head alone and hands its body over; the
+//! chaos transport's cut and corrupted frames are split at the head's end
+//! and parsed the same way).
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 
@@ -164,11 +167,6 @@ impl Request {
         let mut n = 0;
         self.head_to(&mut n);
         n + self.body.len()
-    }
-
-    fn head_to(&self, out: &mut impl HeadSink) {
-        let start = [self.method.as_bytes(), self.path.as_bytes(), b"HTTP/1.0"];
-        write_head(out, start, &self.headers, self.body.len());
     }
 
     /// Read one request from an existing buffered reader, leaving any
@@ -375,13 +373,6 @@ impl Response {
         n + self.body.len()
     }
 
-    fn head_to(&self, out: &mut impl HeadSink) {
-        let mut code = [0; 20];
-        let code = decimal(self.status.code().into(), &mut code);
-        let start = [b"HTTP/1.0", code, self.status.reason().as_bytes()];
-        write_head(out, start, &self.headers, self.body.len());
-    }
-
     /// Read one response from an existing buffered reader (the form for
     /// connections carrying several responses: a fresh `BufReader` per
     /// response could read ahead and drop the next frame's bytes).
@@ -531,7 +522,7 @@ fn write_head(
 
 /// Where [`write_head`] puts a head: a buffer keeps its bytes, a count
 /// only their number.
-trait HeadSink {
+pub(crate) trait HeadSink {
     fn put_head(&mut self, pieces: &[&[u8]]);
 }
 
@@ -558,15 +549,23 @@ fn decimal(n: usize, buf: &mut [u8; 20]) -> &[u8] {
 }
 
 /// What tells a request frame from a response frame: its start line.
-/// Everything else in a head is [`parse_head`]'s one grammar.
+/// Everything else in a head is [`write_head`]'s one writer and
+/// [`parse_head`]'s one grammar.
 pub(crate) trait Message: Sized {
     /// The message a head's start line and headers make, body still empty.
     fn from_head(start: &str, headers: Vec<(String, String)>) -> Result<Self>;
     /// Where the body goes.
     fn body_mut(&mut self) -> &mut Vec<u8>;
+    /// Write the head: the start line, the headers and the body's length.
+    fn head_to(&self, out: &mut impl HeadSink);
 }
 
 impl Message for Request {
+    fn head_to(&self, out: &mut impl HeadSink) {
+        let start = [self.method.as_bytes(), self.path.as_bytes(), b"HTTP/1.0"];
+        write_head(out, start, &self.headers, self.body.len());
+    }
+
     fn from_head(start: &str, headers: Vec<(String, String)>) -> Result<Request> {
         let mut words = start.split_whitespace();
         let method = words
@@ -589,6 +588,13 @@ impl Message for Request {
 }
 
 impl Message for Response {
+    fn head_to(&self, out: &mut impl HeadSink) {
+        let mut code = [0; 20];
+        let code = decimal(self.status.code().into(), &mut code);
+        let start = [b"HTTP/1.0", code, self.status.reason().as_bytes()];
+        write_head(out, start, &self.headers, self.body.len());
+    }
+
     fn from_head(start: &str, headers: Vec<(String, String)>) -> Result<Response> {
         let mut words = start.split_whitespace();
         words.next().ok_or_else(|| bad_frame("empty status line"))?;
@@ -700,20 +706,46 @@ fn read_buffered<M: Message>(reader: &mut impl BufRead) -> Result<M> {
     Ok(head.msg)
 }
 
-/// The whole-frame front end: `frame` holds one frame (bytes past its end
-/// are dropped), parsed where it lies. The body moves to the front of the
-/// same allocation, which the message keeps, so parsing a serialized
-/// message leaves one copy of it, not two.
-pub(crate) fn parse_frame<M: Message>(mut frame: Vec<u8>) -> Result<M> {
-    let end = head_end(&frame, 0)?.ok_or_else(|| bad_frame("eof before end of headers"))?;
-    let mut head = parse_head::<M>(frame.get(..end).unwrap_or_default())?;
-    if frame.len() - end < head.body_len {
+/// `msg`'s head alone, as [`Request::to_bytes`] or [`Response::to_bytes`]
+/// begins: one allocation of exactly its length, measured first by the
+/// same writer.
+pub(crate) fn head_bytes<M: Message>(msg: &M) -> Vec<u8> {
+    let mut len = 0;
+    msg.head_to(&mut len);
+    let mut head = Vec::with_capacity(len);
+    msg.head_to(&mut head);
+    head
+}
+
+/// The two-piece front end: `head` is one whole head, its first blank
+/// line its last byte, and `body` the bytes after it (bytes past the
+/// length the head declares are dropped). The message keeps `body`'s
+/// allocation, so no body byte is copied. A head that ends before its
+/// last byte, or does not end, is a bad frame; a body shorter than the
+/// head declares is a truncated one.
+pub(crate) fn parse_parts<M: Message>(head: &[u8], mut body: Vec<u8>) -> Result<M> {
+    match head_end(head, 0)? {
+        Some(end) if end == head.len() => {}
+        Some(_) => return Err(bad_frame("bytes after the end of the head")),
+        None => return Err(bad_frame("eof before end of headers")),
+    }
+    let mut head = parse_head::<M>(head)?;
+    if body.len() < head.body_len {
         return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
     }
-    frame.drain(..end);
-    frame.truncate(head.body_len);
-    *head.msg.body_mut() = frame;
+    body.truncate(head.body_len);
+    *head.msg.body_mut() = body;
     Ok(head.msg)
+}
+
+/// The whole-frame front end, for frames a fault has cut or corrupted:
+/// `frame` holds one frame (bytes past its end are dropped), split at its
+/// head's end and parsed by [`parse_parts`]. The body moves to the front
+/// of the frame's allocation, which the message keeps.
+pub(crate) fn parse_frame<M: Message>(mut frame: Vec<u8>) -> Result<M> {
+    let end = head_end(&frame, 0)?.unwrap_or(frame.len());
+    let head: Vec<u8> = frame.drain(..end).collect();
+    parse_parts(&head, frame)
 }
 
 /// Validated body length from a parsed header list. Rejects duplicate
@@ -1257,6 +1289,40 @@ mod tests {
                 assert!(parse_frame::<Response>(bytes[..cut].to_vec()).is_err());
             }
         }
+    }
+
+    #[test]
+    fn the_two_piece_parse_takes_one_whole_head_and_a_body_at_least_as_long_as_it_declares() {
+        let req = Request::post("/p", "body").with_header("X-K", "v");
+        let head = head_bytes(&req);
+        assert_eq!(head.len() + req.body.len(), req.wire_len());
+        let parsed = parse_parts::<Request>(&head, b"body".to_vec()).unwrap();
+        assert_eq!(parsed.to_bytes(), req.to_bytes());
+        // Bytes past the declared length are dropped, as a frame's are.
+        let longer = parse_parts::<Request>(&head, b"bodybytes".to_vec()).unwrap();
+        assert_eq!(longer.body, b"body");
+        let refusals: [(&[u8], &[u8], &str); 5] = [
+            (&head, b"bod", "end of file"),
+            (
+                b"POST / HTTP/1.0\r\n\r\nX",
+                b"",
+                "after the end of the head",
+            ),
+            (b"POST / HTTP/1.0\n\n\n", b"", "after the end of the head"),
+            (
+                b"POST / HTTP/1.0\r\nX-K: v\r\n",
+                b"",
+                "eof before end of headers",
+            ),
+            (b"", b"", "eof before end of headers"),
+        ];
+        for (head, body, want) in refusals {
+            let err = parse_parts::<Request>(head, body.to_vec()).unwrap_err();
+            assert!(err.to_string().contains(want), "{head:?}: {err}");
+        }
+        let resp = Response::xml("<ok/>");
+        let err = parse_parts::<Response>(&head_bytes(&resp), b"<ok".to_vec()).unwrap_err();
+        assert!(err.to_string().contains("end of file"), "{err}");
     }
 
     #[test]

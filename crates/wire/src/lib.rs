@@ -18,8 +18,10 @@
 //!   nonblocking connections through readiness-driven state machines, so
 //!   idle keep-alive connections park instead of pinning a worker.
 //! * [`transport`] — the client-side [`Transport`] abstraction and the
-//!   two client transports' in-memory one, which still frames messages to
-//!   bytes so that byte counts stay honest without kernel networking.
+//!   two client transports' in-memory one, which still writes and parses
+//!   every message's head and counts head and body, so that framing and
+//!   byte counts stay honest without kernel networking, while each body
+//!   moves across uncopied.
 //! * [`pool`] — the other, over TCP: a [`pool::PooledTransport`] drawing
 //!   connections from a shared per-endpoint [`pool::Pool`], with
 //!   per-request deadlines and bounded idempotent-only retry. A pool that
